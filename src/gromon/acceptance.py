@@ -412,16 +412,13 @@ def _cli_deterministic() -> bool:
         for args in runs:
             if _run_cli(args, tmp) != _run_cli(args, tmp):
                 return False
-        first = _run_cli(["rand", "--kind", "metric", "--n", "6", "--seed", "7",
-                          "--out", "m1.json"], tmp)
-        with open(os.path.join(tmp, "m1.json"), "rb") as fh:
-            bytes_a = fh.read()
-        _run_cli(["rand", "--kind", "metric", "--n", "6", "--seed", "7",
-                  "--out", "m2.json"], tmp)
-        with open(os.path.join(tmp, "m2.json"), "rb") as fh:
-            bytes_b = fh.read()
-        del first
-        return bytes_a == bytes_b
+        rand = ["rand", "--kind", "metric", "--n", "6", "--seed", "7", "--out", "m.json"]
+        outputs = []
+        for _ in range(2):
+            stdout = _run_cli(rand, tmp)
+            with open(os.path.join(tmp, "m.json"), "rb") as fh:
+                outputs.append((stdout, fh.read()))
+        return outputs[0] == outputs[1]
 
 
 CRITERIA: list[tuple[str, Callable[[], CriterionResult]]] = [

@@ -58,7 +58,6 @@ def _default_seed() -> int:
 
 def _add_common(sub: argparse.ArgumentParser, seed: bool = False) -> None:
     sub.add_argument("--format", choices=("json", "csv", "plain"), default="json")
-    sub.add_argument("--threads", type=int, default=1)
     if seed:
         sub.add_argument("--seed", type=_u64, default=_default_seed(),
                          help="64-bit seed (default: GROMON_SEED or 0)")
@@ -187,7 +186,7 @@ def _cmd_spd(args) -> int:
     net_x = serialize.load_network(args.source)
     net_y = serialize.load_network(args.target)
     report = gw_spd_vertex_ascent(net_x, net_y, restarts=args.restarts,
-                                  seed=args.seed, threads=args.threads)
+                                  seed=args.seed)
     _emit_report(report, args, p=2.0, seed=args.seed)
     return 0
 
@@ -197,7 +196,7 @@ def _cmd_miso(args) -> int:
     x = serialize.load_cloud(args.source)
     y = serialize.load_cloud(args.target)
     report = m_iso(x, y, p=p, restarts=args.restarts, seed=args.seed,
-                   max_alternations=args.max_alternations, threads=args.threads)
+                   max_alternations=args.max_alternations)
     _emit_report(report, args, p=p, seed=args.seed)
     return _infeasible(report) if math.isinf(report.value) else 0
 

@@ -26,7 +26,13 @@ from .networks import (
     check_exponent,
     check_measure_preserving,
 )
-from .solvers import DEFAULT_CAP, SolveReport, gm_exact, gm_infinity
+from .solvers import (
+    DEFAULT_CAP,
+    SolveReport,
+    enumerate_monge_maps,
+    gm_exact,
+    gm_infinity,
+)
 
 TOL_ORTHO = 1e-10
 
@@ -133,17 +139,20 @@ def _haar_orthogonal(dim: int, rng: np.random.Generator) -> np.ndarray:
     return q * np.sign(np.diag(r))
 
 
-def _uniform_pair(x: EuclideanCloud, y: EuclideanCloud) -> bool:
-    return bool(
-        x.n == y.n
-        and np.abs(x.weights - 1.0 / x.n).max() <= TOL_MASS
-        and np.abs(y.weights - 1.0 / y.n).max() <= TOL_MASS
-    )
+def _uniform(cloud: EuclideanCloud) -> bool:
+    return bool(np.abs(cloud.weights - 1.0 / cloud.n).max() <= TOL_MASS)
+
+
+def _has_monge_map(x: EuclideanCloud, y: EuclideanCloud) -> bool:
+    if _uniform(x) and _uniform(y):
+        # decided without enumeration, whose search tree can be huge here
+        return x.n % y.n == 0
+    return next(enumerate_monge_maps(x.weights, y.weights), None) is not None
 
 
 def m_iso(x: EuclideanCloud, y: EuclideanCloud, p=2, restarts: int = 20,
           seed: int = 0, max_alternations: int = 100,
-          threads: int = 1, allow_reflections: bool = True) -> SolveReport:
+          allow_reflections: bool = True) -> SolveReport:
     """Isometry-invariant Monge distance by alternating minimization.
 
     Alternates between a min-cost assignment with costs ||T(x_i) - y_j||^p
@@ -155,8 +164,9 @@ def m_iso(x: EuclideanCloud, y: EuclideanCloud, p=2, restarts: int = 20,
     orthogonal transforms.  ``allow_reflections=False`` restricts the
     transform group to proper rigid motions.
 
-    Only uniform equal-cardinality clouds are searched; any other weighting
-    reports ``math.inf``.
+    Only uniform equal-cardinality clouds are searched.  Any other pair
+    reports ``math.inf`` when no measure-preserving map exists and raises
+    ``ValueError`` ("unsupported weighting") when one does.
     """
     p = check_exponent(p)
     if math.isinf(p):
@@ -165,8 +175,13 @@ def m_iso(x: EuclideanCloud, y: EuclideanCloud, p=2, restarts: int = 20,
         raise ValueError("max_alternations must be >= 1")
     if x.dim != y.dim:
         raise ValueError(f"dimension mismatch: {x.dim} vs {y.dim}")
-    if not _uniform_pair(x, y):
-        return SolveReport(math.inf, None, "alternating", 0, True)
+    if not (x.n == y.n and _uniform(x) and _uniform(y)):
+        if not _has_monge_map(x, y):
+            return SolveReport(math.inf, None, "alternating", 0, True)
+        raise ValueError(
+            f"unsupported weighting: registration searches only uniform clouds "
+            f"of equal size (got {x.n} and {y.n} points)"
+        )
     n = x.n
     cx = x.weights @ x.points
     cy = y.weights @ y.points
@@ -205,13 +220,7 @@ def m_iso(x: EuclideanCloud, y: EuclideanCloud, p=2, restarts: int = 20,
         start = Isometry(rot, cy - rot @ cx)
         return (*run(start, None), r)
 
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(one_restart, range(max(1, restarts))))
-    else:
-        results = [one_restart(r) for r in range(max(1, restarts))]
+    results = [one_restart(r) for r in range(max(1, restarts))]
     val, phi, iso, _, done, trace, _ = min(results, key=lambda t: (t[0], t[6]))
     total_iters = sum(t[3] for t in results)
     return SolveReport(val, MongeMap(phi), "alternating", total_iters, done,

@@ -21,7 +21,6 @@ from __future__ import annotations
 import itertools
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Iterator
@@ -379,6 +378,23 @@ def _qap_value(omx: np.ndarray, omy: np.ndarray, sigma: np.ndarray) -> float:
     return float((omx * omy[np.ix_(sigma, sigma)]).sum())
 
 
+def _swap_gains(omx: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """gains[a, b]: change of sum(omx * c) when rows a, b and columns a, b of
+    ``c`` are swapped (the QAP 2-swap delta; zero on the diagonal).
+
+    Neither table is assumed symmetric.  With h(t)[a, b] = t[a, a] + t[b, b]
+    - t[a, b] - t[b, a], the change is h(omx) * h(c) - h(omx c^T + omx^T c).
+    The second term sums the change over rows a, b and over columns a, b as
+    if they did not meet; the first corrects the four entries where they do.
+    The whole table costs two n x n products plus O(n^2).
+    """
+    def h(t: np.ndarray) -> np.ndarray:
+        d = np.diag(t)
+        return d[:, None] + d[None, :] - t - t.T
+
+    return h(omx) * h(c) - h(omx @ c.T + omx.T @ c)
+
+
 def _ascend(omx: np.ndarray, omy: np.ndarray, sigma: np.ndarray) -> tuple[np.ndarray, float, int]:
     """Greedy vertex-to-vertex ascent of sum omx[i,k] * omy[s(i),s(k)].
 
@@ -388,8 +404,25 @@ def _ascend(omx: np.ndarray, omy: np.ndarray, sigma: np.ndarray) -> tuple[np.nda
     improving transposition (adjacent vertices are permutations differing by
     a cycle).  The bare linearization has many spurious fixed points; the
     swap phase escapes them.
+
+    Transpositions are scored all at once by the 2-swap delta
+    (``_swap_gains``), which only screens: a pair (a, b), walked in
+    lexicographic order, is confirmed by recomputing its value exactly and
+    replaces the running best only when that value beats it by more than
+    ``MOVE_TOL``.  The screen's slack bounds the rounding of the delta and of
+    the two exact sums it stands for, so it never drops a pair the exact
+    rule would take, and the chosen move is the one the exact rule picks
+    when it scores every pair.
     """
     n = sigma.size
+    eps = np.finfo(float).eps
+    # The screen must keep every pair the exact rule could take.  That rule
+    # compares two n^2-term sums, each rounded by at most about
+    # n^4 * eps/2 * scale in any summation order (scale = max|omx| * max|omy|);
+    # the delta's own rounding is O(n^2 * eps * scale).  The slack covers all
+    # three with a factor of four to spare.
+    slack = 4.0 * (n + 2) ** 4 * eps * float(np.abs(omx).max() * np.abs(omy).max())
+    upper = np.triu(np.ones((n, n), dtype=bool), 1)
     val = _qap_value(omx, omy, sigma)
     moves = 0
     while True:
@@ -405,14 +438,16 @@ def _ascend(omx: np.ndarray, omy: np.ndarray, sigma: np.ndarray) -> tuple[np.nda
                 improved = True
             else:
                 break
+        gains = _swap_gains(omx, omy[np.ix_(sigma, sigma)])
         best_val, best_sigma = val, None
-        for a in range(n - 1):
-            for b in range(a + 1, n):
-                cand = sigma.copy()
-                cand[a], cand[b] = cand[b], cand[a]
-                cand_val = _qap_value(omx, omy, cand)
-                if cand_val > best_val + MOVE_TOL:
-                    best_val, best_sigma = cand_val, cand
+        for a, b in zip(*np.nonzero(upper & (gains > MOVE_TOL - slack))):
+            if gains[a, b] <= best_val - val + MOVE_TOL - slack:
+                continue  # cannot beat the running best
+            cand = sigma.copy()
+            cand[a], cand[b] = cand[b], cand[a]
+            cand_val = _qap_value(omx, omy, cand)
+            if cand_val > best_val + MOVE_TOL:
+                best_val, best_sigma = cand_val, cand
         if best_sigma is not None:
             sigma, val = best_sigma, best_val
             moves += 1
@@ -422,8 +457,7 @@ def _ascend(omx: np.ndarray, omy: np.ndarray, sigma: np.ndarray) -> tuple[np.nda
 
 
 def gw_spd_vertex_ascent(netX: MeasureNetwork, netY: MeasureNetwork,
-                         restarts: int = 20, seed: int = 0,
-                         threads: int = 1) -> SolveReport:
+                         restarts: int = 20, seed: int = 0) -> SolveReport:
     """Order-2 Gromov-Wasserstein for SPD tables with uniform weights.
 
     Minimizing the squared distortion is equivalent to maximizing
@@ -456,11 +490,7 @@ def gw_spd_vertex_ascent(netX: MeasureNetwork, netY: MeasureNetwork,
         sigma, val, moves = _ascend(omx, omy, sigma0)
         return val, r, sigma, moves
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(one_restart, range(restarts)))
-    else:
-        results = [one_restart(r) for r in range(restarts)]
+    results = [one_restart(r) for r in range(restarts)]
     total_moves = sum(r[3] for r in results)
     # maximize the cross term; ties resolved toward the earliest restart
     best_val, _, best_sigma, _ = max(results, key=lambda t: (t[0], -t[1]))

@@ -9,7 +9,7 @@ import pytest
 import gromon
 from gromon import simplex_network
 from gromon.randgen import random_cloud, random_isometry
-from gromon import serialize
+from gromon import cli, serialize
 from gromon.euclidean import EuclideanCloud
 
 
@@ -194,6 +194,27 @@ def test_miso_command(workdir):
     assert proc.returncode == 0
     assert out["value"] <= 1e-6
     assert "rotation" in out["transform"]
+
+
+def test_miso_unsupported_weighting_is_input_error(workdir):
+    z = EuclideanCloud([[0.0], [1.0]], [0.25, 0.75])
+    serialize.save_cloud(str(workdir / "z.json"), z)
+    proc = run_cli(["miso", "z.json", "z.json"], workdir)
+    assert proc.returncode == 1
+    assert b"unsupported weighting" in proc.stderr
+    assert b"no measure-preserving map" not in proc.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["gm", "a", "b"], ["gw", "a", "b"], ["spd", "a", "b"], ["miso", "a", "b"],
+    ["heat", "g", "--t", "1"], ["split", "a", "b", "c"],
+    ["rand", "--kind", "spd", "--n", "3", "--out", "o"], ["suite"],
+])
+def test_threads_flag_is_rejected(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli._build_parser().parse_args([*argv, "--threads", "2"])
+    assert exc.value.code == 1
+    assert "unrecognized arguments: --threads" in capsys.readouterr().err
 
 
 def test_deterministic_solver_output(workdir):

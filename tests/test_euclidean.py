@@ -113,6 +113,17 @@ def test_m_iso_requires_uniform_equal_size():
     assert math.isinf(m_iso(x, z).value)
 
 
+def test_m_iso_unsupported_weighting_is_not_infinite():
+    # measure-preserving maps exist here, so "infinite" would be false
+    z = EuclideanCloud([[0.0], [1.0]], [0.25, 0.75])
+    with pytest.raises(ValueError, match="unsupported weighting"):
+        m_iso(z, z)
+    four = EuclideanCloud([[0.0], [1.0], [2.0], [3.0]], [0.25] * 4)
+    two = EuclideanCloud([[0.0], [1.0]], [0.5, 0.5])
+    with pytest.raises(ValueError, match="unsupported weighting"):
+        m_iso(four, two)
+
+
 def test_m_iso_isometry_invariance():
     x = random_cloud(6, 2, 7)
     y = random_cloud(6, 2, 8)

@@ -4,10 +4,12 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from scipy.optimize import linear_sum_assignment
 
 from gromon import (
     CapExceededError,
     Coupling,
+    Graph,
     MeasureNetwork,
     MongeMap,
     NotSPDError,
@@ -20,11 +22,13 @@ from gromon import (
     gm_over_split,
     gw_frank_wolfe,
     gw_spd_vertex_ascent,
+    heat_kernel_network,
     mass_split_from_coupling,
     one_point_network,
     product_coupling,
     simplex_network,
 )
+from gromon import solvers
 from gromon.randgen import (
     random_coupling,
     random_metric_network,
@@ -233,13 +237,94 @@ def test_ascent_rejects_nonuniform():
         gw_spd_vertex_ascent(a, b)
 
 
-def test_ascent_threads_match_serial():
-    net_x = random_spd_network(6, [32, 0])
-    net_y = random_spd_network(6, [32, 1])
-    serial = gw_spd_vertex_ascent(net_x, net_y, restarts=8, seed=3, threads=1)
-    parallel = gw_spd_vertex_ascent(net_x, net_y, restarts=8, seed=3, threads=4)
-    assert serial.value == parallel.value
-    assert np.array_equal(serial.witness.assignment, parallel.witness.assignment)
+@pytest.mark.parametrize("symmetric", [True, False])
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 24])
+def test_swap_gains_match_brute_force(n, symmetric):
+    rng = np.random.default_rng([33, n, int(symmetric)])
+    omx = rng.normal(size=(n, n))
+    c = rng.normal(size=(n, n)) * 3.0
+    if symmetric:
+        omx, c = omx + omx.T, c + c.T
+    gains = solvers._swap_gains(omx, c)
+    base = float((omx * c).sum())
+    brute = np.zeros((n, n))
+    for a in range(n):
+        for b in range(n):
+            tau = np.arange(n)
+            tau[a], tau[b] = b, a
+            brute[a, b] = float((omx * c[np.ix_(tau, tau)]).sum()) - base
+    scale = n * float(np.abs(omx).max() * np.abs(c).max())
+    assert np.abs(gains - brute).max() <= 1e-12 * scale
+
+
+def _ascend_reference(omx, omy, sigma):
+    """The ascent with every transposition scored by a full recomputation."""
+    n = sigma.size
+    val = solvers._qap_value(omx, omy, sigma)
+    moves = 0
+    while True:
+        improved = False
+        while True:
+            grad = omx @ omy[:, sigma].T + omx.T @ omy[sigma, :]
+            _, cols = linear_sum_assignment(grad, maximize=True)
+            new_val = solvers._qap_value(omx, omy, cols)
+            if new_val > val + solvers.MOVE_TOL:
+                sigma, val = cols.astype(np.intp), new_val
+                moves += 1
+                improved = True
+            else:
+                break
+        best_val, best_sigma = val, None
+        for a in range(n - 1):
+            for b in range(a + 1, n):
+                cand = sigma.copy()
+                cand[a], cand[b] = cand[b], cand[a]
+                cand_val = solvers._qap_value(omx, omy, cand)
+                if cand_val > best_val + solvers.MOVE_TOL:
+                    best_val, best_sigma = cand_val, cand
+        if best_sigma is not None:
+            sigma, val = best_sigma, best_val
+            moves += 1
+            improved = True
+        if not improved:
+            return sigma, val, moves
+
+
+def _tie_heavy_pairs():
+    def cycle(n):
+        return Graph(n, tuple((i, (i + 1) % n) for i in range(n)))
+
+    def star(n):
+        return Graph(n, tuple((0, i) for i in range(1, n)))
+
+    def complete(n):
+        return Graph(n, tuple(itertools.combinations(range(n), 2)))
+
+    for make in (cycle, star, complete):
+        for n in (5, 8, 12):
+            x = heat_kernel_network(make(n), 1.0)
+            sigma = np.random.default_rng([34, n]).permutation(n)
+            yield x, relabeled(x, sigma)
+            yield x, heat_kernel_network(make(n), 2.0)
+
+
+def _spd_pairs():
+    for n in (4, 9, 16):
+        for k in range(3):
+            yield random_spd_network(n, [35, n, k, 0]), random_spd_network(n, [35, n, k, 1])
+
+
+@pytest.mark.filterwarnings("ignore:.*near-singular")
+@pytest.mark.parametrize("pairs", [_spd_pairs, _tie_heavy_pairs])
+def test_ascent_scan_matches_full_rescoring(pairs, monkeypatch):
+    cases = list(pairs())
+    fast = [gw_spd_vertex_ascent(x, y, restarts=4, seed=5) for x, y in cases]
+    monkeypatch.setattr(solvers, "_ascend", _ascend_reference)
+    for (x, y), got in zip(cases, fast):
+        want = gw_spd_vertex_ascent(x, y, restarts=4, seed=5)
+        assert got.value == want.value
+        assert got.iterations == want.iterations
+        assert np.array_equal(got.witness.assignment, want.witness.assignment)
 
 
 # -- mass splitting -------------------------------------------------------------------
