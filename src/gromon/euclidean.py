@@ -21,8 +21,8 @@ from .networks import (
     MeasureNetwork,
     MongeMap,
     _check_weights,
+    _exact_sum,
     _frozen,
-    _fsum,
     check_exponent,
     check_measure_preserving,
 )
@@ -131,7 +131,7 @@ def procrustes_align(x: EuclideanCloud, y: EuclideanCloud, phi: MongeMap,
 def _registration_cost(x: EuclideanCloud, y: EuclideanCloud, phi: np.ndarray,
                        iso: Isometry, p: float) -> float:
     res = np.linalg.norm(iso.apply(x.points) - y.points[phi], axis=1)
-    return _fsum(res**p * x.weights) ** (1.0 / p)
+    return _exact_sum(res**p * x.weights) ** (1.0 / p)
 
 
 def _haar_orthogonal(dim: int, rng: np.random.Generator) -> np.ndarray:

@@ -1,8 +1,11 @@
 """Graphs as measure networks: adjacency, Laplacian, and heat-kernel tables.
 
-The heat kernel exp(-tL) is symmetric positive definite for every t > 0, so
-graphs run through this module feed directly into the SPD vertex-ascent
-solver.
+The heat kernel exp(-tL) is symmetric positive definite for every t > 0 in
+exact arithmetic, so graphs run through this module feed the SPD
+vertex-ascent solver.  In floating point a large t * lambda makes it
+numerically singular: the complete graph K16 at t = 3 has smallest
+eigenvalue exp(-48), below float resolution next to its largest eigenvalue
+1, and the solver rejects it as not positive definite.
 """
 
 from __future__ import annotations
@@ -71,8 +74,10 @@ def heat_kernel_network(g: Graph, t: float) -> MeasureNetwork:
     """Network with table exp(-tL), computed by symmetric eigendecomposition.
 
     Eigenvalues are clamped at zero from below before exponentiation (the
-    Laplacian is PSD up to roundoff), so every eigenvalue of the output is
-    strictly positive.
+    Laplacian is PSD up to roundoff), so every eigenvalue exp(-t * lambda) is
+    positive in exact arithmetic.  Once t * lambda exceeds about 36 it is
+    below float resolution next to the largest eigenvalue, 1 (lambda = 0),
+    and the computed table can be singular or indefinite.
     """
     t = float(t)
     if t <= 0:

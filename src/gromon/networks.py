@@ -12,6 +12,7 @@ threads.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -55,9 +56,84 @@ def _frozen(a, dtype=float) -> np.ndarray:
     return out
 
 
-def _fsum(a: np.ndarray) -> float:
-    # Exactly-rounded accumulation; keeps oracle equalities reproducible to 1e-12.
-    return math.fsum(np.asarray(a, dtype=float).ravel().tolist())
+# Pieces of at most _BLOCK terms stay in cache; under _SMALL terms a list for
+# math.fsum is faster; from _TOP up no sum of pieces is safe from overflow.
+_BLOCK = 1 << 14
+_SMALL = 1 << 10
+_TOP = 2.0 ** 959
+
+
+def _pieces(blocks):
+    for b in blocks:
+        flat = b.ravel()
+        for start in range(0, flat.size, _BLOCK):
+            yield flat[start:start + _BLOCK]
+
+
+def _exact_sum(terms) -> float:
+    """Exactly rounded sum of an array, or of the arrays an iterable yields.
+
+    Equal bit for bit to ``math.fsum`` over all elements in order, without
+    boxing them: each piece is reduced without rounding error by the
+    error-free extraction of Rump, Ogita & Oishi ("Accurate floating-point
+    summation, part I", 2008), and math.fsum adds the exact partial sums.
+    A piece r of N elements with max|r| < 2**e is split by sigma = 2**(k + e),
+    k = bit_length(2N + 2): q = (sigma + r) - sigma is exact, lies on the
+    grid ulp(sigma)/2 and sums to less than sigma in magnitude, so
+    ``q.sum()`` is exact in any order; the remainder r - q is exact too, and
+    its largest entry is at most 2**-36 times the previous one.  A non-finite
+    or huge term hands everything from its piece on to math.fsum as it is,
+    so overflow and nan behave as there.
+    """
+    pieces = _pieces((terms,) if isinstance(terms, np.ndarray) else terms)
+    parts: list[float] = []
+    for r in pieces:
+        top = float(np.abs(r).max())
+        if not top < _TOP:
+            rest = itertools.chain.from_iterable(x.tolist() for x in pieces)
+            return math.fsum(itertools.chain(parts, r.tolist(), rest))
+        if r.size < _SMALL:
+            parts += r.tolist()
+            continue
+        k = (2 * r.size + 2).bit_length()
+        r = np.array(r, dtype=float)
+        q = np.empty_like(r)
+        while top:
+            sigma = math.ldexp(1.0, k + math.frexp(top)[1])
+            np.add(r, sigma, out=q)
+            q -= sigma
+            parts.append(float(q.sum()))
+            r -= q
+            top = float(np.abs(r).max())
+    return math.fsum(parts)
+
+
+def _distortion(omx: np.ndarray, omy: np.ndarray, ix: np.ndarray, iy: np.ndarray,
+                w: np.ndarray | None, p: float, *, pair_weights: bool) -> float:
+    """Distortion over ordered pairs of points a = (ix[a], iy[a]), by row blocks.
+
+    The mismatch of a pair (a, b) is |omx[ix[a], ix[b]] - omy[iy[a], iy[b]]|.
+    For p = inf the result is its max (``w`` unused); for finite p it is the
+    p-th root of the exactly rounded sum of the terms mismatch**p * w[a] * w[b],
+    multiplied left to right, or mismatch**p * (w[a] * w[b]) when
+    ``pair_weights`` is set.  Only blocks of about _BLOCK terms exist at once.
+    """
+    x_cols = omx[:, ix]
+    y_cols = omy[:, iy]
+    step = max(1, _BLOCK // max(ix.size, 1))
+
+    def mismatch():
+        for start in range(0, ix.size, step):
+            s = slice(start, start + step)
+            yield s, np.abs(x_cols[ix[s]] - y_cols[iy[s]])
+
+    if math.isinf(p):
+        return max(float(d.max()) for _, d in mismatch())
+    if pair_weights:
+        terms = (d ** p * np.outer(w[s], w) for s, d in mismatch())
+    else:
+        terms = (d ** p * w[s, None] * w for s, d in mismatch())
+    return _exact_sum(terms) ** (1.0 / p)
 
 
 def _check_weights(w: np.ndarray, what: str = "weights") -> None:
@@ -240,35 +316,34 @@ def distortion_p(netX: MeasureNetwork, netY: MeasureNetwork, pi: Coupling,
     itself, of the mismatch |omega_X(i,k) - omega_Y(j,l)|.  For p = inf it is
     the sup of the mismatch over ordered pairs of support cells, where the
     support consists of table entries strictly above ``eps_supp``.
+
+    The sum over the n*m*n*m terms is exactly rounded (equal to ``math.fsum``
+    over them, bit for bit) and is formed in blocks of rows, so memory stays
+    O(n*m*(n+m)); the sup is likewise taken block by block.
     """
     p = check_exponent(p)
     _check_couples(pi, netX, netY)
     t = pi.table
     if math.isinf(p):
         rows, cols = np.nonzero(t > eps_supp)
-        dx = netX.omega[np.ix_(rows, rows)]
-        dy = netY.omega[np.ix_(cols, cols)]
-        return float(np.abs(dx - dy).max())
-    diff = np.abs(netX.omega[:, None, :, None] - netY.omega[None, :, None, :]) ** p
-    terms = diff * t[:, :, None, None] * t[None, None, :, :]
-    return _fsum(terms) ** (1.0 / p)
+        return _distortion(netX.omega, netY.omega, rows, cols, None, p, pair_weights=False)
+    n, m = t.shape
+    rows = np.repeat(np.arange(n), m)
+    cols = np.tile(np.arange(m), n)
+    return _distortion(netX.omega, netY.omega, rows, cols, t.ravel(), p, pair_weights=False)
 
 
 def distortion_map(netX: MeasureNetwork, netY: MeasureNetwork, phi: MongeMap, p) -> float:
     """p-distortion of a measure-preserving map, via the simplified double sum.
 
     Equals ``distortion_p`` of the induced coupling; the double-sum form skips
-    building the coupling table.
+    building the coupling table.  The n*n terms are summed exactly rounded,
+    block by block, as in ``distortion_p``.
     """
     p = check_exponent(p)
     check_measure_preserving(phi, netX.weights, netY.weights)
-    a = phi.assignment
-    pulled = netY.omega[np.ix_(a, a)]
-    if math.isinf(p):
-        return float(np.abs(netX.omega - pulled).max())
-    w = netX.weights
-    terms = np.abs(netX.omega - pulled) ** p * np.outer(w, w)
-    return _fsum(terms) ** (1.0 / p)
+    return _distortion(netX.omega, netY.omega, np.arange(netX.n), phi.assignment,
+                       netX.weights, p, pair_weights=True)
 
 
 def coupling_from_map(phi: MongeMap, source_weights, target_weights) -> Coupling:
@@ -282,13 +357,14 @@ def coupling_from_map(phi: MongeMap, source_weights, target_weights) -> Coupling
 
 
 def size_p(net: MeasureNetwork, p) -> float:
-    """p-size of a network: the L^p norm of |omega| under weights x weights."""
+    """p-size of a network: the L^p norm of |omega| under weights x weights.
+
+    This is the distortion of the constant map onto a one-point network with
+    a zero table, and is evaluated as such.
+    """
     p = check_exponent(p)
-    if math.isinf(p):
-        return float(np.abs(net.omega).max())
-    w = net.weights
-    terms = np.abs(net.omega) ** p * np.outer(w, w)
-    return _fsum(terms) ** (1.0 / p)
+    return _distortion(net.omega, np.zeros((1, 1)), np.arange(net.n),
+                       np.zeros(net.n, dtype=np.intp), net.weights, p, pair_weights=True)
 
 
 def pullback_network(net_metric: MeasureNetwork, rho: MongeMap,

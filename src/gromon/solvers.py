@@ -37,7 +37,8 @@ from .networks import (
     MongeMap,
     _check_couples,
     _check_weights,
-    _fsum,
+    _distortion,
+    _exact_sum,
     check_exponent,
     check_measure_preserving,
     distortion_map,
@@ -264,25 +265,30 @@ def gm_infinity(netX: MeasureNetwork, netY: MeasureNetwork,
 # Frank-Wolfe for the order-2 Gromov-Wasserstein objective
 # ---------------------------------------------------------------------------
 
+def _transport_constraints(n: int, m: int) -> csr_matrix:
+    """Row-sum and column-sum constraints of an n x m transport plan, as a
+    sparse (n + m) x (n * m) matrix over the row-major flattened plan."""
+    cells = np.arange(n * m)
+    rows_idx = np.column_stack([np.repeat(np.arange(n), m), n + np.tile(np.arange(m), n)])
+    return csr_matrix((np.ones(2 * n * m), (rows_idx.ravel(), np.repeat(cells, 2))),
+                      shape=(n + m, n * m))
+
+
 def _linear_oracle(cost: np.ndarray, wx: np.ndarray, wy: np.ndarray,
-                   uniform_square: bool) -> np.ndarray:
-    """Minimize <cost, S> over the coupling polytope; returns a vertex."""
+                   a_eq: csr_matrix | None) -> np.ndarray:
+    """Minimize <cost, S> over the coupling polytope; returns a vertex.
+
+    ``a_eq`` is ``_transport_constraints(n, m)``, or None for uniform
+    marginals of equal size, where the problem is an assignment.
+    """
     n, m = cost.shape
-    if uniform_square:
+    if a_eq is None:
         rows, cols = linear_sum_assignment(cost)
         vertex = np.zeros((n, m))
         vertex[rows, cols] = 1.0 / n
         return vertex
     # General marginals: linear transport problem, solved as an LP.  The
     # simplex-based solver returns a basic feasible solution, i.e. a vertex.
-    data, rows_idx, cols_idx = [], [], []
-    for i in range(n):
-        for j in range(m):
-            k = i * m + j
-            rows_idx += [i, n + j]
-            cols_idx += [k, k]
-            data += [1.0, 1.0]
-    a_eq = csr_matrix((data, (rows_idx, cols_idx)), shape=(n + m, n * m))
     b_eq = np.concatenate([wx, wy])
     res = linprog(cost.ravel(), A_eq=a_eq, b_eq=b_eq, bounds=(0, None),
                   method="highs")
@@ -320,6 +326,7 @@ def gw_frank_wolfe(netX: MeasureNetwork, netY: MeasureNetwork,
         and np.abs(wx - 1.0 / n).max() <= TOL_MASS
         and np.abs(wy - 1.0 / n).max() <= TOL_MASS
     )
+    a_eq = None if uniform_square else _transport_constraints(n, m)
     const = float((omx**2 * np.outer(wx, wx)).sum()
                   + (omy**2 * np.outer(wy, wy)).sum())
 
@@ -331,7 +338,7 @@ def gw_frank_wolfe(netX: MeasureNetwork, netY: MeasureNetwork,
     it = 0
     for it in range(1, max_iters + 1):
         grad = -2.0 * (omx @ pi @ omy.T + omx.T @ pi @ omy)
-        vertex = _linear_oracle(grad, wx, wy, uniform_square)
+        vertex = _linear_oracle(grad, wx, wy, a_eq)
         direction = vertex - pi
         lin = float((grad * direction).sum())
         gap = -lin
@@ -503,6 +510,22 @@ def gw_spd_vertex_ascent(netX: MeasureNetwork, netY: MeasureNetwork,
 # Mass splitting
 # ---------------------------------------------------------------------------
 
+def _split_support(netX: MeasureNetwork, netY: MeasureNetwork, pi: Coupling,
+                   eps_supp: float) -> tuple[MongeMap, MongeMap, np.ndarray]:
+    """The split's projections rho and phi (row and column of each support
+    cell) and its renormalized mass, checked to be measure preserving."""
+    _check_couples(pi, netX, netY)
+    rows, cols = np.nonzero(pi.table > eps_supp)
+    if rows.size == 0:
+        raise ValueError("coupling has empty support")
+    mass = pi.table[rows, cols]
+    mass = mass / _exact_sum(mass)
+    rho, phi = MongeMap(rows), MongeMap(cols)
+    check_measure_preserving(rho, mass, netX.weights)
+    check_measure_preserving(phi, mass, netY.weights)
+    return rho, phi, mass
+
+
 def mass_split_from_coupling(netX: MeasureNetwork, netY: MeasureNetwork,
                              pi: Coupling, eps_supp: float = EPS_SUPP) -> MassSplit:
     """Split a network along a coupling's support.
@@ -514,18 +537,9 @@ def mass_split_from_coupling(netX: MeasureNetwork, netY: MeasureNetwork,
     equals the p-distortion of the coupling, for every p.  When the source
     table is a metric, Z's table is a pseudometric.
     """
-    _check_couples(pi, netX, netY)
-    rows, cols = np.nonzero(pi.table > eps_supp)
-    if rows.size == 0:
-        raise ValueError("coupling has empty support")
-    mass = pi.table[rows, cols]
-    mass = mass / _fsum(mass)
-    rho = MongeMap(rows)
-    phi = MongeMap(cols)
-    check_measure_preserving(rho, mass, netX.weights)
-    check_measure_preserving(phi, mass, netY.weights)
-    z_net = MeasureNetwork(mass, netX.omega[np.ix_(rows, rows)])
-    return MassSplit(Z=z_net, rho=rho, phi=phi)
+    rho, phi, mass = _split_support(netX, netY, pi, eps_supp)
+    rows = rho.assignment
+    return MassSplit(Z=MeasureNetwork(mass, netX.omega[np.ix_(rows, rows)]), rho=rho, phi=phi)
 
 
 def gm_over_split(netX: MeasureNetwork, netY: MeasureNetwork,
@@ -533,7 +547,11 @@ def gm_over_split(netX: MeasureNetwork, netY: MeasureNetwork,
     """Distortion of the split's projection onto Y.
 
     Upper-bounds the order-p Gromov-Wasserstein distance for any coupling and
-    matches it when the coupling is optimal.
+    matches it when the coupling is optimal.  Equals ``distortion_map`` of
+    ``mass_split_from_coupling(netX, netY, pi).phi`` bit for bit, but reads
+    the split's table block by block instead of building it.
     """
-    split = mass_split_from_coupling(netX, netY, pi)
-    return distortion_map(split.Z, netY, split.phi, p)
+    rho, phi, mass = _split_support(netX, netY, pi, EPS_SUPP)
+    p = check_exponent(p)
+    return _distortion(netX.omega, netY.omega, rho.assignment, phi.assignment, mass, p,
+                       pair_weights=True)

@@ -168,6 +168,18 @@ def test_heat_command_stdout_and_file(workdir):
     assert b"t must be positive" in proc2.stderr
 
 
+def test_spd_numerically_singular_heat_kernel_is_input_error(workdir):
+    # the complete graph K16 at t = 3: SPD in exact arithmetic, singular in floats
+    lines = [f"{i} {j}" for i in range(16) for j in range(i + 1, 16)]
+    (workdir / "k16.txt").write_text("\n".join(lines) + "\n")
+    proc = run_cli(["heat", "k16.txt", "--t", "3", "--out", "k16.json"], workdir)
+    assert proc.returncode == 0, proc.stderr
+    proc = run_cli(["spd", "k16.json", "k16.json"], workdir)
+    assert proc.returncode == 1
+    assert b"not positive definite (Cholesky failed)" in proc.stderr
+    assert b"Traceback" not in proc.stderr
+
+
 def test_split_command(workdir):
     table = {"table": [[0.5, 0.5]]}
     (workdir / "pi.json").write_text(json.dumps(table))

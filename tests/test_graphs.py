@@ -1,10 +1,18 @@
+import itertools
 import math
 import warnings
 
 import numpy as np
 import pytest
 
-from gromon import Graph, adjacency_network, heat_kernel_network, laplacian
+from gromon import (
+    Graph,
+    NotSPDError,
+    adjacency_network,
+    gw_spd_vertex_ascent,
+    heat_kernel_network,
+    laplacian,
+)
 from gromon.randgen import random_graph
 from gromon.solvers import _check_spd
 
@@ -116,3 +124,11 @@ def test_heat_kernel_row_sums_one():
         for t in (0.5, 1.0, 3.0):
             rows = heat_kernel_network(g, t).omega.sum(axis=1)
             assert np.abs(rows - 1.0).max() <= 1e-9
+
+
+def test_heat_kernel_can_be_numerically_singular():
+    # SPD in exact arithmetic, but K16 at t = 3 has smallest eigenvalue
+    # exp(-48), below float resolution next to the largest eigenvalue 1
+    net = heat_kernel_network(Graph(16, tuple(itertools.combinations(range(16), 2))), 3.0)
+    with pytest.raises(NotSPDError, match=r"not positive definite \(Cholesky failed\)"):
+        gw_spd_vertex_ascent(net, net)

@@ -23,7 +23,9 @@ from gromon import (
     size_p,
     validate_network,
 )
-from gromon.networks import pseudometric_violation
+from gromon.networks import _BLOCK, _SMALL, _exact_sum, pseudometric_violation
+from gromon.randgen import random_coupling, random_metric_network
+from gromon.solvers import gm_over_split
 
 from conftest import networks, relabeled
 
@@ -275,3 +277,228 @@ def test_pullback_is_pseudometric(seed):
     rho = MongeMap(rng.permutation(np.repeat(np.arange(n), 2)))
     out = pullback_network(net, rho, np.full(2 * n, 1.0 / (2 * n)))
     assert pseudometric_violation(out.omega) <= 1e-12
+
+
+# -- exact chunked distortion kernel -----------------------------------------------
+
+# lengths around both thresholds: the plain-fsum cutoff and the block length
+EDGE_SIZES = (0, 1, 2, _SMALL - 1, _SMALL, _SMALL + 1,
+              _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + _SMALL - 1)
+
+
+def fsum_outcome(f, a):
+    """Bits of the result, or the exception type, so nan and raises compare."""
+    try:
+        return float(f(a)).hex()
+    except (OverflowError, ValueError) as exc:
+        return type(exc)
+
+
+def assert_sums_like_fsum(a):
+    before = a.copy()
+    assert fsum_outcome(_exact_sum, a) == fsum_outcome(lambda v: math.fsum(v.tolist()), a)
+    assert np.array_equal(a, before, equal_nan=True)
+
+
+@st.composite
+def adversarial_arrays(draw):
+    """Arrays of random length whose exponents span a drawn range, with signs,
+    exact cancellations, zeros and non-finite entries mixed in on request."""
+    size = draw(st.sampled_from(EDGE_SIZES) | st.integers(0, 3 * _BLOCK))
+    lo = draw(st.integers(-1074, 1023))
+    hi = draw(st.integers(lo, min(lo + 120, 1023)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = np.ldexp(rng.uniform(0.5, 1.0, size), rng.integers(lo, hi + 1, size))
+    if draw(st.booleans()):
+        a *= rng.choice([-1.0, 1.0], size)
+    if draw(st.booleans()):
+        a[rng.random(size) < 0.3] = 0.0
+    if draw(st.booleans()) and size >= 2:
+        half = size // 2
+        a[half:2 * half] = -a[:half]
+        rng.shuffle(a)
+    if draw(st.booleans()) and size >= 1:
+        a[rng.integers(size)] = draw(st.sampled_from([math.inf, -math.inf, math.nan]))
+    return a
+
+
+@settings(deadline=None, max_examples=150)
+@given(adversarial_arrays())
+def test_exact_sum_equals_fsum(a):
+    assert_sums_like_fsum(a)
+
+
+def _adversarial_cases():
+    rng = np.random.default_rng(5)
+    big = 2.0 ** 958
+    for size in EDGE_SIZES:
+        x = rng.standard_normal(size) * 10.0 ** rng.integers(-300, 301, size)
+        yield x                                                  # 1e-300 .. 1e300
+        yield np.concatenate([x, -x])                            # x, -x cancellation
+        yield np.concatenate([x, [1.0], -x])                     # ... around a survivor
+        yield np.full(size, 5e-324)                              # smallest subnormal
+        yield np.where(rng.random(size) < 0.5, 1.0, 2.2e-308 * rng.random(size))
+        yield np.full(size, big) * rng.choice([-1.0, 1.0], size)
+    yield np.full(_BLOCK + 3, 1.7e308)                           # sum overflows
+    yield np.array([1.7e308] * 2 + [-1.7e308] * 2 + [0.0] * (2 * _BLOCK))
+    yield np.array([0.0] * _BLOCK + [1.7e308, 1.0, -1.7e308] + [1e-300] * _SMALL)
+    yield np.array([1.0] * _BLOCK + [math.inf] + [-math.inf] + [2.0] * 5)
+    yield np.array([1e300, 1.0, -1e300] * _SMALL)
+    yield np.array([1.0, 1e100, 1.0, -1e100] * _BLOCK)
+    yield np.array([-0.0] * (_BLOCK + 1))
+
+
+@pytest.mark.parametrize("a", list(_adversarial_cases()))
+def test_exact_sum_adversarial(a):
+    assert_sums_like_fsum(a)
+
+
+def test_exact_sum_of_block_iterable():
+    rng = np.random.default_rng(3)
+    blocks = [rng.standard_normal(s) * 1e-3 for s in (5, _BLOCK + 9, 0, _SMALL, 40)]
+    want = math.fsum(np.concatenate(blocks).tolist())
+    assert _exact_sum(iter(blocks)) == want
+    assert _exact_sum(np.concatenate(blocks).reshape(-1, 1)) == want
+
+
+# Reference copies of the full-tensor evaluators the kernel replaced: every
+# term as one n*m*n*m (or n*n) array, summed by math.fsum over a list.
+
+def ref_fsum(a):
+    return math.fsum(np.asarray(a, dtype=float).ravel().tolist())
+
+
+def ref_distortion_p(net_x, net_y, pi, p, eps_supp=1e-12):
+    t = pi.table
+    if math.isinf(p):
+        rows, cols = np.nonzero(t > eps_supp)
+        dx = net_x.omega[np.ix_(rows, rows)]
+        dy = net_y.omega[np.ix_(cols, cols)]
+        return float(np.abs(dx - dy).max())
+    diff = np.abs(net_x.omega[:, None, :, None] - net_y.omega[None, :, None, :]) ** p
+    terms = diff * t[:, :, None, None] * t[None, None, :, :]
+    return ref_fsum(terms) ** (1.0 / p)
+
+
+def ref_distortion_map(omx, omy, w, a, p):
+    pulled = omy[np.ix_(a, a)]
+    if math.isinf(p):
+        return float(np.abs(omx - pulled).max())
+    terms = np.abs(omx - pulled) ** p * np.outer(w, w)
+    return ref_fsum(terms) ** (1.0 / p)
+
+
+def ref_size_p(net, p):
+    if math.isinf(p):
+        return float(np.abs(net.omega).max())
+    terms = np.abs(net.omega) ** p * np.outer(net.weights, net.weights)
+    return ref_fsum(terms) ** (1.0 / p)
+
+
+def ref_gm_over_split(net_x, net_y, pi, p, eps_supp=1e-12):
+    rows, cols = np.nonzero(pi.table > eps_supp)
+    mass = pi.table[rows, cols]
+    mass = mass / ref_fsum(mass)
+    return ref_distortion_map(net_x.omega[np.ix_(rows, rows)], net_y.omega, mass, cols, p)
+
+
+EXPONENTS = (1, 1.5, 2, 3, math.inf)
+
+
+def _rect_pairs():
+    """Seeded rectangular pairs with non-uniform weights, one general and one
+    metric table, at scales from 1e-3 to 1e3; the largest spans 21 blocks."""
+    rng = np.random.default_rng(11)
+    for k, (n, m) in enumerate(((1, 1), (1, 4), (3, 5), (7, 4), (12, 9), (26, 22))):
+        cx, cy = rng.integers(1, 5, n), rng.integers(1, 5, m)
+        x = MeasureNetwork(cx / cx.sum(), rng.standard_normal((n, n)) * 10.0 ** (k % 3 * 3 - 3))
+        y = MeasureNetwork(cy / cy.sum(), random_metric_network(m, [11, k]).omega)
+        yield x, y, random_coupling(x.weights, y.weights, [11, k])
+
+
+@pytest.mark.parametrize("pair", list(_rect_pairs()), ids=lambda pair: f"{pair[0].n}x{pair[1].n}")
+def test_coupling_evaluators_bit_identical_to_full_tensor(pair):
+    x, y, pi = pair
+    sparse = pi.table * (np.arange(pi.table.size).reshape(pi.shape) % 3 == 0)
+    sparse /= sparse.sum()
+    sparse_pi = None
+    if np.all(sparse.sum(axis=1) > 0) and np.all(sparse.sum(axis=0) > 0):
+        # a coupling with zero cells, between reweighted networks
+        sx, sy = sparse.sum(axis=1), sparse.sum(axis=0)
+        sparse_pi = (MeasureNetwork(sx, x.omega), MeasureNetwork(sy, y.omega),
+                     Coupling(sparse, sx, sy))
+    for p in EXPONENTS:
+        assert distortion_p(x, y, pi, p) == ref_distortion_p(x, y, pi, p)
+        assert gm_over_split(x, y, pi, p) == ref_gm_over_split(x, y, pi, p)
+        assert size_p(x, p) == ref_size_p(x, p)
+        assert size_p(y, p) == ref_size_p(y, p)
+        if sparse_pi is not None:
+            assert distortion_p(*sparse_pi, p) == ref_distortion_p(*sparse_pi, p)
+            assert gm_over_split(*sparse_pi, p) == ref_gm_over_split(*sparse_pi, p)
+
+
+def ref_terms(net_x, net_y, pi, p):
+    """Every term of the reference sums, in the order they were summed."""
+    t = pi.table
+    diff = np.abs(net_x.omega[:, None, :, None] - net_y.omega[None, :, None, :]) ** p
+    coupling = diff * t[:, :, None, None] * t[None, None, :, :]
+    rows, cols = np.nonzero(t > 1e-12)
+    mass = t[rows, cols] / ref_fsum(t[rows, cols])
+    pulled = net_y.omega[np.ix_(cols, cols)]
+    split = np.abs(net_x.omega[np.ix_(rows, rows)] - pulled) ** p * np.outer(mass, mass)
+    w = net_x.weights
+    size = np.abs(net_x.omega) ** p * np.outer(w, w)
+    return coupling.ravel(), split.ravel(), size.ravel()
+
+
+@pytest.mark.parametrize("pair", list(_rect_pairs())[2:], ids=lambda pair: f"{pair[0].n}x{pair[1].n}")
+def test_kernel_forms_the_reference_terms(pair, monkeypatch):
+    # the sums agree only if each term is the same float: compare the terms
+    import gromon.networks as networks_module
+
+    x, y, pi = pair
+    seen = []
+
+    def recording_sum(blocks):
+        seen.append(np.concatenate([b.ravel() for b in blocks]))
+        return math.fsum(seen[-1].tolist())
+
+    monkeypatch.setattr(networks_module, "_exact_sum", recording_sum)
+    for p in (1, 1.5, 2, 3):
+        seen.clear()
+        distortion_p(x, y, pi, p)
+        gm_over_split(x, y, pi, p)
+        size_p(x, p)
+        for got, want in zip(seen, ref_terms(x, y, pi, p), strict=True):
+            assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n,m", [(1, 1), (6, 3), (12, 4), (30, 30), (130, 13)])
+def test_distortion_map_bit_identical_to_full_tensor(n, m):
+    # uniform weights so every fiber size n // m gives a measure-preserving map;
+    # 130 points is 16 900 terms, more than one block
+    rng = np.random.default_rng(n * 100 + m)
+    x = MeasureNetwork(np.full(n, 1.0 / n), rng.random((n, n)) * 7.0)
+    y = MeasureNetwork(np.full(m, 1.0 / m), random_metric_network(m, [12, n]).omega)
+    phi = MongeMap(rng.permutation(np.arange(n) % m))
+    for p in EXPONENTS:
+        assert distortion_map(x, y, phi, p) == ref_distortion_map(
+            x.omega, y.omega, x.weights, phi.assignment, p)
+
+
+@pytest.mark.parametrize("p", [2, math.inf])
+def test_distortion_memory_is_bounded(p):
+    import tracemalloc
+
+    n = 40
+    x, y = random_metric_network(n, [13, 0]), random_metric_network(n, [13, 1])
+    pi = random_coupling(x.weights, y.weights, [13, 2])   # full support
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        distortion_p(x, y, pi, p)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the n^2 m^2 = 2.56e6-term tensor alone would be 20 MB
+    assert peak < 8 * 2**20

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from scipy.optimize import linear_sum_assignment
+from scipy.sparse import csr_matrix
 
 from gromon import (
     CapExceededError,
@@ -170,6 +171,52 @@ def test_fw_general_marginals_oracle():
     report = gw_frank_wolfe(net_x, net_y2, max_iters=50)
     assert report.value <= distortion_p(net_x, net_y2,
                                         product_coupling(net_x, net_y2), 2) + 1e-12
+
+
+def loop_transport_constraints(n, m):
+    """The transport-LP constraint matrix as the oracle used to build it,
+    one cell at a time."""
+    data, rows_idx, cols_idx = [], [], []
+    for i in range(n):
+        for j in range(m):
+            k = i * m + j
+            rows_idx += [i, n + j]
+            cols_idx += [k, k]
+            data += [1.0, 1.0]
+    return csr_matrix((data, (rows_idx, cols_idx)), shape=(n + m, n * m))
+
+
+@pytest.mark.parametrize("n,m", [(1, 1), (1, 5), (4, 1), (3, 7), (26, 22)])
+def test_transport_constraints_match_loop(n, m):
+    got = solvers._transport_constraints(n, m)
+    want = loop_transport_constraints(n, m)
+    assert got.shape == want.shape
+    for attr in ("data", "indices", "indptr"):
+        assert getattr(got, attr).dtype == getattr(want, attr).dtype
+        assert np.array_equal(getattr(got, attr), getattr(want, attr))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_fw_unchanged_by_prebuilt_constraints(seed, monkeypatch):
+    # non-uniform rectangular pairs take the LP oracle; rebuilding the matrix
+    # with the loop on every call must give the same run
+    rng = np.random.default_rng(seed)
+    nets = []
+    for k, n in enumerate((4 + seed, 3 + 2 * seed)):
+        counts = rng.integers(1, 5, n)
+        nets.append(MeasureNetwork(counts / counts.sum(),
+                                   random_metric_network(n, [22, seed, k]).omega))
+    fast = gw_frank_wolfe(*nets)
+    oracle = solvers._linear_oracle
+
+    def loop_oracle(cost, wx, wy, a_eq):
+        return oracle(cost, wx, wy, None if a_eq is None else loop_transport_constraints(*cost.shape))
+
+    monkeypatch.setattr(solvers, "_linear_oracle", loop_oracle)
+    slow = gw_frank_wolfe(*nets)
+    assert fast.iterations > 0
+    assert (fast.value, fast.iterations, fast.trace) == (slow.value, slow.iterations, slow.trace)
+    assert np.array_equal(fast.witness.table, slow.witness.table)
 
 
 @pytest.mark.parametrize("seed", range(10))
