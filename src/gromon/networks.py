@@ -326,6 +326,8 @@ def distortion_p(netX: MeasureNetwork, netY: MeasureNetwork, pi: Coupling,
     t = pi.table
     if math.isinf(p):
         rows, cols = np.nonzero(t > eps_supp)
+        if rows.size == 0:
+            raise ValueError(f"coupling has empty support above eps_supp={eps_supp:g}")
         return _distortion(netX.omega, netY.omega, rows, cols, None, p, pair_weights=False)
     n, m = t.shape
     rows = np.repeat(np.arange(n), m)

@@ -48,6 +48,8 @@ def random_cloud(n: int, dim: int, seed) -> EuclideanCloud:
 
 def random_graph(n: int, seed, edge_prob: float = 0.5) -> Graph:
     """Erdos-Renyi graph with the given edge probability."""
+    if not 0.0 <= edge_prob <= 1.0:
+        raise ValueError("edge_prob must be in [0, 1]")
     rng = _rng(seed)
     edges = [(i, j) for i in range(n) for j in range(i + 1, n)
              if rng.random() < edge_prob]

@@ -18,7 +18,6 @@ do not depend on scheduling.
 
 from __future__ import annotations
 
-import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -96,85 +95,90 @@ class MassSplit:
 # Enumeration of measure-preserving maps
 # ---------------------------------------------------------------------------
 
-def _exact_weights(w: np.ndarray) -> list[Fraction] | None:
-    """Recover weights as small rationals when the floats allow it exactly."""
+# Largest block of (partial) assignments held at once by the enumerator.
+_BLOCK_MAPS = 4096
+
+
+def _capacities(source_weights, target_weights,
+                tol_mass: float) -> tuple[np.ndarray, np.ndarray, float]:
+    """Source weights, target capacities and the tolerance to compare them with.
+
+    When both weight vectors are exactly small fractions summing exactly to 1
+    (e.g. uniform weights, or ratios of small integers), they become integer
+    numerators over their common denominator, held as Python ints in object
+    arrays so that no denominator can overflow, with tolerance the int 0 (so
+    that subtracting it keeps them ints).  Otherwise they stay float64, with
+    tolerance ``tol_mass``.
+    """
+    sw = np.asarray(source_weights, dtype=float)
+    tw = np.asarray(target_weights, dtype=float)
+    _check_weights(sw, "source weights")
+    _check_weights(tw, "target weights")
     fracs = []
-    for x in w.tolist():
-        f = Fraction(x).limit_denominator(10**6)
-        if float(f) != x:
-            return None
+    for w in (sw.tolist(), tw.tolist()):
+        f = [Fraction(x).limit_denominator(10**6) for x in w]
+        if list(map(float, f)) != w or sum(f) != 1:
+            return sw, tw, tol_mass
         fracs.append(f)
-    if sum(fracs) != 1:
-        return None
-    return fracs
+    den = math.lcm(*(a.denominator for a in fracs[0] + fracs[1]))
+    source, target = (np.array([a.numerator * (den // a.denominator) for a in f], dtype=object)
+                      for f in fracs)
+    return source, target, 0
+
+
+def _assignment_blocks(source: np.ndarray, target: np.ndarray,
+                       tol) -> Iterator[np.ndarray]:
+    """Every measure-preserving assignment, as (B, n) intp blocks in
+    lexicographic order; ``source``, ``target`` and ``tol`` as
+    ``_capacities`` returns them.
+
+    Partial assignments grow one source point at a time, at most
+    ``_BLOCK_MAPS`` rows at once: point i may go to every target whose
+    remaining capacity holds it within ``tol``, and row-major ``nonzero``
+    lists the children of each row in order.  Each row's remaining
+    capacities are its own, formed along its path.  A complete row is kept
+    when every remaining capacity is within ``tol`` of zero.
+    """
+    n = source.size
+
+    def children(assign, left, i):
+        rows, cols = np.nonzero(left >= source[i] - tol)
+        for s in range(0, rows.size, _BLOCK_MAPS):
+            r, c = rows[s:s + _BLOCK_MAPS], cols[s:s + _BLOCK_MAPS]
+            child, child_left = assign[r], left[r]
+            child[:, i] = c
+            child_left[np.arange(r.size), c] -= source[i]
+            yield child, child_left
+
+    # levels[i] yields the blocks of assignments of points 0, ..., i - 1
+    levels = [iter([(np.zeros((1, n), dtype=np.intp), target[None, :])])]
+    while levels:
+        block = next(levels[-1], None)
+        if block is None:
+            levels.pop()
+        elif len(levels) <= n:
+            levels.append(children(*block, len(levels) - 1))
+        else:
+            assign, left = block
+            done = assign[(np.abs(left) <= tol).all(axis=1)]
+            if len(done):
+                yield done
 
 
 def enumerate_monge_maps(source_weights, target_weights,
                          tol_mass: float = TOL_MASS) -> Iterator[MongeMap]:
     """Yield every measure-preserving assignment, in lexicographic order.
 
-    Weight-sum feasibility is decided by exact rational arithmetic whenever
-    both weight vectors are exactly representable as small fractions (e.g.
-    uniform weights, or ratios of small integers); otherwise fiber sums are
-    compared to the targets within ``tol_mass``.  An empty stream is a valid
-    result and signals that the Gromov-Monge distance is infinite.
+    The maps are the rows of the blocks that ``gm_exact`` scans.  Fiber sums
+    are compared to the targets exactly, as integer numerators over a common
+    denominator, whenever both weight vectors are exactly small fractions
+    (e.g. uniform weights, or ratios of small integers); otherwise within
+    ``tol_mass``.  An empty stream is a valid result and signals that the
+    Gromov-Monge distance is infinite.
     """
-    sw = np.asarray(source_weights, dtype=float)
-    tw = np.asarray(target_weights, dtype=float)
-    _check_weights(sw, "source weights")
-    _check_weights(tw, "target weights")
-    fs = _exact_weights(sw)
-    ft = _exact_weights(tw)
-    if fs is not None and ft is not None:
-        yield from _enumerate_exact(fs, ft)
-    else:
-        yield from _enumerate_float(sw, tw, tol_mass)
-
-
-def _enumerate_exact(fs: list[Fraction], ft: list[Fraction]) -> Iterator[MongeMap]:
-    n, m = len(fs), len(ft)
-    if n == m and len(set(fs)) == 1 and fs[0] == ft[0] == Fraction(1, n):
-        # Uniform same-cardinality: the maps are exactly the bijections.
-        for perm in itertools.permutations(range(m)):
-            yield MongeMap(np.array(perm, dtype=np.intp))
-        return
-    remaining = list(ft)
-    assign = np.empty(n, dtype=np.intp)
-
-    def rec(i: int) -> Iterator[MongeMap]:
-        if i == n:
-            yield MongeMap(assign.copy())
-            return
-        w = fs[i]
-        for j in range(m):
-            if remaining[j] >= w:
-                remaining[j] -= w
-                assign[i] = j
-                yield from rec(i + 1)
-                remaining[j] += w
-
-    yield from rec(0)
-
-
-def _enumerate_float(sw: np.ndarray, tw: np.ndarray, tol: float) -> Iterator[MongeMap]:
-    n, m = sw.size, tw.size
-    remaining = tw.astype(float).copy()
-    assign = np.empty(n, dtype=np.intp)
-
-    def rec(i: int) -> Iterator[MongeMap]:
-        if i == n:
-            if np.abs(remaining).max() <= tol:
-                yield MongeMap(assign.copy())
-            return
-        w = sw[i]
-        for j in range(m):
-            if remaining[j] >= w - tol:
-                remaining[j] -= w
-                assign[i] = j
-                yield from rec(i + 1)
-                remaining[j] += w
-
-    yield from rec(0)
+    for block in _assignment_blocks(*_capacities(source_weights, target_weights, tol_mass)):
+        for row in block:
+            yield MongeMap(row)
 
 
 def _count_uniform_maps(n: int, m: int) -> int:
@@ -199,34 +203,24 @@ def _map_distortion_batch(omx: np.ndarray, omy: np.ndarray, w: np.ndarray,
     return np.einsum("bik,i,k->b", diff, w, w)
 
 
-def _batched(it: Iterator[MongeMap], size: int) -> Iterator[list[MongeMap]]:
-    batch = []
-    for item in it:
-        batch.append(item)
-        if len(batch) == size:
-            yield batch
-            batch = []
-    if batch:
-        yield batch
-
-
 def gm_exact(netX: MeasureNetwork, netY: MeasureNetwork, p,
              cap: int = DEFAULT_CAP) -> SolveReport:
     """Gromov-Monge p-distance by exhaustive enumeration.
 
-    Scans every measure-preserving map and returns the minimizer.  The search
-    ranks maps with vectorized float64 sums; the reported value is then
-    recomputed for the winning map with exactly-rounded accumulation.  When
-    no map exists the value is ``math.inf`` (infimum over the empty set).
+    Scans every measure-preserving map, block by block from the enumerator
+    behind ``enumerate_monge_maps``, and returns the first minimizer in
+    lexicographic order; ``iterations`` is the number of maps scanned.  The
+    search ranks maps with vectorized float64 sums; the reported value is
+    then recomputed for the winning map with exactly-rounded accumulation.
+    When no map exists the value is ``math.inf`` (infimum over the empty set).
 
     Raises ``CapExceededError`` when the instance admits more than ``cap``
     maps.
     """
     p = check_exponent(p)
     wx, wy = netX.weights, netY.weights
-    fx, fy = _exact_weights(wx), _exact_weights(wy)
-    if (fx is not None and fy is not None
-            and len(set(fx)) == 1 and len(set(fy)) == 1):
+    source, target, tol = _capacities(wx, wy, TOL_MASS)
+    if source.dtype == object and len(set(source)) == 1 and len(set(target)) == 1:
         total = _count_uniform_maps(netX.n, netY.n)
         if total > cap:
             raise CapExceededError(
@@ -236,13 +230,12 @@ def gm_exact(netX: MeasureNetwork, netY: MeasureNetwork, p,
     best_key = math.inf
     best_assign = None
     count = 0
-    for batch in _batched(enumerate_monge_maps(wx, wy), 4096):
-        count += len(batch)
+    for assigns in _assignment_blocks(source, target, tol):
+        count += len(assigns)
         if count > cap:
             raise CapExceededError(
                 f"too large for exact enumeration: more than {cap} maps"
             )
-        assigns = np.stack([mm.assignment for mm in batch])
         vals = _map_distortion_batch(omx, omy, wx, assigns, p)
         b = int(np.argmin(vals))
         if vals[b] < best_key:

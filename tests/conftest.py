@@ -1,7 +1,25 @@
+import os
+
 import hypothesis.strategies as st
 import numpy as np
 
+import gromon
 from gromon import MeasureNetwork
+
+# the directory holding the imported package, absolute, so a child process
+# finds gromon from any working directory even under PYTHONPATH=src
+PACKAGE_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(gromon.__file__)))
+
+
+def child_env(env=None):
+    """This process's environment with PACKAGE_ROOT first on PYTHONPATH,
+    updated by ``env``."""
+    full_env = dict(os.environ)
+    full_env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (PACKAGE_ROOT, full_env.get("PYTHONPATH")) if p)
+    if env:
+        full_env.update(env)
+    return full_env
 
 
 @st.composite

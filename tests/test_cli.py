@@ -1,31 +1,21 @@
 import json
-import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-import gromon
 from gromon import simplex_network
 from gromon.randgen import random_cloud, random_isometry
 from gromon import cli, serialize
 from gromon.euclidean import EuclideanCloud
 
-
-# the directory holding the imported package, absolute, so the child finds
-# gromon from the temp working directory even under PYTHONPATH=src
-PACKAGE_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(gromon.__file__)))
+from conftest import child_env
 
 
 def run_cli(args, cwd, env=None):
-    full_env = dict(os.environ)
-    full_env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (PACKAGE_ROOT, full_env.get("PYTHONPATH")) if p)
-    if env:
-        full_env.update(env)
     return subprocess.run([sys.executable, "-m", "gromon", *args],
-                          capture_output=True, cwd=cwd, env=full_env)
+                          capture_output=True, cwd=cwd, env=child_env(env))
 
 
 @pytest.fixture()
@@ -137,6 +127,16 @@ def test_rand_seed_from_environment(workdir):
                     "--out", "flag.json"], workdir)
     assert proc.returncode == 0, proc.stderr
     assert (workdir / "env.json").read_bytes() == (workdir / "flag.json").read_bytes()
+
+
+@pytest.mark.parametrize("edge_prob", ["1.5", "nan"])
+def test_rand_graph_bad_edge_prob_exit_one(workdir, edge_prob):
+    proc = run_cli(["rand", "--kind", "graph", "--n", "4", "--edge-prob", edge_prob,
+                    "--out", "g.json"], workdir)
+    assert proc.returncode == 1
+    assert b"edge_prob must be in [0, 1]" in proc.stderr
+    assert b"Traceback" not in proc.stderr
+    assert not (workdir / "g.json").exists()
 
 
 def test_spd_command(workdir):

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from gromon import validate_network
 from gromon.randgen import (
@@ -45,3 +46,9 @@ def test_random_isometry_is_orthogonal():
 def test_edge_prob_extremes():
     assert random_graph(5, 0, edge_prob=0.0).edges == ()
     assert len(random_graph(5, 0, edge_prob=1.0).edges) == 10
+
+
+@pytest.mark.parametrize("edge_prob", [-0.1, 1.5, float("nan")])
+def test_edge_prob_out_of_range_rejected(edge_prob):
+    with pytest.raises(ValueError, match=r"edge_prob must be in \[0, 1\]"):
+        random_graph(4, 0, edge_prob=edge_prob)

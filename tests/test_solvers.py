@@ -1,9 +1,11 @@
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
+import hypothesis.strategies as st
 from scipy.optimize import linear_sum_assignment
 from scipy.sparse import csr_matrix
 
@@ -74,6 +76,56 @@ def test_enumerate_float_weights_fall_back():
     assert sorted(m.assignment.tolist() for m in maps) == [[1, 2, 0], [2, 1, 0]]
 
 
+def test_enumerate_float_checks_every_fiber_at_the_end():
+    # each point fits within tol when placed, but the last fiber misses its
+    # target by 1.6e-9 > tol, so no map is measure preserving
+    c = 0.5 + 1.25e-10
+    assert list(enumerate_monge_maps([c + 0.9e-9, c - 1.6e-9], [c, c])) == []
+    maps = enumerate_monge_maps([c + 0.9e-9, c - 1.6e-9], [c, c], tol_mass=2e-9)
+    assert [m.assignment.tolist() for m in maps] == [[0, 1], [1, 0]]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.integers(1, 4), min_size=1, max_size=6),
+       st.lists(st.integers(1, 4), min_size=1, max_size=4),
+       st.sampled_from([1, 2, 3, solvers._BLOCK_MAPS]))
+def test_assignment_blocks_match_brute_force(source_counts, target_counts, block):
+    """Feasible or not, the blocks list exactly the maps whose fiber sums
+    equal the targets in exact arithmetic, in lexicographic order."""
+    n, m = len(source_counts), len(target_counts)
+    ws = [Fraction(c, sum(source_counts)) for c in source_counts]
+    wt = [Fraction(c, sum(target_counts)) for c in target_counts]
+    expected = [list(phi) for phi in itertools.product(range(m), repeat=n)
+                if all(sum(w for w, j in zip(ws, phi) if j == k) == wt[k] for k in range(m))]
+    caps = solvers._capacities([float(w) for w in ws], [float(w) for w in wt], 1e-9)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solvers, "_BLOCK_MAPS", block)
+        blocks = list(solvers._assignment_blocks(*caps))
+    assert all(b.dtype == np.intp and 1 <= len(b) <= block for b in blocks)
+    assert [row.tolist() for b in blocks for row in b] == expected
+
+
+def test_enumerate_exact_weights_beyond_int64():
+    # three 3-cycles of weights a_i / (3 p_i p_{i+1}) over distinct primes:
+    # each cycle sums to 1/3, so the common denominator is 3 times the
+    # product of all nine primes, far beyond 2**63.  Each cycle's last
+    # numerator rounds up as a float, so a comparison through floats would
+    # find no room for it and miss every map.
+    w = []
+    for (p1, p2, p3), (a1, a2, a3) in (((503, 509, 521), (85343, 89755, 86011)),
+                                       ((523, 541, 547), (94315, 99424, 94604)),
+                                       ((557, 563, 569), (104531, 106783, 105643))):
+        w += [Fraction(a2, 3 * p2 * p3), Fraction(a3, 3 * p3 * p1), Fraction(a1, 3 * p1 * p2)]
+    assert sum(w) == 1
+    source, target, tol = solvers._capacities([float(x) for x in w], [1 / 3] * 3, 1e-9)
+    assert tol == 0 and sum(source) > 2**63 and sum(source) == sum(target)
+    assert all(int(float(x)) > x for x in source[2::3])
+    maps = [m.assignment.tolist()
+            for m in enumerate_monge_maps([float(x) for x in w], [1 / 3] * 3)]
+    assert maps == [[a] * 3 + [b] * 3 + [c] * 3
+                    for a, b, c in itertools.permutations(range(3))]
+
+
 # -- gm by enumeration -----------------------------------------------------------
 
 def test_gm_simplex_family_value():
@@ -113,6 +165,35 @@ def test_gm_cap_exceeded():
         w = [2 / 6, 1 / 6, 1 / 6, 1 / 6, 1 / 6]
         gm_exact(MeasureNetwork(w, np.zeros((5, 5))),
                  MeasureNetwork(w, np.zeros((5, 5))), 1, cap=2)
+
+
+@pytest.mark.parametrize("block", [1, 7])
+def test_gm_unchanged_by_block_size(block, monkeypatch):
+    rng = np.random.default_rng(3)
+    decimal = np.round(np.array([2, 1, 1, 1, 1]) / 6, 10)
+    shapes = [([1 / 5] * 5, [1 / 5] * 5), ([1 / 6] * 6, [2 / 6, 2 / 6, 1 / 6, 1 / 6]),
+              (np.full(6, round(1 / 6, 10)), decimal), ([1 / 3] * 3, [0.5, 0.5])]
+    cases = []
+    for wx, wy in shapes:
+        for ties in (False, True):
+            ox = rng.uniform(0, 2, (len(wx), len(wx)))
+            oy = rng.uniform(0, 2, (len(wy), len(wy)))
+            if ties:
+                ox, oy = np.round(ox), np.round(oy)
+            cases.append((MeasureNetwork(wx, ox), MeasureNetwork(wy, oy)))
+
+    def solve_all():
+        out = []
+        for x, y in cases:
+            for p in (1, 2, math.inf):
+                r = gm_exact(x, y, p)
+                out.append((r.value, r.iterations,
+                            None if r.witness is None else r.witness.assignment.tolist()))
+        return out
+
+    expected = solve_all()
+    monkeypatch.setattr(solvers, "_BLOCK_MAPS", block)
+    assert solve_all() == expected
 
 
 def test_gm_report_value_matches_witness():
