@@ -4,7 +4,10 @@ Four routes are provided:
 
 * exhaustive Gromov-Monge by enumeration of measure-preserving maps,
 * Frank-Wolfe (conditional gradient) for the order-2 Gromov-Wasserstein
-  objective over the coupling polytope,
+  objective over the coupling polytope, whose linear steps are solved
+  exactly: by assignment for uniform marginals of equal size, otherwise by
+  a transportation simplex on integer flows, warm-started from the last
+  step's optimal basis,
 * vertex ascent over the scaled Birkhoff polytope for symmetric positive
   definite tables with uniform weights, where the optimum is guaranteed to
   be a permutation,
@@ -25,8 +28,7 @@ from fractions import Fraction
 from typing import Any, Iterator
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment, linprog
-from scipy.sparse import csr_matrix
+from scipy.optimize import linear_sum_assignment
 
 from .networks import (
     EPS_SUPP,
@@ -222,6 +224,8 @@ def gm_exact(netX: MeasureNetwork, netY: MeasureNetwork, p,
     source, target, tol = _capacities(wx, wy, TOL_MASS)
     if source.dtype == object and len(set(source)) == 1 and len(set(target)) == 1:
         total = _count_uniform_maps(netX.n, netY.n)
+        if total == 0:
+            return SolveReport(math.inf, None, "enumeration", 0, True)
         if total > cap:
             raise CapExceededError(
                 f"too large for exact enumeration: {total} maps exceed cap {cap}"
@@ -258,36 +262,168 @@ def gm_infinity(netX: MeasureNetwork, netY: MeasureNetwork,
 # Frank-Wolfe for the order-2 Gromov-Wasserstein objective
 # ---------------------------------------------------------------------------
 
-def _transport_constraints(n: int, m: int) -> csr_matrix:
-    """Row-sum and column-sum constraints of an n x m transport plan, as a
-    sparse (n + m) x (n * m) matrix over the row-major flattened plan."""
-    cells = np.arange(n * m)
-    rows_idx = np.column_stack([np.repeat(np.arange(n), m), n + np.tile(np.arange(m), n)])
-    return csr_matrix((np.ones(2 * n * m), (rows_idx.ravel(), np.repeat(cells, 2))),
-                      shape=(n + m, n * m))
+# Relative reduced-cost tolerance of the transportation simplex, in units of
+# (n + m) * eps * max|cost|: a potential sums at most n + m costs along its
+# tree path, so rounding noise in a reduced cost stays far below it.
+_PRICE_ULPS = 16
+# Pivots allowed per cell of the table before a solve gives up.
+_PIVOTS_PER_CELL = 20
+
+
+def _integer_marginals(wx: np.ndarray, wy: np.ndarray) -> tuple[list[int], list[int], int]:
+    """Both marginals as integers over one common denominator.
+
+    Small-fraction weights give their exact numerators (``_capacities``).
+    Other weights give the exact binary values of their floats; the two
+    totals, equal only within rounding, are balanced by moving their
+    difference onto the largest target weight.
+    """
+    source, target, tol = _capacities(wx, wy, TOL_MASS)
+    if tol == 0:
+        source, target = source.tolist(), target.tolist()
+        return source, target, sum(source)
+    ratios = [w.as_integer_ratio() for w in np.concatenate([wx, wy]).tolist()]
+    den = max(d for _, d in ratios)  # powers of two: the largest is a common multiple
+    ints = [a * (den // d) for a, d in ratios]
+    source, target = ints[:wx.size], ints[wx.size:]
+    target[int(np.argmax(wy))] += sum(source) - sum(target)
+    return source, target, den
+
+
+class _TransportBasis:
+    """A basis of the transportation problem with fixed marginals, kept from
+    one solve to the next so that each starts from the last optimal tree.
+
+    The basis is a spanning tree of n + m - 1 cells (rows are nodes
+    0..n-1, columns nodes n..n+m-1), degenerate zero-flow cells included.
+    Flows are exact integers over the marginals' common denominator and
+    carry the perturbation that rules out cycling: row i supplies eps more,
+    and the last column demands n * eps more (Orden's perturbation; the
+    lexicographic rule of the simplex method).  With K = 2n + 1 a flow
+    x + k * eps is held as the one integer x * K + k; every basic
+    |k| <= n, so comparing the integers compares the pairs
+    lexicographically, and every basic flow is positive, so no pivot is
+    degenerate and none repeats a basis.
+    """
+
+    def __init__(self, wx: np.ndarray, wy: np.ndarray):
+        source, target, self.den = _integer_marginals(wx, wy)
+        n, m = len(source), len(target)
+        self.n, self.m, self.K = n, m, 2 * n + 1
+        supply = [a * self.K + 1 for a in source]
+        demand = [b * self.K for b in target]
+        demand[-1] += n
+        # north-west corner: the staircase walk leaves exactly one of the
+        # current row and column with nothing left at each step
+        self.rows, self.cols, self.flow = [], [], []
+        i = j = 0
+        left_row, left_col = supply[0], demand[0]
+        while True:
+            self.rows.append(i)
+            self.cols.append(j)
+            if left_row < left_col:
+                self.flow.append(left_row)
+                left_col -= left_row
+                i += 1
+                left_row = supply[i]
+            else:
+                self.flow.append(left_col)
+                if j == m - 1:
+                    break
+                left_row -= left_col
+                j += 1
+                left_col = demand[j]
+        self.adj = [[] for _ in range(n + m)]
+        for s, (i, j) in enumerate(zip(self.rows, self.cols)):
+            self.adj[i].append(s)
+            self.adj[n + j].append(s)
+
+    def _other(self, s: int, node: int) -> int:
+        return self.n + self.cols[s] if node < self.n else self.rows[s]
+
+    def solve(self, cost: np.ndarray) -> np.ndarray:
+        """Pivot to an optimal basis for ``cost`` and return its vertex.
+
+        Dantzig pricing: the most negative reduced cost enters while it is
+        below -tol, tol = ``_PRICE_ULPS`` * (n + m) * eps * max|cost|, and
+        the smallest perturbed flow on the cycle's decreasing cells leaves.
+        Raises ``RuntimeError`` when ``_PIVOTS_PER_CELL`` * n * m pivots do
+        not reach optimality.
+        """
+        n, m = self.n, self.m
+        rows, cols, flow, adj = self.rows, self.cols, self.flow, self.adj
+        max_pivots = _PIVOTS_PER_CELL * n * m
+        c = cost.tolist()
+        tol = _PRICE_ULPS * (n + m) * np.finfo(float).eps * float(np.abs(cost).max())
+        for pivots in range(max_pivots + 1):
+            # potentials u_i + v_j = c_ij on the tree, from u_0 = 0
+            pot = [0.0] * (n + m)
+            up = [-1] * (n + m)  # the cell joining a node to its parent
+            depth = [0] * (n + m)
+            stack = [0]
+            while stack:
+                a = stack.pop()
+                for s in adj[a]:
+                    if s != up[a]:
+                        b = self._other(s, a)
+                        up[b], depth[b] = s, depth[a] + 1
+                        pot[b] = c[rows[s]][cols[s]] - pot[a]
+                        stack.append(b)
+            pot_arr = np.array(pot)
+            reduced = cost - pot_arr[:n, None] - pot_arr[None, n:]
+            enter = int(reduced.argmin())
+            if reduced.flat[enter] >= -tol:
+                break
+            if pivots == max_pivots:
+                raise RuntimeError(
+                    f"transport simplex not optimal after {max_pivots} pivots")
+            ie, je = divmod(enter, m)
+            # the tree path from row ie and from column je up to where they meet;
+            # the entering cell adds flow, so the path cells alternately lose
+            # (first, third, ...) and gain it
+            a, b = ie, n + je
+            from_a, from_b = [], []
+            while a != b:
+                if depth[a] >= depth[b]:
+                    from_a.append(up[a])
+                    a = self._other(up[a], a)
+                else:
+                    from_b.append(up[b])
+                    b = self._other(up[b], b)
+            losing = from_a[0::2] + from_b[0::2]
+            leave = min(losing, key=flow.__getitem__)
+            theta = flow[leave]
+            for s in losing:
+                flow[s] -= theta
+            for s in from_a[1::2] + from_b[1::2]:
+                flow[s] += theta
+            adj[rows[leave]].remove(leave)
+            adj[n + cols[leave]].remove(leave)
+            rows[leave], cols[leave], flow[leave] = ie, je, theta
+            adj[ie].append(leave)
+            adj[n + je].append(leave)
+        vertex = np.zeros((n, m))
+        # the unperturbed flow x of x * K + k, as the float nearest x / den
+        vertex[rows, cols] = [(f + n) // self.K / self.den for f in flow]
+        return vertex
 
 
 def _linear_oracle(cost: np.ndarray, wx: np.ndarray, wy: np.ndarray,
-                   a_eq: csr_matrix | None) -> np.ndarray:
+                   basis: _TransportBasis | None) -> np.ndarray:
     """Minimize <cost, S> over the coupling polytope; returns a vertex.
 
-    ``a_eq`` is ``_transport_constraints(n, m)``, or None for uniform
-    marginals of equal size, where the problem is an assignment.
+    ``basis`` is None for uniform marginals of equal size, where the problem
+    is an assignment.  Otherwise it is the ``_TransportBasis`` of ``wx`` and
+    ``wy``: the exact transportation simplex pivots it from its last optimal
+    tree to an optimal one for ``cost`` and returns that tree's vertex.
     """
-    n, m = cost.shape
-    if a_eq is None:
+    if basis is None:
+        n, m = cost.shape
         rows, cols = linear_sum_assignment(cost)
         vertex = np.zeros((n, m))
         vertex[rows, cols] = 1.0 / n
         return vertex
-    # General marginals: linear transport problem, solved as an LP.  The
-    # simplex-based solver returns a basic feasible solution, i.e. a vertex.
-    b_eq = np.concatenate([wx, wy])
-    res = linprog(cost.ravel(), A_eq=a_eq, b_eq=b_eq, bounds=(0, None),
-                  method="highs")
-    if not res.success:
-        raise RuntimeError(f"transport LP failed: {res.message}")
-    return res.x.reshape(n, m)
+    return basis.solve(cost)
 
 
 def gw_frank_wolfe(netX: MeasureNetwork, netY: MeasureNetwork,
@@ -302,10 +438,21 @@ def gw_frank_wolfe(netX: MeasureNetwork, netY: MeasureNetwork,
     quadratic, so the step is closed form and the objective never increases.
     Stops when the Frank-Wolfe gap drops below ``tol_fw``.
 
+    The transport problems of one run share their marginals, so one
+    ``_TransportBasis`` serves them all: each step's simplex starts from the
+    previous step's optimal basis and returns a vertex that is optimal up to
+    its pricing tolerance, so the gap is not underestimated beyond that.
+    Raises ``ValueError`` for a negative
+    ``max_iters`` or a ``tol_fw`` that is negative or nan.
+
     Returns a coupling whose distortion certifies an upper bound on the
     order-2 Gromov-Wasserstein distance and is first-order stationary when
     ``converged`` is set.  ``trace`` records the distortion at each iterate.
     """
+    if max_iters < 0:
+        raise ValueError(f"max_iters must be >= 0, got {max_iters}")
+    if not tol_fw >= 0.0:
+        raise ValueError(f"tol_fw must be a nonnegative number, got {tol_fw}")
     wx, wy = netX.weights, netY.weights
     omx, omy = netX.omega, netY.omega
     if init is None:
@@ -319,7 +466,7 @@ def gw_frank_wolfe(netX: MeasureNetwork, netY: MeasureNetwork,
         and np.abs(wx - 1.0 / n).max() <= TOL_MASS
         and np.abs(wy - 1.0 / n).max() <= TOL_MASS
     )
-    a_eq = None if uniform_square else _transport_constraints(n, m)
+    basis = None if uniform_square else _TransportBasis(wx, wy)
     const = float((omx**2 * np.outer(wx, wx)).sum()
                   + (omy**2 * np.outer(wy, wy)).sum())
 
@@ -331,7 +478,7 @@ def gw_frank_wolfe(netX: MeasureNetwork, netY: MeasureNetwork,
     it = 0
     for it in range(1, max_iters + 1):
         grad = -2.0 * (omx @ pi @ omy.T + omx.T @ pi @ omy)
-        vertex = _linear_oracle(grad, wx, wy, a_eq)
+        vertex = _linear_oracle(grad, wx, wy, basis)
         direction = vertex - pi
         lin = float((grad * direction).sum())
         gap = -lin

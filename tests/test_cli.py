@@ -104,6 +104,24 @@ def test_gw_command(workdir):
     assert json.loads(plain.stdout)["converged"]
 
 
+@pytest.mark.parametrize("flags,message", [(["--max-iters", "-3"], b"max_iters"),
+                                           (["--tol", "nan"], b"tol_fw"),
+                                           (["--tol", "-1"], b"tol_fw")])
+def test_gw_bad_iteration_settings_exit_one(workdir, flags, message):
+    proc = run_cli(["gw", "delta4.json", "delta2.json", *flags], workdir)
+    assert proc.returncode == 1
+    assert message in proc.stderr
+    assert b"Traceback" not in proc.stderr
+    assert proc.stdout == b""
+
+
+def test_gm_indivisible_uniform_pair_exit_code(workdir):
+    serialize.save_network(str(workdir / "delta23.json"), simplex_network(23))
+    proc = run_cli(["gm", "delta23.json", "delta2.json", "--p", "2"], workdir)
+    assert proc.returncode == 2
+    assert json.loads(proc.stdout)["iterations"] == 0
+
+
 def test_rand_round_trip_and_determinism(workdir):
     for kind, loader in (("spd", serialize.load_network),
                          ("metric", serialize.load_network),

@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
-from scipy.optimize import linear_sum_assignment
-from scipy.sparse import csr_matrix
+from scipy.optimize import linear_sum_assignment, linprog
 
 from gromon import (
     CapExceededError,
@@ -157,6 +156,17 @@ def test_gm_infeasible_reports_infinity():
     assert report.witness is None
 
 
+def test_gm_indivisible_uniform_is_infinite_without_enumeration(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("enumerated a pair that admits no map")
+
+    monkeypatch.setattr(solvers, "_assignment_blocks", refuse)
+    report = gm_exact(simplex_network(23), simplex_network(2), 2)
+    assert math.isinf(report.value)
+    assert report.witness is None
+    assert report.iterations == 0
+
+
 def test_gm_cap_exceeded():
     with pytest.raises(CapExceededError, match="too large"):
         gm_exact(simplex_network(8), simplex_network(8), 2, cap=100)
@@ -254,50 +264,116 @@ def test_fw_general_marginals_oracle():
                                         product_coupling(net_x, net_y2), 2) + 1e-12
 
 
-def loop_transport_constraints(n, m):
-    """The transport-LP constraint matrix as the oracle used to build it,
-    one cell at a time."""
-    data, rows_idx, cols_idx = [], [], []
+def transport_lp(cost, wx, wy):
+    """Optimal value of the transport problem, by HiGHS as an independent
+    reference."""
+    n, m = cost.shape
+    a_eq = np.zeros((n + m, n * m))
     for i in range(n):
-        for j in range(m):
-            k = i * m + j
-            rows_idx += [i, n + j]
-            cols_idx += [k, k]
-            data += [1.0, 1.0]
-    return csr_matrix((data, (rows_idx, cols_idx)), shape=(n + m, n * m))
+        a_eq[i, i * m:(i + 1) * m] = 1.0
+        a_eq[n + np.arange(m), i * m + np.arange(m)] = 1.0
+    res = linprog(cost.ravel(), A_eq=a_eq, b_eq=np.concatenate([wx, wy]),
+                  bounds=(0, None), method="highs")
+    assert res.success
+    return res.fun
 
 
-@pytest.mark.parametrize("n,m", [(1, 1), (1, 5), (4, 1), (3, 7), (26, 22)])
-def test_transport_constraints_match_loop(n, m):
-    got = solvers._transport_constraints(n, m)
-    want = loop_transport_constraints(n, m)
-    assert got.shape == want.shape
-    for attr in ("data", "indices", "indptr"):
-        assert getattr(got, attr).dtype == getattr(want, attr).dtype
-        assert np.array_equal(getattr(got, attr), getattr(want, attr))
+def transport_case(shape, seed):
+    """Seeded marginals and cost of the given shape.  Odd seeds give
+    small-integer costs and integer-count weights over one common total,
+    whose partial sums often coincide, so that bases are degenerate."""
+    rng = np.random.default_rng([31, seed])
+    n, m = shape
+    if seed % 2:
+        total = 2 * max(n, m)
+        wx, wy = (np.diff([0, *np.sort(rng.choice(np.arange(1, total), k - 1, replace=False)),
+                           total]).astype(float) for k in shape)
+        cost = rng.integers(0, 4, (n, m)).astype(float)
+    else:
+        wx, wy = rng.random(n) + 0.1, rng.random(m) + 0.1
+        cost = rng.normal(size=(n, m))
+    return cost, wx / wx.sum(), wy / wy.sum()
 
 
+def support_is_forest(vertex):
+    # union-find over rows and columns: a support cell joining two nodes
+    # already connected would close a cycle
+    n, m = vertex.shape
+    parent = list(range(n + m))
+
+    def find(a):
+        while parent[a] != a:
+            a = parent[a]
+        return a
+
+    for i, j in zip(*np.nonzero(vertex)):
+        a, b = find(i), find(n + j)
+        if a == b:
+            return False
+        parent[a] = b
+    return True
+
+
+TRANSPORT_SHAPES = [(1, 1), (1, 6), (5, 1), (3, 7), (26, 22)]
+
+
+@pytest.mark.parametrize("shape", TRANSPORT_SHAPES)
+@pytest.mark.parametrize("seed", range(6))
+def test_transport_simplex_is_optimal_vertex(shape, seed):
+    cost, wx, wy = transport_case(shape, seed)
+    vertex = solvers._TransportBasis(wx, wy).solve(cost)
+    scale = float(np.abs(cost).max())
+    assert float((vertex * cost).sum()) <= transport_lp(cost, wx, wy) + 1e-12 * scale
+    assert vertex.min() >= 0.0
+    assert np.abs(vertex.sum(axis=1) - wx).max() <= 1e-15
+    assert np.abs(vertex.sum(axis=0) - wy).max() <= 1e-15
+    assert np.count_nonzero(vertex) <= sum(shape) - 1
+    assert support_is_forest(vertex)
+
+
+@pytest.mark.parametrize("shape", TRANSPORT_SHAPES)
 @pytest.mark.parametrize("seed", range(4))
-def test_fw_unchanged_by_prebuilt_constraints(seed, monkeypatch):
-    # non-uniform rectangular pairs take the LP oracle; rebuilding the matrix
-    # with the loop on every call must give the same run
-    rng = np.random.default_rng(seed)
-    nets = []
-    for k, n in enumerate((4 + seed, 3 + 2 * seed)):
-        counts = rng.integers(1, 5, n)
-        nets.append(MeasureNetwork(counts / counts.sum(),
-                                   random_metric_network(n, [22, seed, k]).omega))
-    fast = gw_frank_wolfe(*nets)
-    oracle = solvers._linear_oracle
+def test_transport_simplex_warm_start_matches_cold(shape, seed):
+    _, wx, wy = transport_case(shape, seed)
+    basis = solvers._TransportBasis(wx, wy)
+    for k in range(6):
+        cost = transport_case(shape, seed + 2 * k)[0]
+        warm = basis.solve(cost)
+        cold = solvers._TransportBasis(wx, wy).solve(cost)
+        scale = float(np.abs(cost).max())
+        assert float((warm * cost).sum()) == pytest.approx(float((cold * cost).sum()),
+                                                           abs=1e-12 * scale)
+        # the lexicographic rule keeps every basic flow positive
+        assert min(basis.flow) > 0
 
-    def loop_oracle(cost, wx, wy, a_eq):
-        return oracle(cost, wx, wy, None if a_eq is None else loop_transport_constraints(*cost.shape))
 
-    monkeypatch.setattr(solvers, "_linear_oracle", loop_oracle)
-    slow = gw_frank_wolfe(*nets)
-    assert fast.iterations > 0
-    assert (fast.value, fast.iterations, fast.trace) == (slow.value, slow.iterations, slow.trace)
-    assert np.array_equal(fast.witness.table, slow.witness.table)
+def test_transport_basis_starts_as_full_tree():
+    # n + m - 1 cells even where the north-west corner walk meets ties
+    wx = np.full(4, 0.25)
+    wy = np.array([0.25, 0.25, 0.5])
+    basis = solvers._TransportBasis(wx, wy)
+    assert len(basis.rows) == 6
+    assert len(set(zip(basis.rows, basis.cols))) == 6
+    assert min(basis.flow) > 0
+
+
+def test_transport_simplex_pivot_cap(monkeypatch):
+    cost, wx, wy = transport_case((26, 22), 0)
+    monkeypatch.setattr(solvers, "_PIVOTS_PER_CELL", 0)
+    with pytest.raises(RuntimeError, match="after 0 pivots"):
+        solvers._TransportBasis(wx, wy).solve(cost)
+
+
+def test_fw_rejects_bad_arguments():
+    net = simplex_network(3)
+    with pytest.raises(ValueError, match="max_iters"):
+        gw_frank_wolfe(net, net, max_iters=-3)
+    for tol in (math.nan, -1e-12):
+        with pytest.raises(ValueError, match="tol_fw"):
+            gw_frank_wolfe(net, net, tol_fw=tol)
+    report = gw_frank_wolfe(net, net, max_iters=0)
+    assert report.iterations == 0
+    assert len(report.trace) == 1
 
 
 @pytest.mark.parametrize("seed", range(10))
