@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from scipy.optimize import LinearConstraint, linprog, minimize
 
 from .euclidean import (
     EuclideanCloud,
@@ -263,19 +264,73 @@ def criterion_mass_split_identity() -> CriterionResult:
     return chk.result("mass-splitting distortion identity", started)
 
 
+def _simplex_embedding_constraints(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rows a with lb <= a . alpha <= ub encoding a valid one-point extension
+    (n >= 2).
+
+    A joint embedding of the n-point discrete-metric space and a single point
+    amounts to choosing distances alpha_i > 0 from each vertex to the point,
+    subject to |alpha_i - alpha_j| <= 1 <= alpha_i + alpha_j for i != j.
+    """
+    rows, lb, ub = [], [], []
+    for i in range(n):
+        for j in range(i + 1, n):
+            row = np.zeros(n)
+            row[i], row[j] = 1.0, 1.0
+            rows.append(row)
+            lb.append(1.0)
+            ub.append(np.inf)
+            row = np.zeros(n)
+            row[i], row[j] = 1.0, -1.0
+            rows.append(row)
+            lb.append(-1.0)
+            ub.append(1.0)
+    return np.array(rows), np.array(lb), np.array(ub)
+
+
+def _simplex_embedding_minimum(n: int, p: float) -> float:
+    """Direct minimization of the embedding value over feasible alpha: an LP
+    at p = 1, a constrained convex solve otherwise."""
+    a, lb, ub = _simplex_embedding_constraints(n)
+    if p == 1.0:
+        # stack lb/ub rows as A_ub x <= b_ub
+        a_ub = np.vstack([-a, a])
+        b_ub = np.concatenate([-lb, np.where(np.isinf(ub), 1e30, ub)])
+        res = linprog(np.full(n, 1.0 / n), A_ub=a_ub, b_ub=b_ub,
+                      bounds=(0, None), method="highs")
+        if not res.success:
+            raise RuntimeError(f"embedding LP failed: {res.message}")
+        return float(res.fun)
+
+    def objective(alpha: np.ndarray) -> float:
+        return float(np.mean(np.abs(alpha) ** p) ** (1.0 / p))
+
+    res = minimize(objective, x0=np.ones(n), method="SLSQP",
+                   bounds=[(0.0, None)] * n, constraints=[LinearConstraint(a, lb, ub)],
+                   options={"ftol": 1e-12, "maxiter": 500})
+    if not res.success:
+        raise RuntimeError(f"embedding minimization failed: {res.message}")
+    return float(res.fun)
+
+
 def criterion_embedding_values() -> CriterionResult:
     """Simplex-vs-point embedding value is 1/2, closed form vs minimization."""
     started = time.perf_counter()
     chk = _Check()
     point = one_point_network()
     for n in range(2, 9):
+        a, lb, ub = _simplex_embedding_constraints(n)
+        vals = a @ np.full(n, 0.5)
+        chk.holds(bool(np.all(vals >= lb - 1e-12) and np.all(vals <= ub + 1e-12)),
+                  f"alpha = 1/2 violates the embedding constraints (n={n})")
         for p in (1, 2):
+            chk.within(simplex_point_embedding_value(n, p), 0.5, 0.0,
+                       f"embedding value (n={n}, p={p})")
             try:
-                # raises internally if the numerical minimum strays from 1/2
-                chk.within(simplex_point_embedding_value(n, p), 0.5, 0.0,
-                           f"embedding value (n={n}, p={p})")
+                chk.within(_simplex_embedding_minimum(n, p), 0.5, 1e-6,
+                           f"embedding minimum (n={n}, p={p})")
             except RuntimeError as exc:
-                chk.holds(False, f"embedding value (n={n}, p={p}): {exc}")
+                chk.holds(False, f"embedding minimum (n={n}, p={p}): {exc}")
         chk.within(gm_em_infinity(simplex_network(n), point), 0.5, 1e-12,
                    f"sup embedding value (n={n})")
     return chk.result("embedding closed forms", started)

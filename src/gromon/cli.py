@@ -3,7 +3,9 @@
 Exit codes: 0 on success, 1 on input errors (with a diagnostic on stderr),
 2 when a requested Monge distance is infinite (no measure-preserving map).
 Output is deterministic for fixed inputs, flags and seed; the seed defaults
-to the GROMON_SEED environment variable, then 0.
+to the GROMON_SEED environment variable, then 0.  ``--format`` exists only on
+the commands that print a solver report (gm, gw, spd, miso), ``--seed`` only
+on the seeded ones (spd, miso, rand).
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ from .randgen import (
 from .solvers import (
     DEFAULT_CAP,
     gm_exact,
-    gm_infinity,
     gw_frank_wolfe,
     gw_spd_vertex_ascent,
     gm_over_split,
@@ -52,17 +53,6 @@ def _u64(text: str) -> int:
     return value
 
 
-def _default_seed() -> int:
-    return _u64(os.environ.get("GROMON_SEED", "0"))
-
-
-def _add_common(sub: argparse.ArgumentParser, seed: bool = False) -> None:
-    sub.add_argument("--format", choices=("json", "csv", "plain"), default="json")
-    if seed:
-        sub.add_argument("--seed", type=_u64, default=_default_seed(),
-                         help="64-bit seed (default: GROMON_SEED or 0)")
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="gromon",
@@ -76,7 +66,6 @@ def _build_parser() -> argparse.ArgumentParser:
     gm.add_argument("target")
     gm.add_argument("--p", default="2")
     gm.add_argument("--cap", type=int, default=DEFAULT_CAP)
-    _add_common(gm)
 
     gw = subs.add_parser("gw", help="Frank-Wolfe upper bound on order-2 GW")
     gw.add_argument("source")
@@ -84,13 +73,11 @@ def _build_parser() -> argparse.ArgumentParser:
     gw.add_argument("--init", help="optional coupling JSON used as the start")
     gw.add_argument("--max-iters", type=int, default=1000)
     gw.add_argument("--tol", type=float, default=1e-12)
-    _add_common(gw)
 
     spd = subs.add_parser("spd", help="vertex ascent for SPD uniform networks")
     spd.add_argument("source")
     spd.add_argument("target")
     spd.add_argument("--restarts", type=int, default=20)
-    _add_common(spd, seed=True)
 
     miso = subs.add_parser("miso", help="isometry-invariant registration of clouds")
     miso.add_argument("source")
@@ -98,21 +85,18 @@ def _build_parser() -> argparse.ArgumentParser:
     miso.add_argument("--p", default="2")
     miso.add_argument("--restarts", type=int, default=20)
     miso.add_argument("--max-alternations", type=int, default=100)
-    _add_common(miso, seed=True)
 
     heat = subs.add_parser("heat", help="heat-kernel network of a graph")
     heat.add_argument("graph")
     heat.add_argument("--t", type=float, required=True,
                       help="diffusion time (no default on purpose)")
     heat.add_argument("--out", help="write the network here instead of stdout")
-    _add_common(heat)
 
     split = subs.add_parser("split", help="mass splitting of a coupling")
     split.add_argument("source")
     split.add_argument("target")
     split.add_argument("coupling")
     split.add_argument("--p", default="2")
-    _add_common(split)
 
     rand = subs.add_parser("rand", help="write a seeded random instance")
     rand.add_argument("--kind", choices=("spd", "metric", "cloud", "graph"),
@@ -121,10 +105,16 @@ def _build_parser() -> argparse.ArgumentParser:
     rand.add_argument("--dim", type=int, default=2)
     rand.add_argument("--edge-prob", type=float, default=0.5)
     rand.add_argument("--out", required=True)
-    _add_common(rand, seed=True)
 
-    suite = subs.add_parser("suite", help="run the acceptance criteria")
-    _add_common(suite)
+    subs.add_parser("suite", help="run the acceptance criteria")
+
+    for sub in (gm, gw, spd, miso):
+        sub.add_argument("--format", choices=("json", "csv", "plain"), default="json")
+    for sub in (spd, miso, rand):
+        # a string default goes through _u64 too, so a bad GROMON_SEED is a
+        # usage error of the seeded commands only
+        sub.add_argument("--seed", type=_u64, default=os.environ.get("GROMON_SEED", "0"),
+                         help="64-bit seed (default: GROMON_SEED or 0)")
     return parser
 
 
@@ -152,7 +142,7 @@ def _emit_report(report, args, p=None, seed=None) -> None:
     sys.stdout.write(serialize.dumps_canonical(serialize.report_to_dict(report, meta)))
 
 
-def _infeasible(report) -> int:
+def _infeasible() -> int:
     print("no measure-preserving map between these weight vectors "
           "(distance is infinite)", file=sys.stderr)
     return INFEASIBLE_EXIT
@@ -162,12 +152,9 @@ def _cmd_gm(args) -> int:
     p = parse_exponent(args.p)
     net_x = serialize.load_network(args.source)
     net_y = serialize.load_network(args.target)
-    if math.isinf(p):
-        report = gm_infinity(net_x, net_y, args.cap)
-    else:
-        report = gm_exact(net_x, net_y, p, args.cap)
+    report = gm_exact(net_x, net_y, p, args.cap)
     _emit_report(report, args, p=p)
-    return _infeasible(report) if math.isinf(report.value) else 0
+    return _infeasible() if math.isinf(report.value) else 0
 
 
 def _cmd_gw(args) -> int:
@@ -198,7 +185,7 @@ def _cmd_miso(args) -> int:
     report = m_iso(x, y, p=p, restarts=args.restarts, seed=args.seed,
                    max_alternations=args.max_alternations)
     _emit_report(report, args, p=p, seed=args.seed)
-    return _infeasible(report) if math.isinf(report.value) else 0
+    return _infeasible() if math.isinf(report.value) else 0
 
 
 def _cmd_heat(args) -> int:
@@ -229,18 +216,13 @@ def _cmd_rand(args) -> int:
     if args.n < 1:
         raise ValueError("--n must be >= 1")
     if args.kind == "spd":
-        text = serialize.dumps_canonical(
-            serialize.network_to_dict(random_spd_network(args.n, args.seed)))
+        serialize.save_network(args.out, random_spd_network(args.n, args.seed))
     elif args.kind == "metric":
-        text = serialize.dumps_canonical(
-            serialize.network_to_dict(random_metric_network(args.n, args.seed)))
+        serialize.save_network(args.out, random_metric_network(args.n, args.seed))
     elif args.kind == "cloud":
-        text = serialize.dumps_canonical(
-            serialize.cloud_to_dict(random_cloud(args.n, args.dim, args.seed)))
+        serialize.save_cloud(args.out, random_cloud(args.n, args.dim, args.seed))
     else:
-        text = serialize.dumps_canonical(
-            serialize.graph_to_dict(random_graph(args.n, args.seed, args.edge_prob)))
-    serialize.save_text(args.out, text)
+        serialize.save_graph(args.out, random_graph(args.n, args.seed, args.edge_prob))
     print(f"wrote {args.out}")
     return 0
 

@@ -10,6 +10,7 @@ eigenvalue exp(-48), below float resolution next to its largest eigenvalue
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,8 +81,8 @@ def heat_kernel_network(g: Graph, t: float) -> MeasureNetwork:
     and the computed table can be singular or indefinite.
     """
     t = float(t)
-    if t <= 0:
-        raise ValueError("t must be positive")
+    if not 0.0 < t < math.inf:  # also rejects nan
+        raise ValueError("t must be positive and finite")
     evals, evecs = np.linalg.eigh(laplacian(g))
     evals = np.maximum(evals, 0.0)
     kernel = (evecs * np.exp(-t * evals)) @ evecs.T

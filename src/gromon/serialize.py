@@ -4,7 +4,7 @@ Formats:
 
 * network:  {"weights": [...], "omega": [[...]], "labels": optional}
 * coupling: {"table": [[...]]}
-* map:      {"assignment": [...]}
+* map:      {"assignment": [...]} (written only: witnesses, mass splits)
 * cloud:    {"dim": d, "points": [[...]], "weights": [...]}
 * isometry: {"rotation": [[...]], "translation": [...]}
 * graph:    {"n": n, "edges": [[i, j], ...], "weights": optional}, or a
@@ -34,19 +34,36 @@ def dumps_canonical(obj: Any) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-def _load_json(path: str) -> Any:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: "
-                          f"{exc.msg}") from None
-
-
 def _require(obj: dict, key: str, path: str) -> Any:
     if not isinstance(obj, dict) or key not in obj:
         raise FormatError(f"{path}: missing required field '{key}'")
     return obj[key]
+
+
+def _build(path: str, make, *args, **kwargs):
+    """``make(*args, **kwargs)``, with a ``TypeError``, ``ValueError`` or
+    ``OverflowError`` from content of the wrong type or value re-raised as
+    one ``FormatError`` that names ``path``."""
+    try:
+        return make(*args, **kwargs)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise FormatError(f"{path}: {exc}") from None
+
+
+def _read_text(path: str) -> str:
+    with open(path, "r", encoding="utf-8") as fh:
+        return _build(path, fh.read)  # text that is not UTF-8 is a format error
+
+
+def _load_json(path: str, text: str | None = None) -> Any:
+    """The JSON value in ``path``, or in ``text`` when already read from it."""
+    try:
+        return json.loads(_read_text(path) if text is None else text)
+    except json.JSONDecodeError as exc:
+        raise FormatError(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: "
+                          f"{exc.msg}") from None
+    except RecursionError:
+        raise FormatError(f"{path}: JSON nested too deeply") from None
 
 
 def save_text(path: str, text: str) -> None:
@@ -64,12 +81,8 @@ def network_to_dict(net: MeasureNetwork) -> dict:
 
 
 def network_from_dict(obj: dict, path: str = "<network>") -> MeasureNetwork:
-    try:
-        return MeasureNetwork(_require(obj, "weights", path),
-                              _require(obj, "omega", path),
-                              labels=obj.get("labels"))
-    except ValueError as exc:
-        raise FormatError(f"{path}: {exc}") from None
+    return _build(path, MeasureNetwork, _require(obj, "weights", path),
+                  _require(obj, "omega", path), labels=obj.get("labels"))
 
 
 def load_network(path: str) -> MeasureNetwork:
@@ -87,23 +100,12 @@ def coupling_to_dict(pi: Coupling) -> dict:
 
 
 def load_coupling(path: str, source_weights, target_weights) -> Coupling:
-    obj = _load_json(path)
-    try:
-        return Coupling(_require(obj, "table", path), source_weights, target_weights)
-    except ValueError as exc:
-        raise FormatError(f"{path}: {exc}") from None
+    return _build(path, Coupling, _require(_load_json(path), "table", path),
+                  source_weights, target_weights)
 
 
 def map_to_dict(phi: MongeMap) -> dict:
     return {"assignment": phi.assignment.tolist()}
-
-
-def load_map(path: str) -> MongeMap:
-    obj = _load_json(path)
-    try:
-        return MongeMap(_require(obj, "assignment", path))
-    except ValueError as exc:
-        raise FormatError(f"{path}: {exc}") from None
 
 
 # -- clouds and isometries --------------------------------------------------
@@ -115,12 +117,9 @@ def cloud_to_dict(cloud: EuclideanCloud) -> dict:
 
 def load_cloud(path: str) -> EuclideanCloud:
     obj = _load_json(path)
-    try:
-        cloud = EuclideanCloud(_require(obj, "points", path),
-                               _require(obj, "weights", path))
-    except ValueError as exc:
-        raise FormatError(f"{path}: {exc}") from None
-    if "dim" in obj and int(obj["dim"]) != cloud.dim:
+    cloud = _build(path, EuclideanCloud, _require(obj, "points", path),
+                   _require(obj, "weights", path))
+    if "dim" in obj and _build(path, int, obj["dim"]) != cloud.dim:
         raise FormatError(f"{path}: declared dim {obj['dim']} does not match "
                           f"point width {cloud.dim}")
     return cloud
@@ -145,13 +144,9 @@ def graph_to_dict(g: Graph) -> dict:
 
 
 def graph_from_dict(obj: dict, path: str = "<graph>") -> Graph:
-    try:
-        weights = obj.get("weights")
-        return Graph(int(_require(obj, "n", path)),
-                     tuple(tuple(e) for e in _require(obj, "edges", path)),
-                     None if weights is None else tuple(weights))
-    except (TypeError, ValueError) as exc:
-        raise FormatError(f"{path}: {exc}") from None
+    n, edges = _require(obj, "n", path), _require(obj, "edges", path)
+    # Graph normalizes the edge and weight lists itself
+    return _build(path, lambda: Graph(int(n), edges, obj.get("weights")))
 
 
 def _parse_edge_list(text: str, path: str) -> Graph:
@@ -175,23 +170,13 @@ def _parse_edge_list(text: str, path: str) -> Graph:
     if not edges:
         raise FormatError(f"{path}: empty edge list")
     n = max(max(i, j) for i, j in edges) + 1
-    try:
-        return Graph(n, tuple(edges), tuple(weights) if any_weight else None)
-    except ValueError as exc:
-        raise FormatError(f"{path}: {exc}") from None
+    return _build(path, Graph, n, tuple(edges), tuple(weights) if any_weight else None)
 
 
 def load_graph(path: str) -> Graph:
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
-        try:
-            obj = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"{path}: invalid JSON at line {exc.lineno}, "
-                              f"column {exc.colno}: {exc.msg}") from None
-        return graph_from_dict(obj, path)
+    text = _read_text(path)
+    if text.lstrip().startswith("{"):
+        return graph_from_dict(_load_json(path, text), path)
     return _parse_edge_list(text, path)
 
 

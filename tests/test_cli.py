@@ -87,6 +87,52 @@ def test_malformed_file_diagnostics(workdir):
     assert b"line 1" in proc.stderr
 
 
+# one missing field, and fields of the wrong JSON type, for each file format
+MALFORMED = [
+    pytest.param("network", b'{"weights": [0.5, 0.5]}', id="network-no-omega"),
+    pytest.param("network", b'{"weights": [0.5, 0.5], "omega": {}}', id="network-omega-dict"),
+    pytest.param("network", b'{"weights": [0.5, 0.5], "omega": [[0, 1], [1, 0]], "labels": 5}',
+                 id="network-labels-int"),
+    pytest.param("network", b'\xff{}', id="network-not-utf8"),
+    pytest.param("network", b'[' * 100_000, id="network-nested-too-deeply"),
+    pytest.param("coupling", b'{}', id="coupling-no-table"),
+    pytest.param("coupling", b'{"table": {}}', id="coupling-table-dict"),
+    pytest.param("cloud", b'{"dim": 1, "weights": [0.5, 0.5]}', id="cloud-no-points"),
+    pytest.param("cloud", b'{"dim": 1, "points": {}, "weights": [0.5, 0.5]}',
+                 id="cloud-points-dict"),
+    pytest.param("cloud", b'{"dim": null, "points": [[0.0], [1.0]], "weights": [0.5, 0.5]}',
+                 id="cloud-dim-null"),
+    pytest.param("graph", b'{"n": 2}', id="graph-no-edges"),
+    pytest.param("graph", b'{"n": 2, "edges": 5}', id="graph-edges-int"),
+    pytest.param("graph", b'{"n": Infinity, "edges": [[0, 1]]}', id="graph-n-infinite"),
+]
+
+HALVES = [0.5, 0.5]
+READERS = {
+    "network": (["gm", "bad.json", "delta2.json"], serialize.load_network),
+    "coupling": (["split", "delta2.json", "delta2.json", "bad.json"],
+                 lambda path: serialize.load_coupling(path, HALVES, HALVES)),
+    "cloud": (["miso", "bad.json", "bad.json"], serialize.load_cloud),
+    "graph": (["heat", "bad.json", "--t", "1"], serialize.load_graph),
+}
+
+
+@pytest.mark.parametrize("kind,content", MALFORMED)
+def test_malformed_field_is_one_line_input_error(workdir, monkeypatch, capsys, kind, content):
+    (workdir / "bad.json").write_bytes(content)
+    argv, load = READERS[kind]
+    monkeypatch.chdir(workdir)
+    # in process: an exception escaping main() (a traceback) fails the test
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("error: bad.json: ")
+    assert captured.err.count("bad.json") == 1
+    with pytest.raises(serialize.FormatError):
+        load("bad.json")
+
+
 def test_gw_command(workdir):
     # the product coupling is stationary for a self-comparison; a diagonal
     # start certifies the true zero
@@ -181,9 +227,10 @@ def test_heat_command_stdout_and_file(workdir):
     assert proc.returncode == 0, proc.stderr
     net = serialize.load_network(str(workdir / "hk.json"))
     assert net.n == 2
-    proc2 = run_cli(["heat", "edge.txt", "--t", "-1"], workdir)
-    assert proc2.returncode == 1
-    assert b"t must be positive" in proc2.stderr
+    for t in ("-1", "nan"):
+        proc2 = run_cli(["heat", "edge.txt", "--t", t], workdir)
+        assert proc2.returncode == 1
+        assert b"t must be positive" in proc2.stderr
 
 
 def test_spd_numerically_singular_heat_kernel_is_input_error(workdir):
@@ -226,6 +273,15 @@ def test_miso_command(workdir):
     assert "rotation" in out["transform"]
 
 
+@pytest.mark.parametrize("restarts", ["0", "-7"])
+def test_miso_bad_restarts_exit_one(workdir, restarts):
+    serialize.save_cloud(str(workdir / "c.json"), random_cloud(4, 2, 3))
+    proc = run_cli(["miso", "c.json", "c.json", "--restarts", restarts], workdir)
+    assert proc.returncode == 1
+    assert b"restarts must be >= 1" in proc.stderr
+    assert proc.stdout == b""
+
+
 def test_miso_unsupported_weighting_is_input_error(workdir):
     z = EuclideanCloud([[0.0], [1.0]], [0.25, 0.75])
     serialize.save_cloud(str(workdir / "z.json"), z)
@@ -235,16 +291,39 @@ def test_miso_unsupported_weighting_is_input_error(workdir):
     assert b"no measure-preserving map" not in proc.stderr
 
 
+# flags a subcommand would ignore: --threads everywhere (no solver takes a
+# thread count), --format where no solver report is printed
 @pytest.mark.parametrize("argv", [
-    ["gm", "a", "b"], ["gw", "a", "b"], ["spd", "a", "b"], ["miso", "a", "b"],
-    ["heat", "g", "--t", "1"], ["split", "a", "b", "c"],
-    ["rand", "--kind", "spd", "--n", "3", "--out", "o"], ["suite"],
+    *([*argv, "--threads", "2"] for argv in (
+        ["gm", "a", "b"], ["gw", "a", "b"], ["spd", "a", "b"], ["miso", "a", "b"],
+        ["heat", "g", "--t", "1"], ["split", "a", "b", "c"],
+        ["rand", "--kind", "spd", "--n", "3", "--out", "o"], ["suite"])),
+    ["heat", "g", "--t", "1", "--format", "json"],
+    ["split", "a", "b", "c", "--format", "json"],
+    ["rand", "--kind", "spd", "--n", "3", "--out", "o", "--format", "json"],
+    ["suite", "--format", "json"],
 ])
 def test_threads_flag_is_rejected(argv, capsys):
     with pytest.raises(SystemExit) as exc:
-        cli._build_parser().parse_args([*argv, "--threads", "2"])
+        cli._build_parser().parse_args(argv)
     assert exc.value.code == 1
-    assert "unrecognized arguments: --threads" in capsys.readouterr().err
+    assert f"unrecognized arguments: {argv[-2]} {argv[-1]}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["gm", "a", "b"], ["gw", "a", "b"],
+                                  ["spd", "a", "b"], ["miso", "a", "b"]])
+def test_format_flag_on_report_commands(argv):
+    assert cli._build_parser().parse_args([*argv, "--format", "csv"]).format == "csv"
+
+
+def test_bad_seed_environment_fails_only_seeded_commands(monkeypatch, capsys):
+    monkeypatch.setenv("GROMON_SEED", "abc")
+    parser = cli._build_parser()
+    assert parser.parse_args(["gm", "a", "b"]).command == "gm"
+    with pytest.raises(SystemExit) as exc:
+        parser.parse_args(["rand", "--kind", "spd", "--n", "3", "--out", "o"])
+    assert exc.value.code == 1
+    assert "argument --seed" in capsys.readouterr().err
 
 
 def test_deterministic_solver_output(workdir):

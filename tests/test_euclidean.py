@@ -105,6 +105,12 @@ def test_m_iso_line_example():
     assert report.transform is not None
 
 
+@pytest.mark.parametrize("restarts", [0, -7])
+def test_m_iso_rejects_bad_restarts(restarts):
+    with pytest.raises(ValueError, match="restarts must be >= 1"):
+        m_iso(line_cloud(0, 1), line_cloud(0, 2), restarts=restarts)
+
+
 def test_m_iso_requires_uniform_equal_size():
     x = EuclideanCloud([[0.0], [1.0]], [0.5, 0.5])
     y = EuclideanCloud([[0.0], [1.0], [2.0]], [1 / 3] * 3)

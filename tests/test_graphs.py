@@ -71,8 +71,9 @@ def test_laplacian_rows_sum_to_zero():
 
 
 def test_heat_kernel_rejects_nonpositive_t():
-    with pytest.raises(ValueError):
-        heat_kernel_network(Graph(2, ((0, 1),)), 0.0)
+    for t in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="t must be positive and finite"):
+            heat_kernel_network(Graph(2, ((0, 1),)), t)
 
 
 def test_heat_kernel_small_t_is_identity():

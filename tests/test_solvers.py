@@ -256,7 +256,7 @@ def test_fw_trace_monotone_nonincreasing():
 
 
 def test_fw_general_marginals_oracle():
-    # non-uniform, non-square: exercises the LP transport oracle
+    # non-uniform, non-square: exercises the transportation simplex oracle
     net_x, net_y = weak_iso_pair()
     net_y2 = MeasureNetwork([0.5, 0.5], [[0, 1], [1, 0]])
     report = gw_frank_wolfe(net_x, net_y2, max_iters=50)
