@@ -17,7 +17,6 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .networks import (
-    TOL_MASS,
     MeasureNetwork,
     MongeMap,
     _check_weights,
@@ -29,6 +28,9 @@ from .networks import (
 from .solvers import (
     DEFAULT_CAP,
     SolveReport,
+    _best_restart,
+    _count_uniform_maps,
+    _uniform,
     enumerate_monge_maps,
     gm_exact,
     gm_infinity,
@@ -139,14 +141,10 @@ def _haar_orthogonal(dim: int, rng: np.random.Generator) -> np.ndarray:
     return q * np.sign(np.diag(r))
 
 
-def _uniform(cloud: EuclideanCloud) -> bool:
-    return bool(np.abs(cloud.weights - 1.0 / cloud.n).max() <= TOL_MASS)
-
-
 def _has_monge_map(x: EuclideanCloud, y: EuclideanCloud) -> bool:
-    if _uniform(x) and _uniform(y):
+    if _uniform(x.weights) and _uniform(y.weights):
         # decided without enumeration, whose search tree can be huge here
-        return x.n % y.n == 0
+        return _count_uniform_maps(x.n, y.n) > 0
     return next(enumerate_monge_maps(x.weights, y.weights), None) is not None
 
 
@@ -159,10 +157,11 @@ def m_iso(x: EuclideanCloud, y: EuclideanCloud, p=2, restarts: int = 20,
     and the rigid-transform update at fixed assignment (exact at p = 2; for
     other finite p the order-2 transform is reused as a surrogate while the
     objective is still evaluated at the true p, so the reported value is an
-    upper bound either way).  Restart 0 starts from the identity assignment
-    after centroid alignment; the rest start from seeded Haar-random
-    orthogonal transforms.  ``allow_reflections=False`` restricts the
-    transform group to proper rigid motions.
+    upper bound either way).  Restart 0, the canonical start, fits the
+    transform to the identity assignment; the rest start from seeded
+    Haar-random orthogonal transforms after centroid alignment.  The lowest
+    value wins, ties going to the earliest restart.  ``allow_reflections=False``
+    restricts the transform group to proper rigid motions.
 
     Only uniform equal-cardinality clouds are searched.  Any other pair
     reports ``math.inf`` when no measure-preserving map exists and raises
@@ -177,25 +176,25 @@ def m_iso(x: EuclideanCloud, y: EuclideanCloud, p=2, restarts: int = 20,
         raise ValueError("max_alternations must be >= 1")
     if x.dim != y.dim:
         raise ValueError(f"dimension mismatch: {x.dim} vs {y.dim}")
-    if not (x.n == y.n and _uniform(x) and _uniform(y)):
+    if not (x.n == y.n and _uniform(x.weights) and _uniform(y.weights)):
         if not _has_monge_map(x, y):
             return SolveReport(math.inf, None, "alternating", 0, True)
         raise ValueError(
             f"unsupported weighting: registration searches only uniform clouds "
             f"of equal size (got {x.n} and {y.n} points)"
         )
-    n = x.n
-    cx = x.weights @ x.points
-    cy = y.weights @ y.points
+    cx, cy = x.weights @ x.points, y.weights @ y.points
 
-    def run(iso: Isometry, phi: np.ndarray | None) -> tuple[float, np.ndarray, Isometry, int, bool, list[float]]:
-        if phi is not None:
-            iso = procrustes_align(x, y, MongeMap(phi), allow_reflections)
-        best_val = math.inf
-        best = (None, iso)
+    def run(r: int, rng: np.random.Generator | None) -> tuple[float, int, tuple]:
+        if rng is None:
+            iso = procrustes_align(x, y, MongeMap(np.arange(x.n)), allow_reflections)
+        else:
+            rot = _haar_orthogonal(x.dim, rng)
+            if not allow_reflections and np.linalg.det(rot) < 0.0:
+                rot[:, 0] = -rot[:, 0]
+            iso = Isometry(rot, cy - rot @ cx)
+        best = (math.inf, None, iso)
         trace: list[float] = []
-        done = False
-        it = 0
         for it in range(1, max_alternations + 1):
             moved = iso.apply(x.points)
             cost = np.linalg.norm(moved[:, None, :] - y.points[None, :, :], axis=-1) ** p
@@ -203,28 +202,12 @@ def m_iso(x: EuclideanCloud, y: EuclideanCloud, p=2, restarts: int = 20,
             iso = procrustes_align(x, y, MongeMap(phi), allow_reflections)
             val = _registration_cost(x, y, phi, iso, p)
             trace.append(val)
-            if val < best_val - 1e-14:
-                best_val, best = val, (phi, iso)
-            else:
-                done = True
-                break
-        return best_val, best[0], best[1], it, done, trace
+            if not val < best[0] - 1e-14:
+                return best[0], it, (*best, True, trace)
+            best = (val, phi, iso)
+        return best[0], max_alternations, (*best, False, trace)
 
-    def one_restart(r: int):
-        if r == 0:
-            start = Isometry(np.eye(x.dim), cy - cx)
-            return (*run(start, np.arange(n, dtype=np.intp)), r)
-        rng = np.random.default_rng([seed, r])
-        rot = _haar_orthogonal(x.dim, rng)
-        if not allow_reflections and np.linalg.det(rot) < 0.0:
-            rot = rot.copy()
-            rot[:, 0] = -rot[:, 0]
-        start = Isometry(rot, cy - rot @ cx)
-        return (*run(start, None), r)
-
-    results = [one_restart(r) for r in range(restarts)]
-    val, phi, iso, _, done, trace, _ = min(results, key=lambda t: (t[0], t[6]))
-    total_iters = sum(t[3] for t in results)
+    (val, phi, iso, done, trace), total_iters = _best_restart(restarts, seed, run)
     return SolveReport(val, MongeMap(phi), "alternating", total_iters, done,
                        trace=tuple(trace), transform=iso)
 

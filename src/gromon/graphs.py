@@ -11,11 +11,19 @@ eigenvalue exp(-48), below float resolution next to its largest eigenvalue
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .networks import MeasureNetwork
+
+
+def _integer(v, what: str) -> int:
+    try:  # a float, a string or None is a TypeError
+        return operator.index(v)
+    except TypeError:
+        raise TypeError(f"{what} must be an integer, got {v!r}") from None
 
 
 @dataclass(frozen=True)
@@ -27,12 +35,14 @@ class Graph:
     weights: tuple[float, ...] | None = None
 
     def __post_init__(self):
-        if self.n < 1:
+        n = _integer(self.n, "vertex count n")
+        if n < 1:
             raise ValueError("graph needs at least one vertex")
+        object.__setattr__(self, "n", n)
         norm = []
         seen = set()
         for i, j in self.edges:
-            i, j = int(i), int(j)
+            i, j = _integer(i, "edge endpoint"), _integer(j, "edge endpoint")
             if i == j:
                 raise ValueError(f"self-loop at vertex {i}")
             if not (0 <= i < self.n and 0 <= j < self.n):

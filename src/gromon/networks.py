@@ -165,6 +165,8 @@ class MeasureNetwork:
         if not np.all(np.isfinite(om)):
             raise ValueError("omega entries must be finite")
         if self.labels is not None:
+            if isinstance(self.labels, (str, bytes)) or not hasattr(self.labels, "__len__"):
+                raise TypeError(f"labels must be a list, got {self.labels!r}")
             if len(self.labels) != w.size:
                 raise ValueError("labels length does not match weights")
             object.__setattr__(self, "labels", tuple(self.labels))

@@ -21,7 +21,7 @@ import math
 from typing import Any
 
 from .euclidean import EuclideanCloud, Isometry
-from .graphs import Graph
+from .graphs import Graph, _integer
 from .networks import Coupling, MeasureNetwork, MongeMap
 from .solvers import MassSplit, SolveReport
 
@@ -119,8 +119,8 @@ def load_cloud(path: str) -> EuclideanCloud:
     obj = _load_json(path)
     cloud = _build(path, EuclideanCloud, _require(obj, "points", path),
                    _require(obj, "weights", path))
-    if "dim" in obj and _build(path, int, obj["dim"]) != cloud.dim:
-        raise FormatError(f"{path}: declared dim {obj['dim']} does not match "
+    if "dim" in obj and _build(path, _integer, obj["dim"], "declared dim") != cloud.dim:
+        raise FormatError(f"{path}: declared dim {obj['dim']!r} does not match "
                           f"point width {cloud.dim}")
     return cloud
 
@@ -144,9 +144,9 @@ def graph_to_dict(g: Graph) -> dict:
 
 
 def graph_from_dict(obj: dict, path: str = "<graph>") -> Graph:
-    n, edges = _require(obj, "n", path), _require(obj, "edges", path)
-    # Graph normalizes the edge and weight lists itself
-    return _build(path, lambda: Graph(int(n), edges, obj.get("weights")))
+    # Graph checks n and normalizes the edge and weight lists itself
+    return _build(path, Graph, _require(obj, "n", path), _require(obj, "edges", path),
+                  obj.get("weights"))
 
 
 def _parse_edge_list(text: str, path: str) -> Graph:

@@ -14,9 +14,9 @@ Four routes are provided:
 * the mass-splitting construction that realizes a coupling's distortion as
   the distortion of a plain map out of a split network.
 
-Solvers are pure functions of (inputs, seed); restarts use deterministically
-derived sub-seeds and the returned optimum is the seedwise best, so results
-do not depend on scheduling.
+Solvers are pure functions of (inputs, seed); the multi-start ones share one
+restart driver, ``_best_restart``, whose derived sub-seeds and earliest-restart
+tie rule make results independent of scheduling.
 """
 
 from __future__ import annotations
@@ -91,6 +91,22 @@ class MassSplit:
     Z: MeasureNetwork
     rho: MongeMap
     phi: MongeMap
+
+
+def _uniform(w: np.ndarray) -> bool:
+    """Whether every weight is within ``TOL_MASS`` of 1/n."""
+    return bool(np.abs(w - 1.0 / w.size).max() <= TOL_MASS)
+
+
+def _best_restart(restarts: int, seed: int, run) -> tuple[Any, int]:
+    """The best result of ``run(r, rng) -> (key, iterations, result)`` over
+    ``restarts`` restarts, and their total iterations.  Restart 0 gets
+    ``rng=None`` (the solver's canonical start), restart r the generator
+    seeded by ``[seed, r]``; the least key wins, ties going to the earliest."""
+    runs = [run(r, None if r == 0 else np.random.default_rng([seed, r]))
+            for r in range(restarts)]
+    best = min(runs, key=lambda t: t[0])
+    return best[2], sum(t[1] for t in runs)
 
 
 # ---------------------------------------------------------------------------
@@ -217,12 +233,11 @@ def gm_exact(netX: MeasureNetwork, netY: MeasureNetwork, p,
     When no map exists the value is ``math.inf`` (infimum over the empty set).
 
     Raises ``CapExceededError`` when the instance admits more than ``cap``
-    maps.
+    maps.  Uniform weights count their maps in closed form, before any scan.
     """
     p = check_exponent(p)
     wx, wy = netX.weights, netY.weights
-    source, target, tol = _capacities(wx, wy, TOL_MASS)
-    if source.dtype == object and len(set(source)) == 1 and len(set(target)) == 1:
+    if _uniform(wx) and _uniform(wy):
         total = _count_uniform_maps(netX.n, netY.n)
         if total == 0:
             return SolveReport(math.inf, None, "enumeration", 0, True)
@@ -234,7 +249,7 @@ def gm_exact(netX: MeasureNetwork, netY: MeasureNetwork, p,
     best_key = math.inf
     best_assign = None
     count = 0
-    for assigns in _assignment_blocks(source, target, tol):
+    for assigns in _assignment_blocks(*_capacities(wx, wy, TOL_MASS)):
         count += len(assigns)
         if count > cap:
             raise CapExceededError(
@@ -461,12 +476,7 @@ def gw_frank_wolfe(netX: MeasureNetwork, netY: MeasureNetwork,
         _check_couples(init, netX, netY)
     pi = init.table.copy()
     n, m = pi.shape
-    uniform_square = bool(
-        n == m
-        and np.abs(wx - 1.0 / n).max() <= TOL_MASS
-        and np.abs(wy - 1.0 / n).max() <= TOL_MASS
-    )
-    basis = None if uniform_square else _TransportBasis(wx, wy)
+    basis = None if n == m and _uniform(wx) and _uniform(wy) else _TransportBasis(wx, wy)
     const = float((omx**2 * np.outer(wx, wx)).sum()
                   + (omy**2 * np.outer(wy, wy)).sum())
 
@@ -613,14 +623,15 @@ def gw_spd_vertex_ascent(netX: MeasureNetwork, netY: MeasureNetwork,
     a permutation.  Each ascent step linearizes the objective at the current
     permutation, solves the induced assignment problem, and moves only on
     strict improvement; the returned witness is therefore always a
-    permutation map.  Restart 0 starts from the identity, the rest from
-    seeded random permutations.
+    permutation map.  Restart 0, the canonical start, is the identity; the
+    rest start from seeded random permutations.  The highest cross term
+    wins, ties going to the earliest restart.
     """
     n = netX.n
     if netY.n != n:
         raise ValueError(f"cardinality mismatch: {n} vs {netY.n}")
     for net, name in ((netX, "source"), (netY, "target")):
-        if np.abs(net.weights - 1.0 / n).max() > TOL_MASS:
+        if not _uniform(net.weights):
             raise ValueError(f"{name} weights must be uniform")
     omx, omy = netX.omega, netY.omega
     _check_spd(omx, "source omega")
@@ -628,19 +639,12 @@ def gw_spd_vertex_ascent(netX: MeasureNetwork, netY: MeasureNetwork,
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
 
-    def one_restart(r: int) -> tuple[float, int, np.ndarray, int]:
-        if r == 0:
-            sigma0 = np.arange(n, dtype=np.intp)
-        else:
-            rng = np.random.default_rng([seed, r])
-            sigma0 = rng.permutation(n).astype(np.intp)
-        sigma, val, moves = _ascend(omx, omy, sigma0)
-        return val, r, sigma, moves
+    def run(r: int, rng: np.random.Generator | None) -> tuple[float, int, np.ndarray]:
+        sigma0 = np.arange(n) if rng is None else rng.permutation(n)
+        sigma, val, moves = _ascend(omx, omy, sigma0.astype(np.intp))
+        return -val, moves, sigma  # maximize the cross term
 
-    results = [one_restart(r) for r in range(restarts)]
-    total_moves = sum(r[3] for r in results)
-    # maximize the cross term; ties resolved toward the earliest restart
-    best_val, _, best_sigma, _ = max(results, key=lambda t: (t[0], -t[1]))
+    best_sigma, total_moves = _best_restart(restarts, seed, run)
     witness = MongeMap(best_sigma)
     value = distortion_map(netX, netY, witness, 2.0)
     return SolveReport(value, witness, "vertex_ascent", total_moves, True)

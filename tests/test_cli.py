@@ -105,6 +105,15 @@ MALFORMED = [
     pytest.param("graph", b'{"n": 2}', id="graph-no-edges"),
     pytest.param("graph", b'{"n": 2, "edges": 5}', id="graph-edges-int"),
     pytest.param("graph", b'{"n": Infinity, "edges": [[0, 1]]}', id="graph-n-infinite"),
+    pytest.param("graph", b'{"n": 2.7, "edges": [[0, 1]]}', id="graph-n-fractional"),
+    pytest.param("graph", b'{"n": "3", "edges": [[0, 1]]}', id="graph-n-string"),
+    pytest.param("graph", b'{"n": 2, "edges": [[0.7, 1.2]]}', id="graph-edge-fractional"),
+    pytest.param("cloud", b'{"dim": 1.5, "points": [[0.0], [1.0]], "weights": [0.5, 0.5]}',
+                 id="cloud-dim-fractional"),
+    pytest.param("cloud", b'{"dim": "2", "points": [[0.0, 0.0], [1.0, 1.0]], '
+                 b'"weights": [0.5, 0.5]}', id="cloud-dim-string"),
+    pytest.param("network", b'{"weights": [0.5, 0.5], "omega": [[0, 1], [1, 0]], "labels": "ab"}',
+                 id="network-labels-string"),
 ]
 
 HALVES = [0.5, 0.5]

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
 from gromon import (
     EuclideanCloud,
@@ -17,6 +18,7 @@ from gromon import (
     simplex_network,
     simplex_point_embedding_value,
 )
+from gromon import euclidean
 from gromon.randgen import random_cloud, random_isometry
 
 
@@ -162,6 +164,83 @@ def test_m_iso_reflection_flag():
     proper = m_iso(tri, mirror, p=2, restarts=20, seed=0, allow_reflections=False)
     assert proper.value > 0.1
     assert np.linalg.det(proper.transform.rotation) == pytest.approx(1.0, abs=1e-10)
+
+
+def _m_iso_restarts_reference(x, y, p, restarts, seed, max_alternations, allow_reflections):
+    """(value, witness, iterations, converged, trace, transform) of m_iso's own
+    restart loop, as it was before the shared restart driver."""
+    n = x.n
+    cx = x.weights @ x.points
+    cy = y.weights @ y.points
+
+    def run(iso, phi):
+        if phi is not None:
+            iso = procrustes_align(x, y, MongeMap(phi), allow_reflections)
+        best_val = math.inf
+        best = (None, iso)
+        trace = []
+        done = False
+        it = 0
+        for it in range(1, max_alternations + 1):
+            moved = iso.apply(x.points)
+            cost = np.linalg.norm(moved[:, None, :] - y.points[None, :, :], axis=-1) ** p
+            _, phi = linear_sum_assignment(cost)
+            iso = procrustes_align(x, y, MongeMap(phi), allow_reflections)
+            val = euclidean._registration_cost(x, y, phi, iso, p)
+            trace.append(val)
+            if val < best_val - 1e-14:
+                best_val, best = val, (phi, iso)
+            else:
+                done = True
+                break
+        return best_val, best[0], best[1], it, done, trace
+
+    def one_restart(r):
+        if r == 0:
+            start = Isometry(np.eye(x.dim), cy - cx)
+            return (*run(start, np.arange(n, dtype=np.intp)), r)
+        rng = np.random.default_rng([seed, r])
+        rot = euclidean._haar_orthogonal(x.dim, rng)
+        if not allow_reflections and np.linalg.det(rot) < 0.0:
+            rot = rot.copy()
+            rot[:, 0] = -rot[:, 0]
+        start = Isometry(rot, cy - rot @ cx)
+        return (*run(start, None), r)
+
+    results = [one_restart(r) for r in range(restarts)]
+    val, phi, iso, _, done, trace, _ = min(results, key=lambda t: (t[0], t[6]))
+    return val, phi, sum(t[3] for t in results), done, trace, iso
+
+
+def _registration_pairs():
+    for k in range(4):
+        x = random_cloud(15, 3, [61, k])
+        moved = random_isometry(3, [62, k]).apply(x.points)
+        perm = np.random.default_rng([63, k]).permutation(15)
+        noise = 0.05 * k * np.random.default_rng([64, k]).standard_normal((15, 3))
+        y = EuclideanCloud((moved + noise)[perm], x.weights)
+        yield x, y
+    yield random_cloud(8, 2, 65), random_cloud(8, 2, 66)
+    tri = EuclideanCloud([[0.0, 0.0], [2.0, 0.0], [0.0, 1.0]], [1 / 3] * 3)
+    yield tri, EuclideanCloud(tri.points * [-1.0, 1.0], tri.weights)
+
+
+@pytest.mark.parametrize("allow_reflections", [True, False])
+@pytest.mark.parametrize("p", [1, 2])
+def test_m_iso_restart_driver_matches_own_loop(p, allow_reflections):
+    for x, y in _registration_pairs():
+        for max_alternations in (2, 100):
+            got = m_iso(x, y, p=p, restarts=6, seed=9, max_alternations=max_alternations,
+                        allow_reflections=allow_reflections)
+            val, phi, iters, done, trace, iso = _m_iso_restarts_reference(
+                x, y, p, 6, 9, max_alternations, allow_reflections)
+            assert float(got.value).hex() == float(val).hex()
+            assert np.array_equal(got.witness.assignment, phi)
+            assert got.iterations == iters
+            assert got.converged == done
+            assert got.trace == tuple(trace)
+            assert got.transform.rotation.tobytes() == iso.rotation.tobytes()
+            assert got.transform.translation.tobytes() == iso.translation.tobytes()
 
 
 @pytest.mark.parametrize("seed", range(6))

@@ -55,6 +55,13 @@ def test_omega_shape_checked():
         MeasureNetwork([0.5, 0.5], np.zeros((2, 3)))
 
 
+@pytest.mark.parametrize("labels", [5, "ab", b"ab"], ids=["int", "str", "bytes"])
+def test_labels_must_be_a_sequence(labels):
+    with pytest.raises(TypeError, match="labels must be a list"):
+        MeasureNetwork([0.5, 0.5], np.zeros((2, 2)), labels=labels)
+    assert MeasureNetwork([0.5, 0.5], np.zeros((2, 2)), labels=["a", "b"]).labels == ("a", "b")
+
+
 def test_network_is_immutable():
     net = simplex_network(3)
     with pytest.raises(ValueError):

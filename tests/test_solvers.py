@@ -161,10 +161,14 @@ def test_gm_indivisible_uniform_is_infinite_without_enumeration(monkeypatch):
         raise AssertionError("enumerated a pair that admits no map")
 
     monkeypatch.setattr(solvers, "_assignment_blocks", refuse)
-    report = gm_exact(simplex_network(23), simplex_network(2), 2)
-    assert math.isinf(report.value)
-    assert report.witness is None
-    assert report.iterations == 0
+    # near-uniform weights that are not small fractions count as uniform too
+    near = np.full(7, 1 / 7) + np.array([3, -1, -1, -1, 1, -1, 0]) * 1e-12
+    for x, y in ((simplex_network(23), simplex_network(2)),
+                 (MeasureNetwork(near, np.zeros((7, 7))), simplex_network(2))):
+        report = gm_exact(x, y, 2)
+        assert math.isinf(report.value)
+        assert report.witness is None
+        assert report.iterations == 0
 
 
 def test_gm_cap_exceeded():
@@ -529,6 +533,44 @@ def test_ascent_scan_matches_full_rescoring(pairs, monkeypatch):
         assert got.value == want.value
         assert got.iterations == want.iterations
         assert np.array_equal(got.witness.assignment, want.witness.assignment)
+
+
+def _ascent_restarts_reference(x, y, restarts, seed):
+    """Value, total moves and witness of vertex ascent's own restart loop,
+    as it was before the shared restart driver."""
+    n = x.n
+    results = []
+    for r in range(restarts):
+        if r == 0:
+            sigma0 = np.arange(n, dtype=np.intp)
+        else:
+            sigma0 = np.random.default_rng([seed, r]).permutation(n).astype(np.intp)
+        sigma, val, moves = solvers._ascend(x.omega, y.omega, sigma0)
+        results.append((val, r, sigma, moves))
+    _, _, sigma, _ = max(results, key=lambda t: (t[0], -t[1]))
+    witness = MongeMap(sigma)
+    return distortion_map(x, y, witness, 2.0), sum(t[3] for t in results), witness
+
+
+@pytest.mark.filterwarnings("ignore:.*near-singular")
+@pytest.mark.parametrize("pairs", [_spd_pairs, _tie_heavy_pairs])
+def test_ascent_restart_driver_matches_own_loop(pairs):
+    for x, y in pairs():
+        got = gw_spd_vertex_ascent(x, y, restarts=6, seed=7)
+        value, moves, witness = _ascent_restarts_reference(x, y, 6, 7)
+        assert float(got.value).hex() == float(value).hex()
+        assert got.iterations == moves
+        assert got.converged
+        assert np.array_equal(got.witness.assignment, witness.assignment)
+
+
+def test_ascent_ties_go_to_restart_zero(monkeypatch):
+    # every start ends where it began, with the same value: restart 0 wins
+    monkeypatch.setattr(solvers, "_ascend", lambda omx, omy, sigma: (sigma, 1.0, 1))
+    x, y = random_spd_network(6, [36, 0]), random_spd_network(6, [36, 1])
+    report = gw_spd_vertex_ascent(x, y, restarts=5, seed=3)
+    assert np.array_equal(report.witness.assignment, np.arange(6))
+    assert report.iterations == 5
 
 
 # -- mass splitting -------------------------------------------------------------------
