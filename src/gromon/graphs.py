@@ -20,7 +20,9 @@ from .networks import MeasureNetwork
 
 
 def _integer(v, what: str) -> int:
-    try:  # a float, a string or None is a TypeError
+    try:  # a float, a string, None or a bool is a TypeError
+        if isinstance(v, bool):
+            raise TypeError
         return operator.index(v)
     except TypeError:
         raise TypeError(f"{what} must be an integer, got {v!r}") from None

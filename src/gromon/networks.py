@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -165,7 +166,8 @@ class MeasureNetwork:
         if not np.all(np.isfinite(om)):
             raise ValueError("omega entries must be finite")
         if self.labels is not None:
-            if isinstance(self.labels, (str, bytes)) or not hasattr(self.labels, "__len__"):
+            if (isinstance(self.labels, (str, bytes, Mapping))
+                    or not hasattr(self.labels, "__len__")):
                 raise TypeError(f"labels must be a list, got {self.labels!r}")
             if len(self.labels) != w.size:
                 raise ValueError("labels length does not match weights")

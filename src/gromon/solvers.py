@@ -24,7 +24,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Any, Iterator
 
 import numpy as np
@@ -117,45 +116,19 @@ def _best_restart(restarts: int, seed: int, run) -> tuple[Any, int]:
 _BLOCK_MAPS = 4096
 
 
-def _capacities(source_weights, target_weights,
-                tol_mass: float) -> tuple[np.ndarray, np.ndarray, float]:
-    """Source weights, target capacities and the tolerance to compare them with.
-
-    When both weight vectors are exactly small fractions summing exactly to 1
-    (e.g. uniform weights, or ratios of small integers), they become integer
-    numerators over their common denominator, held as Python ints in object
-    arrays so that no denominator can overflow, with tolerance the int 0 (so
-    that subtracting it keeps them ints).  Otherwise they stay float64, with
-    tolerance ``tol_mass``.
-    """
-    sw = np.asarray(source_weights, dtype=float)
-    tw = np.asarray(target_weights, dtype=float)
-    _check_weights(sw, "source weights")
-    _check_weights(tw, "target weights")
-    fracs = []
-    for w in (sw.tolist(), tw.tolist()):
-        f = [Fraction(x).limit_denominator(10**6) for x in w]
-        if list(map(float, f)) != w or sum(f) != 1:
-            return sw, tw, tol_mass
-        fracs.append(f)
-    den = math.lcm(*(a.denominator for a in fracs[0] + fracs[1]))
-    source, target = (np.array([a.numerator * (den // a.denominator) for a in f], dtype=object)
-                      for f in fracs)
-    return source, target, 0
-
-
 def _assignment_blocks(source: np.ndarray, target: np.ndarray,
-                       tol) -> Iterator[np.ndarray]:
-    """Every measure-preserving assignment, as (B, n) intp blocks in
-    lexicographic order; ``source``, ``target`` and ``tol`` as
-    ``_capacities`` returns them.
+                       tol: float) -> Iterator[np.ndarray]:
+    """Every assignment whose fiber sums of the float64 ``source`` weights
+    are within ``tol`` of the ``target`` weights, as (B, n) intp blocks in
+    lexicographic order.
 
     Partial assignments grow one source point at a time, at most
     ``_BLOCK_MAPS`` rows at once: point i may go to every target whose
     remaining capacity holds it within ``tol``, and row-major ``nonzero``
     lists the children of each row in order.  Each row's remaining
-    capacities are its own, formed along its path.  A complete row is kept
-    when every remaining capacity is within ``tol`` of zero.
+    capacities are its own, formed afresh along its path, so rounding never
+    carries over from one branch to the next.  A complete row is kept when
+    every remaining capacity is within ``tol`` of zero.
     """
     n = source.size
 
@@ -187,14 +160,16 @@ def enumerate_monge_maps(source_weights, target_weights,
                          tol_mass: float = TOL_MASS) -> Iterator[MongeMap]:
     """Yield every measure-preserving assignment, in lexicographic order.
 
-    The maps are the rows of the blocks that ``gm_exact`` scans.  Fiber sums
-    are compared to the targets exactly, as integer numerators over a common
-    denominator, whenever both weight vectors are exactly small fractions
-    (e.g. uniform weights, or ratios of small integers); otherwise within
-    ``tol_mass``.  An empty stream is a valid result and signals that the
-    Gromov-Monge distance is infinite.
+    The maps are the rows of the blocks that ``gm_exact`` scans: those whose
+    every fiber sum is within ``tol_mass`` of its target weight, the rule of
+    ``check_measure_preserving``.  An empty stream is a valid result and
+    signals that the Gromov-Monge distance is infinite.
     """
-    for block in _assignment_blocks(*_capacities(source_weights, target_weights, tol_mass)):
+    sw = np.asarray(source_weights, dtype=float)
+    tw = np.asarray(target_weights, dtype=float)
+    _check_weights(sw, "source weights")
+    _check_weights(tw, "target weights")
+    for block in _assignment_blocks(sw, tw, tol_mass):
         for row in block:
             yield MongeMap(row)
 
@@ -225,8 +200,9 @@ def gm_exact(netX: MeasureNetwork, netY: MeasureNetwork, p,
              cap: int = DEFAULT_CAP) -> SolveReport:
     """Gromov-Monge p-distance by exhaustive enumeration.
 
-    Scans every measure-preserving map, block by block from the enumerator
-    behind ``enumerate_monge_maps``, and returns the first minimizer in
+    Scans every measure-preserving map (each fiber sum within ``TOL_MASS``
+    of its target weight), block by block from the enumerator behind
+    ``enumerate_monge_maps``, and returns the first minimizer in
     lexicographic order; ``iterations`` is the number of maps scanned.  The
     search ranks maps with vectorized float64 sums; the reported value is
     then recomputed for the winning map with exactly-rounded accumulation.
@@ -249,7 +225,7 @@ def gm_exact(netX: MeasureNetwork, netY: MeasureNetwork, p,
     best_key = math.inf
     best_assign = None
     count = 0
-    for assigns in _assignment_blocks(*_capacities(wx, wy, TOL_MASS)):
+    for assigns in _assignment_blocks(wx, wy, TOL_MASS):
         count += len(assigns)
         if count > cap:
             raise CapExceededError(
@@ -288,21 +264,21 @@ _PIVOTS_PER_CELL = 20
 def _integer_marginals(wx: np.ndarray, wy: np.ndarray) -> tuple[list[int], list[int], int]:
     """Both marginals as integers over one common denominator.
 
-    Small-fraction weights give their exact numerators (``_capacities``).
-    Other weights give the exact binary values of their floats; the two
-    totals, equal only within rounding, are balanced by moving their
-    difference onto the largest target weight.
+    The integers a_i and b_j are the exact binary values of the floats.
+    When their totals S_a and S_b differ (each weight vector sums to 1 only
+    within ``TOL_MASS``), supplies a_i * S_b and demands b_j * S_a over the
+    squared denominator balance them: every vertex then has the row and
+    column sums of the product coupling, each within its weight times
+    ``TOL_MASS`` of that weight.
     """
-    source, target, tol = _capacities(wx, wy, TOL_MASS)
-    if tol == 0:
-        source, target = source.tolist(), target.tolist()
-        return source, target, sum(source)
     ratios = [w.as_integer_ratio() for w in np.concatenate([wx, wy]).tolist()]
     den = max(d for _, d in ratios)  # powers of two: the largest is a common multiple
     ints = [a * (den // d) for a, d in ratios]
     source, target = ints[:wx.size], ints[wx.size:]
-    target[int(np.argmax(wy))] += sum(source) - sum(target)
-    return source, target, den
+    total_a, total_b = sum(source), sum(target)
+    if total_a == total_b:
+        return source, target, den
+    return [a * total_b for a in source], [b * total_a for b in target], den * den
 
 
 class _TransportBasis:
@@ -311,7 +287,8 @@ class _TransportBasis:
 
     The basis is a spanning tree of n + m - 1 cells (rows are nodes
     0..n-1, columns nodes n..n+m-1), degenerate zero-flow cells included.
-    Flows are exact integers over the marginals' common denominator and
+    Flows are exact integers over the common denominator of the marginals'
+    binary values (``_integer_marginals``), so no weight is rounded, and
     carry the perturbation that rules out cycling: row i supplies eps more,
     and the last column demands n * eps more (Orden's perturbation; the
     lexicographic rule of the simplex method).  With K = 2n + 1 a flow

@@ -1,22 +1,15 @@
-import os
-
 import hypothesis.strategies as st
 import numpy as np
 
-import gromon
 from gromon import MeasureNetwork
-
-# the directory holding the imported package, absolute, so a child process
-# finds gromon from any working directory even under PYTHONPATH=src
-PACKAGE_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(gromon.__file__)))
+from gromon.acceptance import _cli_env
+from gromon.randgen import random_metric_network
 
 
 def child_env(env=None):
-    """This process's environment with PACKAGE_ROOT first on PYTHONPATH,
-    updated by ``env``."""
-    full_env = dict(os.environ)
-    full_env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (PACKAGE_ROOT, full_env.get("PYTHONPATH")) if p)
+    """The environment of a ``python -m gromon`` child in any working
+    directory (``acceptance._cli_env``), updated by ``env``."""
+    full_env = _cli_env()
     if env:
         full_env.update(env)
     return full_env
@@ -51,3 +44,23 @@ def uniform_network_pairs(draw, max_n=5):
 def relabeled(net, sigma):
     sigma = np.asarray(sigma, dtype=np.intp)
     return MeasureNetwork(net.weights[sigma], net.omega[np.ix_(sigma, sigma)])
+
+
+def near_equal_small_pair():
+    """Two-point networks whose small weights, 1/999999 and 1e-6, differ by
+    about 1e-12: the identity is measure preserving within 1e-9."""
+    x = MeasureNetwork([1 / 999999, 1 - 1 / 999999], [[0, 1], [2, 0]])
+    y = MeasureNetwork([1e-6, 1 - 1e-6], [[0, 1], [1, 0]])
+    return x, y
+
+
+def skewed_pair(seed):
+    """A seeded 5- and 4-point metric pair whose weights sum to 1 + 0.9e-9
+    and 1 - 0.9e-9: both valid, their totals 1.8e-9 apart."""
+    rng = np.random.default_rng([40, seed])
+    nets = []
+    for n, scale in ((5, 1 + 0.9e-9), (4, 1 - 0.9e-9)):
+        w = rng.random(n) + 0.1
+        nets.append(MeasureNetwork(w / w.sum() * scale,
+                                   random_metric_network(n, [40, seed, n]).omega))
+    return nets

@@ -10,7 +10,7 @@ from gromon.randgen import random_cloud, random_isometry
 from gromon import cli, serialize
 from gromon.euclidean import EuclideanCloud
 
-from conftest import child_env
+from conftest import child_env, near_equal_small_pair, skewed_pair
 
 
 def run_cli(args, cwd, env=None):
@@ -114,6 +114,12 @@ MALFORMED = [
                  b'"weights": [0.5, 0.5]}', id="cloud-dim-string"),
     pytest.param("network", b'{"weights": [0.5, 0.5], "omega": [[0, 1], [1, 0]], "labels": "ab"}',
                  id="network-labels-string"),
+    pytest.param("network", b'{"weights": [0.5, 0.5], "omega": [[0, 1], [1, 0]], '
+                 b'"labels": {"a": 1, "b": 2}}', id="network-labels-dict"),
+    pytest.param("graph", b'{"n": true, "edges": []}', id="graph-n-bool"),
+    pytest.param("graph", b'{"n": 2, "edges": [[false, true]]}', id="graph-edge-bool"),
+    pytest.param("cloud", b'{"dim": true, "points": [[0.0], [1.0]], "weights": [0.5, 0.5]}',
+                 id="cloud-dim-bool"),
 ]
 
 HALVES = [0.5, 0.5]
@@ -175,6 +181,22 @@ def test_gm_indivisible_uniform_pair_exit_code(workdir):
     proc = run_cli(["gm", "delta23.json", "delta2.json", "--p", "2"], workdir)
     assert proc.returncode == 2
     assert json.loads(proc.stdout)["iterations"] == 0
+
+
+def test_gm_near_equal_small_weights_exit_zero(workdir):
+    for name, net in zip(("x.json", "y.json"), near_equal_small_pair()):
+        serialize.save_network(str(workdir / name), net)
+    proc = run_cli(["gm", "x.json", "y.json"], workdir)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["value"] == pytest.approx(1e-3, rel=1e-9)
+
+
+def test_gw_marginal_totals_apart_exit_zero(workdir):
+    for name, net in zip(("x.json", "y.json"), skewed_pair(0)):
+        serialize.save_network(str(workdir / name), net)
+    proc = run_cli(["gw", "x.json", "y.json"], workdir)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["method"] == "frank_wolfe"
 
 
 def test_rand_round_trip_and_determinism(workdir):

@@ -55,7 +55,8 @@ def test_omega_shape_checked():
         MeasureNetwork([0.5, 0.5], np.zeros((2, 3)))
 
 
-@pytest.mark.parametrize("labels", [5, "ab", b"ab"], ids=["int", "str", "bytes"])
+@pytest.mark.parametrize("labels", [5, "ab", b"ab", {"a": 1, "b": 2}],
+                         ids=["int", "str", "bytes", "dict"])
 def test_labels_must_be_a_sequence(labels):
     with pytest.raises(TypeError, match="labels must be a list"):
         MeasureNetwork([0.5, 0.5], np.zeros((2, 2)), labels=labels)

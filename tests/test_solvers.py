@@ -14,7 +14,9 @@ from gromon import (
     Graph,
     MeasureNetwork,
     MongeMap,
+    NotMeasurePreservingError,
     NotSPDError,
+    check_measure_preserving,
     coupling_from_map,
     distortion_map,
     distortion_p,
@@ -38,7 +40,7 @@ from gromon.randgen import (
     random_uniform_network,
 )
 
-from conftest import relabeled, uniform_network_pairs
+from conftest import near_equal_small_pair, relabeled, skewed_pair, uniform_network_pairs
 
 
 def weak_iso_pair():
@@ -67,8 +69,8 @@ def test_enumerate_weak_iso_weights_two_maps():
 
 
 def test_enumerate_float_weights_fall_back():
-    # weights that are not small rationals still enumerate correctly; the two
-    # equal-weight sources can swap targets
+    # weights within rounding of, but not at, small rationals enumerate like
+    # them; the two equal-weight sources can swap targets
     w = np.array([0.3, 0.3, 0.4]) + 1e-13
     w = w / w.sum()
     maps = list(enumerate_monge_maps(w, w[[2, 0, 1]]))
@@ -96,10 +98,10 @@ def test_assignment_blocks_match_brute_force(source_counts, target_counts, block
     wt = [Fraction(c, sum(target_counts)) for c in target_counts]
     expected = [list(phi) for phi in itertools.product(range(m), repeat=n)
                 if all(sum(w for w, j in zip(ws, phi) if j == k) == wt[k] for k in range(m))]
-    caps = solvers._capacities([float(w) for w in ws], [float(w) for w in wt], 1e-9)
+    source, target = np.array(ws, dtype=float), np.array(wt, dtype=float)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(solvers, "_BLOCK_MAPS", block)
-        blocks = list(solvers._assignment_blocks(*caps))
+        blocks = list(solvers._assignment_blocks(source, target, solvers.TOL_MASS))
     assert all(b.dtype == np.intp and 1 <= len(b) <= block for b in blocks)
     assert [row.tolist() for b in blocks for row in b] == expected
 
@@ -107,22 +109,47 @@ def test_assignment_blocks_match_brute_force(source_counts, target_counts, block
 def test_enumerate_exact_weights_beyond_int64():
     # three 3-cycles of weights a_i / (3 p_i p_{i+1}) over distinct primes:
     # each cycle sums to 1/3, so the common denominator is 3 times the
-    # product of all nine primes, far beyond 2**63.  Each cycle's last
-    # numerator rounds up as a float, so a comparison through floats would
-    # find no room for it and miss every map.
+    # product of all nine primes, far beyond 2**63.  Their floats fill each
+    # 1/3 only within rounding, which the mass tolerance absorbs.
     w = []
     for (p1, p2, p3), (a1, a2, a3) in (((503, 509, 521), (85343, 89755, 86011)),
                                        ((523, 541, 547), (94315, 99424, 94604)),
                                        ((557, 563, 569), (104531, 106783, 105643))):
         w += [Fraction(a2, 3 * p2 * p3), Fraction(a3, 3 * p3 * p1), Fraction(a1, 3 * p1 * p2)]
     assert sum(w) == 1
-    source, target, tol = solvers._capacities([float(x) for x in w], [1 / 3] * 3, 1e-9)
-    assert tol == 0 and sum(source) > 2**63 and sum(source) == sum(target)
-    assert all(int(float(x)) > x for x in source[2::3])
     maps = [m.assignment.tolist()
             for m in enumerate_monge_maps([float(x) for x in w], [1 / 3] * 3)]
     assert maps == [[a] * 3 + [b] * 3 + [c] * 3
                     for a, b, c in itertools.permutations(range(3))]
+
+
+@st.composite
+def perturbed_counts(draw, max_size):
+    """Count weights c_i / sum(c) moved by k_i * 3e-10 with |sum(k)| <= 3,
+    so they sum to 1 within 9e-10.  A fiber sum then misses its target by
+    a multiple of 3e-10 or by at least 1/384, never within 1e-10 of the
+    tolerance 1e-9."""
+    counts = draw(st.lists(st.integers(1, 4), min_size=1, max_size=max_size))
+    shifts = draw(st.lists(st.integers(-2, 2), min_size=len(counts), max_size=len(counts))
+                  .filter(lambda k: abs(sum(k)) <= 3))
+    return np.array(counts) / sum(counts) + np.array(shifts) * 3e-10
+
+
+@settings(max_examples=150, deadline=None)
+@given(perturbed_counts(6), perturbed_counts(4))
+def test_enumerate_is_the_measure_preserving_rule(ws, wt):
+    """The enumerator lists exactly the maps that ``check_measure_preserving``
+    accepts, in lexicographic order."""
+    def accepted(phi):
+        try:
+            check_measure_preserving(MongeMap(phi), ws, wt)
+        except NotMeasurePreservingError:
+            return False
+        return True
+
+    expected = [list(phi) for phi in itertools.product(range(wt.size), repeat=ws.size)
+                if accepted(phi)]
+    assert [m.assignment.tolist() for m in enumerate_monge_maps(ws, wt)] == expected
 
 
 # -- gm by enumeration -----------------------------------------------------------
@@ -210,6 +237,15 @@ def test_gm_unchanged_by_block_size(block, monkeypatch):
     assert solve_all() == expected
 
 
+def test_gm_near_equal_small_weights_is_finite():
+    # 1/999999 and 1e-6 differ by about 1e-12, within the mass tolerance
+    net_x, net_y = near_equal_small_pair()
+    report = gm_exact(net_x, net_y, 2)
+    assert report.witness.assignment.tolist() == [0, 1]
+    assert report.value == distortion_map(net_x, net_y, MongeMap([0, 1]), 2)
+    assert math.isfinite(report.value)
+
+
 def test_gm_report_value_matches_witness():
     net_x = random_uniform_network(4, 10)
     net_y = random_uniform_network(4, 11)
@@ -266,6 +302,18 @@ def test_fw_general_marginals_oracle():
     report = gw_frank_wolfe(net_x, net_y2, max_iters=50)
     assert report.value <= distortion_p(net_x, net_y2,
                                         product_coupling(net_x, net_y2), 2) + 1e-12
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_fw_marginal_totals_apart_within_tolerance(seed):
+    # the two totals differ by 1.8e-9; every vertex keeps the marginals of
+    # the product coupling, so the witness couples the two networks
+    net_x, net_y = skewed_pair(seed)
+    report = gw_frank_wolfe(net_x, net_y)
+    table = report.witness.table
+    assert np.abs(table.sum(axis=1) - net_x.weights).max() <= 1e-9
+    assert np.abs(table.sum(axis=0) - net_y.weights).max() <= 1e-9
+    assert report.value <= distortion_p(net_x, net_y, product_coupling(net_x, net_y), 2) + 1e-12
 
 
 def transport_lp(cost, wx, wy):
