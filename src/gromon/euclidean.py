@@ -1,11 +1,14 @@
 """Isometry-invariant matching of weighted Euclidean point clouds.
 
 Implements the alternating registration solver for the isometry-invariant
-Monge distance (assignment step + weighted orthogonal Procrustes step,
-reflections allowed), plus the computable embedding-distance values: the
-exact p = inf identity (half the sup Gromov-Monge distance), the general
-half-GM lower bound, and the simplex-vs-point closed form, which acceptance
-criterion 07 cross-checks by direct minimization.
+Monge distance (assignment step + weighted orthogonal Procrustes step),
+plus the computable embedding-distance values: the exact p = inf identity
+(half the sup Gromov-Monge distance), the general half-GM lower bound, and
+the simplex-vs-point closed form, which acceptance criterion 07
+cross-checks by direct minimization.
+
+The paper's distance is invariant under every isometry, so reflections are
+always allowed: every transform ranges over the full orthogonal group.
 """
 
 from __future__ import annotations
@@ -92,24 +95,21 @@ class Isometry:
         return np.asarray(points, dtype=float) @ self.rotation.T + self.translation
 
 
-def cloud_to_network(cloud: EuclideanCloud, squared: bool = False) -> MeasureNetwork:
-    """Network of pairwise Euclidean distances (or their squares)."""
+def cloud_to_network(cloud: EuclideanCloud) -> MeasureNetwork:
+    """Network of pairwise Euclidean distances."""
     diff = cloud.points[:, None, :] - cloud.points[None, :, :]
-    sq = (diff * diff).sum(axis=-1)
-    omega = sq if squared else np.sqrt(sq)
+    omega = np.sqrt((diff * diff).sum(axis=-1))
     np.fill_diagonal(omega, 0.0)
     return MeasureNetwork(cloud.weights, omega)
 
 
-def procrustes_align(x: EuclideanCloud, y: EuclideanCloud, phi: MongeMap,
-                     allow_reflections: bool = True) -> Isometry:
+def procrustes_align(x: EuclideanCloud, y: EuclideanCloud, phi: MongeMap) -> Isometry:
     """Weighted least-squares rigid alignment of x onto y along a map.
 
     Minimizes sum_i w_i ||R x_i + t - y_{phi(i)}||^2 over orthogonal R and
     translations t: weighted centroids, cross-covariance, and the orthogonal
-    polar factor from an SVD.  By default R ranges over the full isometry
-    group (improper rotations allowed); ``allow_reflections=False`` restricts
-    to proper rotations by the usual determinant correction.
+    polar factor from an SVD.  R ranges over the full orthogonal group;
+    reflections are always allowed.
     """
     if x.dim != y.dim:
         raise ValueError(f"dimension mismatch: {x.dim} vs {y.dim}")
@@ -123,10 +123,6 @@ def procrustes_align(x: EuclideanCloud, y: EuclideanCloud, phi: MongeMap,
     cross = xc.T @ (w[:, None] * yc)
     u, _, vt = np.linalg.svd(cross)
     rot = vt.T @ u.T
-    if not allow_reflections and np.linalg.det(rot) < 0.0:
-        flip = np.ones(x.dim)
-        flip[-1] = -1.0
-        rot = vt.T @ np.diag(flip) @ u.T
     return Isometry(rot, cy - rot @ cx)
 
 
@@ -149,8 +145,7 @@ def _has_monge_map(x: EuclideanCloud, y: EuclideanCloud) -> bool:
 
 
 def m_iso(x: EuclideanCloud, y: EuclideanCloud, p=2, restarts: int = 20,
-          seed: int = 0, max_alternations: int = 100,
-          allow_reflections: bool = True) -> SolveReport:
+          seed: int = 0, max_alternations: int = 100) -> SolveReport:
     """Isometry-invariant Monge distance by alternating minimization.
 
     Alternates between a min-cost assignment with costs ||T(x_i) - y_j||^p
@@ -160,8 +155,8 @@ def m_iso(x: EuclideanCloud, y: EuclideanCloud, p=2, restarts: int = 20,
     upper bound either way).  Restart 0, the canonical start, fits the
     transform to the identity assignment; the rest start from seeded
     Haar-random orthogonal transforms after centroid alignment.  The lowest
-    value wins, ties going to the earliest restart.  ``allow_reflections=False``
-    restricts the transform group to proper rigid motions.
+    value wins, ties going to the earliest restart.  Transforms range over
+    all isometries: reflections are always allowed.
 
     Only uniform equal-cardinality clouds are searched.  Any other pair
     reports ``math.inf`` when no measure-preserving map exists and raises
@@ -187,11 +182,9 @@ def m_iso(x: EuclideanCloud, y: EuclideanCloud, p=2, restarts: int = 20,
 
     def run(r: int, rng: np.random.Generator | None) -> tuple[float, int, tuple]:
         if rng is None:
-            iso = procrustes_align(x, y, MongeMap(np.arange(x.n)), allow_reflections)
+            iso = procrustes_align(x, y, MongeMap(np.arange(x.n)))
         else:
             rot = _haar_orthogonal(x.dim, rng)
-            if not allow_reflections and np.linalg.det(rot) < 0.0:
-                rot[:, 0] = -rot[:, 0]
             iso = Isometry(rot, cy - rot @ cx)
         best = (math.inf, None, iso)
         trace: list[float] = []
@@ -199,7 +192,7 @@ def m_iso(x: EuclideanCloud, y: EuclideanCloud, p=2, restarts: int = 20,
             moved = iso.apply(x.points)
             cost = np.linalg.norm(moved[:, None, :] - y.points[None, :, :], axis=-1) ** p
             _, phi = linear_sum_assignment(cost)
-            iso = procrustes_align(x, y, MongeMap(phi), allow_reflections)
+            iso = procrustes_align(x, y, MongeMap(phi))
             val = _registration_cost(x, y, phi, iso, p)
             trace.append(val)
             if not val < best[0] - 1e-14:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import operator
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +27,18 @@ def _integer(v, what: str) -> int:
         return operator.index(v)
     except TypeError:
         raise TypeError(f"{what} must be an integer, got {v!r}") from None
+
+
+def _edge_weight(v) -> float:
+    try:  # a string, None or a bool is a TypeError
+        if isinstance(v, (bool, str, bytes)):
+            raise TypeError
+        w = float(v)
+    except (TypeError, ValueError):
+        raise TypeError(f"edge weight must be a number, got {v!r}") from None
+    if not math.isfinite(w):
+        raise ValueError(f"edge weights must be finite, got {w!r}")
+    return w
 
 
 @dataclass(frozen=True)
@@ -43,7 +56,11 @@ class Graph:
         object.__setattr__(self, "n", n)
         norm = []
         seen = set()
-        for i, j in self.edges:
+        for edge in self.edges:
+            try:
+                i, j = edge
+            except (TypeError, ValueError):
+                raise ValueError(f"edge must be a pair of endpoints, got {edge!r}") from None
             i, j = _integer(i, "edge endpoint"), _integer(j, "edge endpoint")
             if i == j:
                 raise ValueError(f"self-loop at vertex {i}")
@@ -56,7 +73,10 @@ class Graph:
             norm.append(key)
         object.__setattr__(self, "edges", tuple(norm))
         if self.weights is not None:
-            w = tuple(float(v) for v in self.weights)
+            if (isinstance(self.weights, (str, bytes, Mapping))
+                    or not hasattr(self.weights, "__len__")):
+                raise TypeError(f"edge weights must be a list, got {self.weights!r}")
+            w = tuple(_edge_weight(v) for v in self.weights)
             if len(w) != len(norm):
                 raise ValueError("edge weights length does not match edges")
             if any(v < 0 for v in w):

@@ -242,9 +242,9 @@ class MongeMap:
         return self.assignment.size
 
 
-def check_measure_preserving(phi: MongeMap, source_weights, target_weights,
-                             tol: float = TOL_MASS) -> None:
-    """Raise unless ``phi`` pushes the source weights onto the target weights."""
+def check_measure_preserving(phi: MongeMap, source_weights, target_weights) -> None:
+    """Raise unless ``phi`` pushes the source weights onto the target weights,
+    each fiber sum within ``TOL_MASS`` of its target weight."""
     sw = np.asarray(source_weights, dtype=float)
     tw = np.asarray(target_weights, dtype=float)
     a = phi.assignment
@@ -256,7 +256,7 @@ def check_measure_preserving(phi: MongeMap, source_weights, target_weights,
         raise NotMeasurePreservingError("assignment targets out of range")
     pushed = np.bincount(a, weights=sw, minlength=tw.size)
     dev = float(np.abs(pushed - tw).max())
-    if dev > tol:
+    if dev > TOL_MASS:
         raise NotMeasurePreservingError(f"pushforward misses target weights by {dev:g}")
 
 
@@ -300,26 +300,28 @@ def pseudometric_violation(omega: np.ndarray) -> float:
     return max(sym, diag, neg, tri)
 
 
-def validate_network(net: MeasureNetwork, tol_metric: float = TOL_METRIC) -> MetricFlag:
-    """Scan all metric axioms of ``net.omega``; report verdict and worst violation."""
+def validate_network(net: MeasureNetwork) -> MetricFlag:
+    """Scan all metric axioms of ``net.omega``, each within ``TOL_METRIC``;
+    report verdict and worst violation."""
     om = net.omega
     violation = pseudometric_violation(om)
     distinct = True
     if net.n > 1:
         off = om[~np.eye(net.n, dtype=bool)]
-        distinct = bool(off.min() > tol_metric)
-    return MetricFlag(is_metric=bool(violation <= tol_metric and distinct),
+        distinct = bool(off.min() > TOL_METRIC)
+    return MetricFlag(is_metric=bool(violation <= TOL_METRIC and distinct),
                       max_violation=violation)
 
 
-def distortion_p(netX: MeasureNetwork, netY: MeasureNetwork, pi: Coupling,
-                 p, eps_supp: float = EPS_SUPP) -> float:
+def distortion_p(netX: MeasureNetwork, netY: MeasureNetwork, pi: Coupling, p) -> float:
     """p-distortion of a coupling.
 
     For finite p this is the L^p norm, under the product of the coupling with
     itself, of the mismatch |omega_X(i,k) - omega_Y(j,l)|.  For p = inf it is
     the sup of the mismatch over ordered pairs of support cells, where the
-    support consists of table entries strictly above ``eps_supp``.
+    support consists of table entries strictly above ``EPS_SUPP``.  It is
+    never empty: a valid coupling's mass, at least 1 - (n + 1) * ``TOL_MASS``
+    over n * m cells, puts some entry far above ``EPS_SUPP``.
 
     The sum over the n*m*n*m terms is exactly rounded (equal to ``math.fsum``
     over them, bit for bit) and is formed in blocks of rows, so memory stays
@@ -329,9 +331,7 @@ def distortion_p(netX: MeasureNetwork, netY: MeasureNetwork, pi: Coupling,
     _check_couples(pi, netX, netY)
     t = pi.table
     if math.isinf(p):
-        rows, cols = np.nonzero(t > eps_supp)
-        if rows.size == 0:
-            raise ValueError(f"coupling has empty support above eps_supp={eps_supp:g}")
+        rows, cols = np.nonzero(t > EPS_SUPP)
         return _distortion(netX.omega, netY.omega, rows, cols, None, p, pair_weights=False)
     n, m = t.shape
     rows = np.repeat(np.arange(n), m)

@@ -56,30 +56,32 @@ def random_graph(n: int, seed, edge_prob: float = 0.5) -> Graph:
     return Graph(n, tuple(edges))
 
 
-def random_isometry(dim: int, seed, scale: float = 2.0) -> Isometry:
-    """Seeded Haar-random orthogonal transform plus a Gaussian translation."""
+def random_isometry(dim: int, seed) -> Isometry:
+    """Seeded Haar-random orthogonal transform plus a Gaussian translation
+    of scale 2."""
     rng = _rng(seed)
-    return Isometry(_haar_orthogonal(dim, rng), scale * rng.standard_normal(dim))
+    return Isometry(_haar_orthogonal(dim, rng), 2.0 * rng.standard_normal(dim))
 
 
-def random_coupling(source_weights, target_weights, seed,
-                    max_iters: int = 500, tol: float = 1e-13) -> Coupling:
+def random_coupling(source_weights, target_weights, seed) -> Coupling:
     """Random coupling: positive seeded table projected onto the marginals
-    by alternating row/column scaling."""
+    by alternating row/column scaling, at most 500 rounds or until the row
+    sums are within 1e-13."""
     sw = np.asarray(source_weights, dtype=float)
     tw = np.asarray(target_weights, dtype=float)
     rng = _rng(seed)
     t = rng.uniform(0.5, 1.5, size=(sw.size, tw.size))
-    for _ in range(max_iters):
+    for _ in range(500):
         t *= (sw / t.sum(axis=1))[:, None]
         t *= tw / t.sum(axis=0)
-        if np.abs(t.sum(axis=1) - sw).max() <= tol:
+        if np.abs(t.sum(axis=1) - sw).max() <= 1e-13:
             break
     t *= (sw / t.sum(axis=1))[:, None]
     return Coupling(t, sw, tw)
 
 
-def random_uniform_network(n: int, seed, lo: float = -2.0, hi: float = 2.0) -> MeasureNetwork:
-    """Uniform weights with a general (asymmetric) seeded table."""
-    omega = _rng(seed).uniform(lo, hi, size=(n, n))
+def random_uniform_network(n: int, seed) -> MeasureNetwork:
+    """Uniform weights with a general (asymmetric) seeded table, entries
+    uniform in [-2, 2)."""
+    omega = _rng(seed).uniform(-2.0, 2.0, size=(n, n))
     return MeasureNetwork(np.full(n, 1.0 / n), omega)

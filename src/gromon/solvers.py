@@ -4,10 +4,9 @@ Four routes are provided:
 
 * exhaustive Gromov-Monge by enumeration of measure-preserving maps,
 * Frank-Wolfe (conditional gradient) for the order-2 Gromov-Wasserstein
-  objective over the coupling polytope, whose linear steps are solved
-  exactly: by assignment for uniform marginals of equal size, otherwise by
-  a transportation simplex on integer flows, warm-started from the last
-  step's optimal basis,
+  objective over the coupling polytope, whose linear steps are all solved
+  exactly by one oracle: a transportation simplex on integer flows,
+  warm-started from the last step's optimal basis,
 * vertex ascent over the scaled Birkhoff polytope for symmetric positive
   definite tables with uniform weights, where the optimum is guaranteed to
   be a permutation,
@@ -116,24 +115,23 @@ def _best_restart(restarts: int, seed: int, run) -> tuple[Any, int]:
 _BLOCK_MAPS = 4096
 
 
-def _assignment_blocks(source: np.ndarray, target: np.ndarray,
-                       tol: float) -> Iterator[np.ndarray]:
+def _assignment_blocks(source: np.ndarray, target: np.ndarray) -> Iterator[np.ndarray]:
     """Every assignment whose fiber sums of the float64 ``source`` weights
-    are within ``tol`` of the ``target`` weights, as (B, n) intp blocks in
-    lexicographic order.
+    are within ``TOL_MASS`` of the ``target`` weights, as (B, n) intp blocks
+    in lexicographic order.
 
     Partial assignments grow one source point at a time, at most
     ``_BLOCK_MAPS`` rows at once: point i may go to every target whose
-    remaining capacity holds it within ``tol``, and row-major ``nonzero``
-    lists the children of each row in order.  Each row's remaining
-    capacities are its own, formed afresh along its path, so rounding never
-    carries over from one branch to the next.  A complete row is kept when
-    every remaining capacity is within ``tol`` of zero.
+    remaining capacity holds it within ``TOL_MASS``, and row-major
+    ``nonzero`` lists the children of each row in order.  Each row's
+    remaining capacities are its own, formed afresh along its path, so
+    rounding never carries over from one branch to the next.  A complete row
+    is kept when every remaining capacity is within ``TOL_MASS`` of zero.
     """
     n = source.size
 
     def children(assign, left, i):
-        rows, cols = np.nonzero(left >= source[i] - tol)
+        rows, cols = np.nonzero(left >= source[i] - TOL_MASS)
         for s in range(0, rows.size, _BLOCK_MAPS):
             r, c = rows[s:s + _BLOCK_MAPS], cols[s:s + _BLOCK_MAPS]
             child, child_left = assign[r], left[r]
@@ -151,17 +149,16 @@ def _assignment_blocks(source: np.ndarray, target: np.ndarray,
             levels.append(children(*block, len(levels) - 1))
         else:
             assign, left = block
-            done = assign[(np.abs(left) <= tol).all(axis=1)]
+            done = assign[(np.abs(left) <= TOL_MASS).all(axis=1)]
             if len(done):
                 yield done
 
 
-def enumerate_monge_maps(source_weights, target_weights,
-                         tol_mass: float = TOL_MASS) -> Iterator[MongeMap]:
+def enumerate_monge_maps(source_weights, target_weights) -> Iterator[MongeMap]:
     """Yield every measure-preserving assignment, in lexicographic order.
 
     The maps are the rows of the blocks that ``gm_exact`` scans: those whose
-    every fiber sum is within ``tol_mass`` of its target weight, the rule of
+    every fiber sum is within ``TOL_MASS`` of its target weight, the rule of
     ``check_measure_preserving``.  An empty stream is a valid result and
     signals that the Gromov-Monge distance is infinite.
     """
@@ -169,7 +166,7 @@ def enumerate_monge_maps(source_weights, target_weights,
     tw = np.asarray(target_weights, dtype=float)
     _check_weights(sw, "source weights")
     _check_weights(tw, "target weights")
-    for block in _assignment_blocks(sw, tw, tol_mass):
+    for block in _assignment_blocks(sw, tw):
         for row in block:
             yield MongeMap(row)
 
@@ -225,7 +222,7 @@ def gm_exact(netX: MeasureNetwork, netY: MeasureNetwork, p,
     best_key = math.inf
     best_assign = None
     count = 0
-    for assigns in _assignment_blocks(wx, wy, TOL_MASS):
+    for assigns in _assignment_blocks(wx, wy):
         count += len(assigns)
         if count > cap:
             raise CapExceededError(
@@ -400,42 +397,25 @@ class _TransportBasis:
         return vertex
 
 
-def _linear_oracle(cost: np.ndarray, wx: np.ndarray, wy: np.ndarray,
-                   basis: _TransportBasis | None) -> np.ndarray:
-    """Minimize <cost, S> over the coupling polytope; returns a vertex.
-
-    ``basis`` is None for uniform marginals of equal size, where the problem
-    is an assignment.  Otherwise it is the ``_TransportBasis`` of ``wx`` and
-    ``wy``: the exact transportation simplex pivots it from its last optimal
-    tree to an optimal one for ``cost`` and returns that tree's vertex.
-    """
-    if basis is None:
-        n, m = cost.shape
-        rows, cols = linear_sum_assignment(cost)
-        vertex = np.zeros((n, m))
-        vertex[rows, cols] = 1.0 / n
-        return vertex
-    return basis.solve(cost)
-
-
 def gw_frank_wolfe(netX: MeasureNetwork, netY: MeasureNetwork,
                    init: Coupling | None = None, max_iters: int = 1000,
                    tol_fw: float = 1e-12) -> SolveReport:
     """Conditional gradient descent on the squared order-2 distortion.
 
     Writing the squared distortion as const - 2 <pi, omega_X pi omega_Y^T>,
-    each step solves a linear transport problem on the gradient table (an
-    assignment problem for uniform same-size marginals) and moves by exact
-    line search; the restriction of the objective to a segment is a
-    quadratic, so the step is closed form and the objective never increases.
+    each step solves a linear transport problem on the gradient table and
+    moves by exact line search; the restriction of the objective to a
+    segment is a quadratic, so the step is closed form and the objective
+    never increases.
     Stops when the Frank-Wolfe gap drops below ``tol_fw``.
 
-    The transport problems of one run share their marginals, so one
-    ``_TransportBasis`` serves them all: each step's simplex starts from the
+    One oracle serves every pair of marginals, uniform or not, square or
+    not: the transport problems of one run share their marginals, so one
+    ``_TransportBasis`` serves them all.  Each step's simplex starts from the
     previous step's optimal basis and returns a vertex that is optimal up to
     its pricing tolerance, so the gap is not underestimated beyond that.
-    Raises ``ValueError`` for a negative
-    ``max_iters`` or a ``tol_fw`` that is negative or nan.
+    Raises ``ValueError`` for a negative ``max_iters`` or a ``tol_fw`` that
+    is negative or nan.
 
     Returns a coupling whose distortion certifies an upper bound on the
     order-2 Gromov-Wasserstein distance and is first-order stationary when
@@ -452,8 +432,7 @@ def gw_frank_wolfe(netX: MeasureNetwork, netY: MeasureNetwork,
     else:
         _check_couples(init, netX, netY)
     pi = init.table.copy()
-    n, m = pi.shape
-    basis = None if n == m and _uniform(wx) and _uniform(wy) else _TransportBasis(wx, wy)
+    basis = _TransportBasis(wx, wy)
     const = float((omx**2 * np.outer(wx, wx)).sum()
                   + (omy**2 * np.outer(wy, wy)).sum())
 
@@ -465,7 +444,7 @@ def gw_frank_wolfe(netX: MeasureNetwork, netY: MeasureNetwork,
     it = 0
     for it in range(1, max_iters + 1):
         grad = -2.0 * (omx @ pi @ omy.T + omx.T @ pi @ omy)
-        vertex = _linear_oracle(grad, wx, wy, basis)
+        vertex = basis.solve(grad)
         direction = vertex - pi
         lin = float((grad * direction).sum())
         gap = -lin
@@ -631,14 +610,13 @@ def gw_spd_vertex_ascent(netX: MeasureNetwork, netY: MeasureNetwork,
 # Mass splitting
 # ---------------------------------------------------------------------------
 
-def _split_support(netX: MeasureNetwork, netY: MeasureNetwork, pi: Coupling,
-                   eps_supp: float) -> tuple[MongeMap, MongeMap, np.ndarray]:
+def _split_support(netX: MeasureNetwork, netY: MeasureNetwork,
+                   pi: Coupling) -> tuple[MongeMap, MongeMap, np.ndarray]:
     """The split's projections rho and phi (row and column of each support
-    cell) and its renormalized mass, checked to be measure preserving."""
+    cell above ``EPS_SUPP``) and its renormalized mass, checked to be
+    measure preserving."""
     _check_couples(pi, netX, netY)
-    rows, cols = np.nonzero(pi.table > eps_supp)
-    if rows.size == 0:
-        raise ValueError("coupling has empty support")
+    rows, cols = np.nonzero(pi.table > EPS_SUPP)
     mass = pi.table[rows, cols]
     mass = mass / _exact_sum(mass)
     rho, phi = MongeMap(rows), MongeMap(cols)
@@ -648,7 +626,7 @@ def _split_support(netX: MeasureNetwork, netY: MeasureNetwork, pi: Coupling,
 
 
 def mass_split_from_coupling(netX: MeasureNetwork, netY: MeasureNetwork,
-                             pi: Coupling, eps_supp: float = EPS_SUPP) -> MassSplit:
+                             pi: Coupling) -> MassSplit:
     """Split a network along a coupling's support.
 
     The split network Z has one point per support cell (i, j) of the
@@ -658,7 +636,7 @@ def mass_split_from_coupling(netX: MeasureNetwork, netY: MeasureNetwork,
     equals the p-distortion of the coupling, for every p.  When the source
     table is a metric, Z's table is a pseudometric.
     """
-    rho, phi, mass = _split_support(netX, netY, pi, eps_supp)
+    rho, phi, mass = _split_support(netX, netY, pi)
     rows = rho.assignment
     return MassSplit(Z=MeasureNetwork(mass, netX.omega[np.ix_(rows, rows)]), rho=rho, phi=phi)
 
@@ -672,7 +650,7 @@ def gm_over_split(netX: MeasureNetwork, netY: MeasureNetwork,
     ``mass_split_from_coupling(netX, netY, pi).phi`` bit for bit, but reads
     the split's table block by block instead of building it.
     """
-    rho, phi, mass = _split_support(netX, netY, pi, EPS_SUPP)
+    rho, phi, mass = _split_support(netX, netY, pi)
     p = check_exponent(p)
     return _distortion(netX.omega, netY.omega, rho.assignment, phi.assignment, mass, p,
                        pair_weights=True)

@@ -1,9 +1,15 @@
 import hypothesis.strategies as st
 import numpy as np
+from hypothesis import settings
 
 from gromon import MeasureNetwork
 from gromon.acceptance import _cli_env
 from gromon.randgen import random_metric_network
+
+# Every run draws the same examples, so a rare draw cannot pass one run and
+# fail the next; per-test settings still choose how many.
+settings.register_profile("derandomized", derandomize=True)
+settings.load_profile("derandomized")
 
 
 def child_env(env=None):

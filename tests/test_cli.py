@@ -120,6 +120,18 @@ MALFORMED = [
     pytest.param("graph", b'{"n": 2, "edges": [[false, true]]}', id="graph-edge-bool"),
     pytest.param("cloud", b'{"dim": true, "points": [[0.0], [1.0]], "weights": [0.5, 0.5]}',
                  id="cloud-dim-bool"),
+    pytest.param("graph", b'{"n": 3, "edges": [[0, 1], [1, 2]], "weights": "12"}',
+                 id="graph-weights-string"),
+    pytest.param("graph", b'{"n": 3, "edges": [[0, 1], [1, 2]], "weights": {"1": 0, "2": 0}}',
+                 id="graph-weights-dict"),
+    pytest.param("graph", b'{"n": 2, "edges": [[0, 1]], "weights": [true]}',
+                 id="graph-weight-bool"),
+    pytest.param("graph", b'{"n": 2, "edges": [[0, 1]], "weights": [NaN]}', id="graph-weight-nan"),
+    pytest.param("graph", b'{"n": 2, "edges": [[0, 1]], "weights": [Infinity]}',
+                 id="graph-weight-infinite"),
+    pytest.param("graph", b'{"n": 3, "edges": [[0, 1, 2]]}', id="graph-edge-triple"),
+    pytest.param("graph", b'0 1 nan\n', id="graph-edge-list-weight-nan"),
+    pytest.param("graph", b'0 1 inf\n', id="graph-edge-list-weight-infinite"),
 ]
 
 HALVES = [0.5, 0.5]

@@ -32,6 +32,24 @@ def test_graph_rejects_out_of_range():
         Graph(2, ((0, 2),))
 
 
+@pytest.mark.parametrize("edges,weights,error,match", [
+    pytest.param(((0, 1), (1, 2)), "12", TypeError, "must be a list", id="weights-string"),
+    pytest.param(((0, 1), (1, 2)), {"1": 0, "2": 0}, TypeError, "must be a list",
+                 id="weights-dict"),
+    pytest.param(((0, 1),), 5, TypeError, "must be a list", id="weights-int"),
+    pytest.param(((0, 1),), (True,), TypeError, "must be a number", id="weight-bool"),
+    pytest.param(((0, 1),), ("1.5",), TypeError, "must be a number", id="weight-string"),
+    pytest.param(((0, 1),), (None,), TypeError, "must be a number", id="weight-null"),
+    pytest.param(((0, 1),), (math.nan,), ValueError, "finite", id="weight-nan"),
+    pytest.param(((0, 1),), (math.inf,), ValueError, "finite", id="weight-infinite"),
+    pytest.param(((0, 1, 2),), None, ValueError, "pair of endpoints", id="edge-triple"),
+    pytest.param((5,), None, ValueError, "pair of endpoints", id="edge-int"),
+])
+def test_graph_rejects_malformed_edges_and_weights(edges, weights, error, match):
+    with pytest.raises(error, match=match):
+        Graph(3, edges, weights)
+
+
 def test_adjacency_single_edge():
     net = adjacency_network(Graph(2, ((0, 1),)))
     assert np.array_equal(net.omega, [[0, 1], [1, 0]])

@@ -134,13 +134,6 @@ def test_distortion_identity_coupling_zero():
     assert distortion_p(net, net, pi, math.inf) == 0.0
 
 
-def test_sup_distortion_empty_support_is_diagnosed():
-    net = simplex_network(3)
-    pi = product_coupling(net, net)
-    with pytest.raises(ValueError, match="empty support above eps_supp=1"):
-        distortion_p(net, net, pi, math.inf, eps_supp=1.0)
-
-
 def test_distortion_weak_iso_coupling_is_zero():
     net_x, net_y = weak_iso_pair()
     pi = Coupling([[0.25, 0.25, 0], [0, 0, 0.25], [0, 0, 0.25]],

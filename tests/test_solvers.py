@@ -78,11 +78,12 @@ def test_enumerate_float_weights_fall_back():
 
 
 def test_enumerate_float_checks_every_fiber_at_the_end():
-    # each point fits within tol when placed, but the last fiber misses its
-    # target by 1.6e-9 > tol, so no map is measure preserving
+    # each point fits within TOL_MASS when placed, but the last fiber misses
+    # its target by 1.6e-9 > TOL_MASS, so no map is measure preserving
     c = 0.5 + 1.25e-10
     assert list(enumerate_monge_maps([c + 0.9e-9, c - 1.6e-9], [c, c])) == []
-    maps = enumerate_monge_maps([c + 0.9e-9, c - 1.6e-9], [c, c], tol_mass=2e-9)
+    # a last fiber off by 0.6e-9 < TOL_MASS passes
+    maps = enumerate_monge_maps([c + 0.4e-9, c - 0.6e-9], [c, c])
     assert [m.assignment.tolist() for m in maps] == [[0, 1], [1, 0]]
 
 
@@ -101,7 +102,7 @@ def test_assignment_blocks_match_brute_force(source_counts, target_counts, block
     source, target = np.array(ws, dtype=float), np.array(wt, dtype=float)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(solvers, "_BLOCK_MAPS", block)
-        blocks = list(solvers._assignment_blocks(source, target, solvers.TOL_MASS))
+        blocks = list(solvers._assignment_blocks(source, target))
     assert all(b.dtype == np.intp and 1 <= len(b) <= block for b in blocks)
     assert [row.tolist() for b in blocks for row in b] == expected
 
@@ -414,6 +415,58 @@ def test_transport_simplex_pivot_cap(monkeypatch):
     monkeypatch.setattr(solvers, "_PIVOTS_PER_CELL", 0)
     with pytest.raises(RuntimeError, match="after 0 pivots"):
         solvers._TransportBasis(wx, wy).solve(cost)
+
+
+def assignment_vertex(cost):
+    """The vertex of the assignment oracle that Frank-Wolfe ran on uniform
+    marginals of equal size before the transport simplex served every pair."""
+    n, m = cost.shape
+    rows, cols = linear_sum_assignment(cost)
+    vertex = np.zeros((n, m))
+    vertex[rows, cols] = 1.0 / n
+    return vertex
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 24])
+def test_transport_simplex_is_assignment_on_uniform_square(n):
+    # continuous costs have one optimal permutation, so both oracles return
+    # it, cold or warm-started
+    u = np.full(n, 1.0 / n)
+    warm = solvers._TransportBasis(u, u)
+    for seed in range(8):
+        cost = np.random.default_rng([32, n, seed]).normal(size=(n, n))
+        expected = assignment_vertex(cost)
+        assert solvers._TransportBasis(u, u).solve(cost).tobytes() == expected.tobytes()
+        assert warm.solve(cost).tobytes() == expected.tobytes()
+
+
+class _AssignmentBasis:
+    def __init__(self, wx, wy):
+        pass
+
+    def solve(self, cost):
+        return assignment_vertex(cost)
+
+
+def _uniform_square_pairs():
+    for k in range(6):
+        n = 2 + k
+        yield random_metric_network(n, [33, k, 0]), random_metric_network(n, [33, k, 1])
+        yield random_uniform_network(n, [34, k, 0]), random_uniform_network(n, [34, k, 1])
+        yield random_spd_network(n, [35, k, 0]), random_spd_network(n, [35, k, 1])
+
+
+def test_fw_uniform_square_matches_assignment_oracle(monkeypatch):
+    for x, y in _uniform_square_pairs():
+        for init in (None, random_coupling(x.weights, y.weights, [36, x.n])):
+            got = gw_frank_wolfe(x, y, init=init)
+            with monkeypatch.context() as mp:
+                mp.setattr(solvers, "_TransportBasis", _AssignmentBasis)
+                ref = gw_frank_wolfe(x, y, init=init)
+            assert float(got.value).hex() == float(ref.value).hex()
+            assert (got.iterations, got.converged) == (ref.iterations, ref.converged)
+            assert got.trace == ref.trace
+            assert got.witness.table.tobytes() == ref.witness.table.tobytes()
 
 
 def test_fw_rejects_bad_arguments():
