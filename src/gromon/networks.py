@@ -323,20 +323,18 @@ def distortion_p(netX: MeasureNetwork, netY: MeasureNetwork, pi: Coupling, p) ->
     never empty: a valid coupling's mass, at least 1 - (n + 1) * ``TOL_MASS``
     over n * m cells, puts some entry far above ``EPS_SUPP``.
 
-    The sum over the n*m*n*m terms is exactly rounded (equal to ``math.fsum``
-    over them, bit for bit) and is formed in blocks of rows, so memory stays
-    O(n*m*(n+m)); the sup is likewise taken block by block.
+    The sum runs over ordered pairs of nonzero cells only, since a term with
+    a zero cell is exactly 0; it is exactly rounded, so whenever none of the
+    n*m*n*m terms overflows it equals ``math.fsum`` over all of them, bit for
+    bit.  It is formed in blocks of rows, so memory stays O(n*m*(n+m)); the
+    sup is likewise taken block by block.
     """
     p = check_exponent(p)
     _check_couples(pi, netX, netY)
     t = pi.table
-    if math.isinf(p):
-        rows, cols = np.nonzero(t > EPS_SUPP)
-        return _distortion(netX.omega, netY.omega, rows, cols, None, p, pair_weights=False)
-    n, m = t.shape
-    rows = np.repeat(np.arange(n), m)
-    cols = np.tile(np.arange(m), n)
-    return _distortion(netX.omega, netY.omega, rows, cols, t.ravel(), p, pair_weights=False)
+    rows, cols = np.nonzero(t > EPS_SUPP if math.isinf(p) else t)
+    return _distortion(netX.omega, netY.omega, rows, cols, t[rows, cols], p,
+                       pair_weights=False)
 
 
 def distortion_map(netX: MeasureNetwork, netY: MeasureNetwork, phi: MongeMap, p) -> float:

@@ -293,35 +293,34 @@ class _TransportBasis:
     |k| <= n, so comparing the integers compares the pairs
     lexicographically, and every basic flow is positive, so no pivot is
     degenerate and none repeats a basis.
+
+    The first tree is the matrix-minimum start for ``cost`` (Ahuja,
+    Magnanti & Orlin, "Network Flows", 1993): cells in stably sorted cost
+    order each take all they can while their row and column are both open.
+    The perturbation keeps the two open balances unequal until the last
+    cell, so each cell closes exactly one line and n + m - 1 cells span.
+    On a constant cost this is the north-west corner walk.
     """
 
-    def __init__(self, wx: np.ndarray, wy: np.ndarray):
+    def __init__(self, wx: np.ndarray, wy: np.ndarray, cost: np.ndarray):
         source, target, self.den = _integer_marginals(wx, wy)
         n, m = len(source), len(target)
         self.n, self.m, self.K = n, m, 2 * n + 1
-        supply = [a * self.K + 1 for a in source]
-        demand = [b * self.K for b in target]
-        demand[-1] += n
-        # north-west corner: the staircase walk leaves exactly one of the
-        # current row and column with nothing left at each step
+        left_row = [a * self.K + 1 for a in source]
+        left_col = [b * self.K for b in target]
+        left_col[-1] += n
         self.rows, self.cols, self.flow = [], [], []
-        i = j = 0
-        left_row, left_col = supply[0], demand[0]
-        while True:
-            self.rows.append(i)
-            self.cols.append(j)
-            if left_row < left_col:
-                self.flow.append(left_row)
-                left_col -= left_row
-                i += 1
-                left_row = supply[i]
-            else:
-                self.flow.append(left_col)
-                if j == m - 1:
+        for cell in np.argsort(cost, axis=None, kind="stable").tolist():
+            i, j = divmod(cell, m)
+            if left_row[i] and left_col[j]:
+                f = min(left_row[i], left_col[j])
+                left_row[i] -= f
+                left_col[j] -= f
+                self.rows.append(i)
+                self.cols.append(j)
+                self.flow.append(f)
+                if len(self.flow) == n + m - 1:
                     break
-                left_row -= left_col
-                j += 1
-                left_col = demand[j]
         self.adj = [[] for _ in range(n + m)]
         for s, (i, j) in enumerate(zip(self.rows, self.cols)):
             self.adj[i].append(s)
@@ -414,8 +413,10 @@ def gw_frank_wolfe(netX: MeasureNetwork, netY: MeasureNetwork,
     ``_TransportBasis`` serves them all.  Each step's simplex starts from the
     previous step's optimal basis and returns a vertex that is optimal up to
     its pricing tolerance, so the gap is not underestimated beyond that.
-    Raises ``ValueError`` for a negative ``max_iters`` or a ``tol_fw`` that
-    is negative or nan.
+    The first step's gradient also picks the simplex's first tree.
+    Raises ``ValueError`` for a negative ``max_iters``, a ``tol_fw`` that
+    is negative or nan, or tables on which the objective or its gradient
+    overflows float64.
 
     Returns a coupling whose distortion certifies an upper bound on the
     order-2 Gromov-Wasserstein distance and is first-order stationary when
@@ -432,9 +433,17 @@ def gw_frank_wolfe(netX: MeasureNetwork, netY: MeasureNetwork,
     else:
         _check_couples(init, netX, netY)
     pi = init.table.copy()
-    basis = _TransportBasis(wx, wy)
-    const = float((omx**2 * np.outer(wx, wx)).sum()
-                  + (omy**2 * np.outer(wy, wy)).sum())
+
+    def gradient(t: np.ndarray) -> np.ndarray:
+        return -2.0 * (omx @ t @ omy.T + omx.T @ t @ omy)
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        const = float((omx**2 * np.outer(wx, wx)).sum()
+                      + (omy**2 * np.outer(wy, wy)).sum())
+        grad = gradient(pi)
+    if not (math.isfinite(const) and np.all(np.isfinite(grad))):
+        raise ValueError("the order-2 objective overflows float64 on these tables")
+    basis = _TransportBasis(wx, wy, grad)
 
     def objective(t: np.ndarray) -> float:
         return const - 2.0 * float((t * (omx @ t @ omy.T)).sum())
@@ -443,7 +452,8 @@ def gw_frank_wolfe(netX: MeasureNetwork, netY: MeasureNetwork,
     converged = False
     it = 0
     for it in range(1, max_iters + 1):
-        grad = -2.0 * (omx @ pi @ omy.T + omx.T @ pi @ omy)
+        if it > 1:
+            grad = gradient(pi)
         vertex = basis.solve(grad)
         direction = vertex - pi
         lin = float((grad * direction).sum())

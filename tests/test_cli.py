@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from gromon import simplex_network
+from gromon import MeasureNetwork, simplex_network
 from gromon.randgen import random_cloud, random_isometry
 from gromon import cli, serialize
 from gromon.euclidean import EuclideanCloud
@@ -175,6 +175,16 @@ def test_gw_command(workdir):
     plain = run_cli(["gw", "delta4.json", "delta2.json"], workdir)
     assert plain.returncode == 0
     assert json.loads(plain.stdout)["converged"]
+
+
+def test_gw_overflowing_tables_exit_one(workdir):
+    big = MeasureNetwork(np.full(3, 1 / 3), simplex_network(3).omega * 1e160)
+    serialize.save_network(str(workdir / "big.json"), big)
+    proc = run_cli(["gw", "big.json", "big.json"], workdir)
+    assert proc.returncode == 1
+    assert proc.stdout == b""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and b"overflows" in lines[0]
 
 
 @pytest.mark.parametrize("flags,message", [(["--max-iters", "-3"], b"max_iters"),

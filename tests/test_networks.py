@@ -134,6 +134,14 @@ def test_distortion_identity_coupling_zero():
     assert distortion_p(net, net, pi, math.inf) == 0.0
 
 
+@pytest.mark.parametrize("entry,p", [(10.0, 400), (1e200, 2)])
+def test_distortion_exact_match_is_zero_where_far_terms_overflow(entry, p):
+    # entry**p overflows, but only on pairs with a zero cell, whose terms are 0
+    net = MeasureNetwork([0.5, 0.5], [[0, entry], [entry, 0]])
+    pi = Coupling(np.diag(net.weights), net.weights, net.weights)
+    assert distortion_p(net, net, pi, p) == 0.0
+
+
 def test_distortion_weak_iso_coupling_is_zero():
     net_x, net_y = weak_iso_pair()
     pi = Coupling([[0.25, 0.25, 0], [0, 0, 0.25], [0, 0, 0.25]],
@@ -479,6 +487,32 @@ def test_kernel_forms_the_reference_terms(pair, monkeypatch):
         size_p(x, p)
         for got, want in zip(seen, ref_terms(x, y, pi, p), strict=True):
             assert got.tobytes() == want.tobytes()
+
+
+def test_distortion_forms_terms_of_support_pairs_only(monkeypatch):
+    # a transport vertex has at most n + m - 1 nonzero cells of n * m
+    import gromon.networks as networks_module
+    from gromon.solvers import _TransportBasis
+
+    x, y = random_metric_network(13, [41, 0]), random_metric_network(11, [41, 1])
+    cost = np.random.default_rng(41).normal(size=(13, 11))
+    table = _TransportBasis(x.weights, y.weights, cost).solve(cost)
+    pi = Coupling(table, x.weights, y.weights)
+    support = np.count_nonzero(table)
+    assert support <= 23
+    formed = []
+
+    def counting_sum(blocks):
+        blocks = [b.ravel() for b in blocks]
+        formed.append(sum(b.size for b in blocks))
+        return math.fsum(np.concatenate(blocks).tolist())
+
+    for p in (1, 2, 3):
+        want = ref_distortion_p(x, y, pi, p)
+        with monkeypatch.context() as mp:
+            mp.setattr(networks_module, "_exact_sum", counting_sum)
+            assert distortion_p(x, y, pi, p) == want
+    assert formed == [support**2] * 3
 
 
 @pytest.mark.parametrize("n,m", [(1, 1), (6, 3), (12, 4), (30, 30), (130, 13)])

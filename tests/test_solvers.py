@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -374,7 +375,7 @@ TRANSPORT_SHAPES = [(1, 1), (1, 6), (5, 1), (3, 7), (26, 22)]
 @pytest.mark.parametrize("seed", range(6))
 def test_transport_simplex_is_optimal_vertex(shape, seed):
     cost, wx, wy = transport_case(shape, seed)
-    vertex = solvers._TransportBasis(wx, wy).solve(cost)
+    vertex = solvers._TransportBasis(wx, wy, cost).solve(cost)
     scale = float(np.abs(cost).max())
     assert float((vertex * cost).sum()) <= transport_lp(cost, wx, wy) + 1e-12 * scale
     assert vertex.min() >= 0.0
@@ -387,12 +388,12 @@ def test_transport_simplex_is_optimal_vertex(shape, seed):
 @pytest.mark.parametrize("shape", TRANSPORT_SHAPES)
 @pytest.mark.parametrize("seed", range(4))
 def test_transport_simplex_warm_start_matches_cold(shape, seed):
-    _, wx, wy = transport_case(shape, seed)
-    basis = solvers._TransportBasis(wx, wy)
+    first, wx, wy = transport_case(shape, seed)
+    basis = solvers._TransportBasis(wx, wy, first)
     for k in range(6):
         cost = transport_case(shape, seed + 2 * k)[0]
         warm = basis.solve(cost)
-        cold = solvers._TransportBasis(wx, wy).solve(cost)
+        cold = solvers._TransportBasis(wx, wy, cost).solve(cost)
         scale = float(np.abs(cost).max())
         assert float((warm * cost).sum()) == pytest.approx(float((cold * cost).sum()),
                                                            abs=1e-12 * scale)
@@ -401,20 +402,97 @@ def test_transport_simplex_warm_start_matches_cold(shape, seed):
 
 
 def test_transport_basis_starts_as_full_tree():
-    # n + m - 1 cells even where the north-west corner walk meets ties
+    # n + m - 1 cells even where the walk meets ties; on a zero cost the
+    # start is the north-west corner walk
     wx = np.full(4, 0.25)
     wy = np.array([0.25, 0.25, 0.5])
-    basis = solvers._TransportBasis(wx, wy)
+    basis = solvers._TransportBasis(wx, wy, np.zeros((4, 3)))
     assert len(basis.rows) == 6
     assert len(set(zip(basis.rows, basis.cols))) == 6
     assert min(basis.flow) > 0
+
+
+def north_west_tree(wx, wy):
+    """Reference copy of the north-west corner walk, the start the
+    matrix-minimum walk replaced: rows, columns and perturbed flows."""
+    source, target, _ = solvers._integer_marginals(wx, wy)
+    n, m, k = len(source), len(target), 2 * len(source) + 1
+    supply = [a * k + 1 for a in source]
+    demand = [b * k for b in target]
+    demand[-1] += n
+    rows, cols, flow = [], [], []
+    i = j = 0
+    left_row, left_col = supply[0], demand[0]
+    while True:
+        rows.append(i)
+        cols.append(j)
+        if left_row < left_col:
+            flow.append(left_row)
+            left_col -= left_row
+            i += 1
+            left_row = supply[i]
+        else:
+            flow.append(left_col)
+            if j == m - 1:
+                break
+            left_row -= left_col
+            j += 1
+            left_col = demand[j]
+    return rows, cols, flow
+
+
+class _NorthWestBasis(solvers._TransportBasis):
+    def __init__(self, wx, wy, cost):
+        super().__init__(wx, wy, cost)
+        self.rows, self.cols, self.flow = north_west_tree(wx, wy)
+        self.adj = [[] for _ in range(self.n + self.m)]
+        for s, (i, j) in enumerate(zip(self.rows, self.cols)):
+            self.adj[i].append(s)
+            self.adj[self.n + j].append(s)
+
+
+def test_zero_cost_start_is_north_west_corner():
+    rng = np.random.default_rng(37)
+    for k in range(300):
+        n, m = (int(v) for v in rng.integers(1, 12, 2))
+        if k % 2:
+            wx, wy = rng.random(n) + 0.1, rng.random(m) + 0.1
+        else:  # integer counts: many tied partial sums
+            wx, wy = rng.integers(1, 5, n).astype(float), rng.integers(1, 5, m).astype(float)
+        wx, wy = wx / wx.sum(), wy / wy.sum()
+        basis = solvers._TransportBasis(wx, wy, np.zeros((n, m)))
+        assert (basis.rows, basis.cols, basis.flow) == north_west_tree(wx, wy)
+
+
+def _seeded_certify_pairs():
+    # metric tables with small-integer weights, square or not
+    for k, (n, m) in enumerate(((3, 2), (5, 5), (7, 4), (9, 12), (14, 11), (26, 22))):
+        nets = []
+        for size, tag in ((n, 0), (m, 1)):
+            counts = np.random.default_rng([39, k, tag]).integers(1, 5, size)
+            omega = random_metric_network(size, [39, k, tag]).omega
+            nets.append(MeasureNetwork(counts / counts.sum(), omega))
+        yield nets
+
+
+def test_fw_matrix_minimum_start_matches_north_west(monkeypatch):
+    for x, y in _seeded_certify_pairs():
+        for init in (None, random_coupling(x.weights, y.weights, [40, x.n])):
+            got = gw_frank_wolfe(x, y, init=init)
+            with monkeypatch.context() as mp:
+                mp.setattr(solvers, "_TransportBasis", _NorthWestBasis)
+                ref = gw_frank_wolfe(x, y, init=init)
+            assert float(got.value).hex() == float(ref.value).hex()
+            assert (got.iterations, got.converged) == (ref.iterations, ref.converged)
+            assert got.trace == ref.trace
+            assert got.witness.table.tobytes() == ref.witness.table.tobytes()
 
 
 def test_transport_simplex_pivot_cap(monkeypatch):
     cost, wx, wy = transport_case((26, 22), 0)
     monkeypatch.setattr(solvers, "_PIVOTS_PER_CELL", 0)
     with pytest.raises(RuntimeError, match="after 0 pivots"):
-        solvers._TransportBasis(wx, wy).solve(cost)
+        solvers._TransportBasis(wx, wy, cost).solve(cost)
 
 
 def assignment_vertex(cost):
@@ -432,16 +510,16 @@ def test_transport_simplex_is_assignment_on_uniform_square(n):
     # continuous costs have one optimal permutation, so both oracles return
     # it, cold or warm-started
     u = np.full(n, 1.0 / n)
-    warm = solvers._TransportBasis(u, u)
-    for seed in range(8):
-        cost = np.random.default_rng([32, n, seed]).normal(size=(n, n))
+    costs = [np.random.default_rng([32, n, seed]).normal(size=(n, n)) for seed in range(8)]
+    warm = solvers._TransportBasis(u, u, costs[0])
+    for cost in costs:
         expected = assignment_vertex(cost)
-        assert solvers._TransportBasis(u, u).solve(cost).tobytes() == expected.tobytes()
+        assert solvers._TransportBasis(u, u, cost).solve(cost).tobytes() == expected.tobytes()
         assert warm.solve(cost).tobytes() == expected.tobytes()
 
 
 class _AssignmentBasis:
-    def __init__(self, wx, wy):
+    def __init__(self, wx, wy, cost):
         pass
 
     def solve(self, cost):
@@ -479,6 +557,16 @@ def test_fw_rejects_bad_arguments():
     report = gw_frank_wolfe(net, net, max_iters=0)
     assert report.iterations == 0
     assert len(report.trace) == 1
+
+
+def test_fw_rejects_tables_whose_objective_overflows():
+    # 1e160 squared is past float64: a clear error, not a pivot-cap failure
+    # after warnings
+    net = MeasureNetwork(np.full(3, 1 / 3), simplex_network(3).omega * 1e160)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="overflows"):
+            gw_frank_wolfe(net, net)
 
 
 @pytest.mark.parametrize("seed", range(10))
