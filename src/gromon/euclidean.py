@@ -40,6 +40,7 @@ from .solvers import (
 )
 
 TOL_ORTHO = 1e-10
+_OVERFLOW = "the registration cost overflows float64 on these clouds"
 
 
 @dataclass(frozen=True, eq=False)
@@ -95,12 +96,26 @@ class Isometry:
         return np.asarray(points, dtype=float) @ self.rotation.T + self.translation
 
 
+def _distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(n, m) table of the Euclidean distances between the rows of a and of b.
+
+    The squares are summed one coordinate plane at a time, so no (n, m, dim)
+    temporary exists.  For dim <= 7 the entries equal
+    ``np.linalg.norm(a[:, None] - b[None], axis=-1)`` bit for bit; from
+    dim = 8 on numpy sums the squares pairwise, which may round differently.
+    """
+    acc = np.zeros((a.shape[0], b.shape[0]))
+    d = np.empty_like(acc)
+    for k in range(a.shape[1]):
+        np.subtract(a[:, k, None], b[:, k], out=d)
+        d *= d
+        acc += d
+    return np.sqrt(acc, out=acc)
+
+
 def cloud_to_network(cloud: EuclideanCloud) -> MeasureNetwork:
     """Network of pairwise Euclidean distances."""
-    diff = cloud.points[:, None, :] - cloud.points[None, :, :]
-    omega = np.sqrt((diff * diff).sum(axis=-1))
-    np.fill_diagonal(omega, 0.0)
-    return MeasureNetwork(cloud.weights, omega)
+    return MeasureNetwork(cloud.weights, _distances(cloud.points, cloud.points))
 
 
 def procrustes_align(x: EuclideanCloud, y: EuclideanCloud, phi: MongeMap) -> Isometry:
@@ -109,7 +124,8 @@ def procrustes_align(x: EuclideanCloud, y: EuclideanCloud, phi: MongeMap) -> Iso
     Minimizes sum_i w_i ||R x_i + t - y_{phi(i)}||^2 over orthogonal R and
     translations t: weighted centroids, cross-covariance, and the orthogonal
     polar factor from an SVD.  R ranges over the full orthogonal group;
-    reflections are always allowed.
+    reflections are always allowed.  Raises ``ValueError`` when the
+    cross-covariance overflows float64.
     """
     if x.dim != y.dim:
         raise ValueError(f"dimension mismatch: {x.dim} vs {y.dim}")
@@ -121,15 +137,11 @@ def procrustes_align(x: EuclideanCloud, y: EuclideanCloud, phi: MongeMap) -> Iso
     xc = x.points - cx
     yc = targets - cy
     cross = xc.T @ (w[:, None] * yc)
+    if not np.isfinite(cross).all():
+        raise ValueError(_OVERFLOW)
     u, _, vt = np.linalg.svd(cross)
     rot = vt.T @ u.T
     return Isometry(rot, cy - rot @ cx)
-
-
-def _registration_cost(x: EuclideanCloud, y: EuclideanCloud, phi: np.ndarray,
-                       iso: Isometry, p: float) -> float:
-    res = np.linalg.norm(iso.apply(x.points) - y.points[phi], axis=1)
-    return _exact_sum(res**p * x.weights) ** (1.0 / p)
 
 
 def _haar_orthogonal(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -154,13 +166,19 @@ def m_iso(x: EuclideanCloud, y: EuclideanCloud, p=2, restarts: int = 20,
     objective is still evaluated at the true p, so the reported value is an
     upper bound either way).  Restart 0, the canonical start, fits the
     transform to the identity assignment; the rest start from seeded
-    Haar-random orthogonal transforms after centroid alignment.  The lowest
-    value wins, ties going to the earliest restart.  Transforms range over
-    all isometries: reflections are always allowed.
+    Haar-random orthogonal transforms after centroid alignment.  A restart
+    stops when the assignment repeats the previous one (the transform and
+    the value depend on the assignment alone, so they would repeat too) or
+    when the value fails to drop by more than 1e-14.  The lowest value wins,
+    ties going to the earliest restart.  Transforms range over all
+    isometries: reflections are always allowed.  Each cost table is built
+    coordinate by coordinate (``_distances``), never as an (n, n, dim)
+    tensor.
 
     Only uniform equal-cardinality clouds are searched.  Any other pair
     reports ``math.inf`` when no measure-preserving map exists and raises
-    ``ValueError`` ("unsupported weighting") when one does.
+    ``ValueError`` ("unsupported weighting") when one does.  Clouds whose
+    fit, costs or values overflow float64 raise ``ValueError``.
     """
     p = check_exponent(p)
     if math.isinf(p):
@@ -186,21 +204,32 @@ def m_iso(x: EuclideanCloud, y: EuclideanCloud, p=2, restarts: int = 20,
         else:
             rot = _haar_orthogonal(x.dim, rng)
             iso = Isometry(rot, cy - rot @ cx)
+        moved = iso.apply(x.points)
         best = (math.inf, None, iso)
         trace: list[float] = []
         for it in range(1, max_alternations + 1):
-            moved = iso.apply(x.points)
-            cost = np.linalg.norm(moved[:, None, :] - y.points[None, :, :], axis=-1) ** p
+            cost = _distances(moved, y.points) ** p
+            if not np.isfinite(cost).all():
+                raise ValueError(_OVERFLOW)
             _, phi = linear_sum_assignment(cost)
+            if best[1] is not None and np.array_equal(phi, best[1]):
+                # the fit and the value depend on phi alone: they would repeat
+                trace.append(trace[-1])
+                return best[0], it, (*best, True, trace)
             iso = procrustes_align(x, y, MongeMap(phi))
-            val = _registration_cost(x, y, phi, iso, p)
+            moved = iso.apply(x.points)
+            res = np.linalg.norm(moved - y.points[phi], axis=1)
+            val = _exact_sum(res**p * x.weights) ** (1.0 / p)
+            if not math.isfinite(val):
+                raise ValueError(_OVERFLOW)
             trace.append(val)
             if not val < best[0] - 1e-14:
                 return best[0], it, (*best, True, trace)
             best = (val, phi, iso)
         return best[0], max_alternations, (*best, False, trace)
 
-    (val, phi, iso, done, trace), total_iters = _best_restart(restarts, seed, run)
+    with np.errstate(over="ignore", invalid="ignore"):
+        (val, phi, iso, done, trace), total_iters = _best_restart(restarts, seed, run)
     return SolveReport(val, MongeMap(phi), "alternating", total_iters, done,
                        trace=tuple(trace), transform=iso)
 

@@ -118,6 +118,8 @@ def _distortion(omx: np.ndarray, omy: np.ndarray, ix: np.ndarray, iy: np.ndarray
     p-th root of the exactly rounded sum of the terms mismatch**p * w[a] * w[b],
     multiplied left to right, or mismatch**p * (w[a] * w[b]) when
     ``pair_weights`` is set.  Only blocks of about _BLOCK terms exist at once.
+    On finite tables the result is infinite only when a term overflowed,
+    which raises ``ValueError``.
     """
     x_cols = omx[:, ix]
     y_cols = omy[:, iy]
@@ -128,13 +130,16 @@ def _distortion(omx: np.ndarray, omy: np.ndarray, ix: np.ndarray, iy: np.ndarray
             s = slice(start, start + step)
             yield s, np.abs(x_cols[ix[s]] - y_cols[iy[s]])
 
-    if math.isinf(p):
-        return max(float(d.max()) for _, d in mismatch())
-    if pair_weights:
-        terms = (d ** p * np.outer(w[s], w) for s, d in mismatch())
-    else:
-        terms = (d ** p * w[s, None] * w for s, d in mismatch())
-    return _exact_sum(terms) ** (1.0 / p)
+    with np.errstate(over="ignore"):
+        if math.isinf(p):
+            value = max(float(d.max()) for _, d in mismatch())
+        elif pair_weights:
+            value = _exact_sum(d ** p * np.outer(w[s], w) for s, d in mismatch())
+        else:
+            value = _exact_sum(d ** p * w[s, None] * w for s, d in mismatch())
+    if not math.isfinite(value):
+        raise ValueError("the order-p distortion overflows float64 on these tables")
+    return value if math.isinf(p) else value ** (1.0 / p)
 
 
 def _check_weights(w: np.ndarray, what: str = "weights") -> None:

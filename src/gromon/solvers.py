@@ -203,7 +203,9 @@ def gm_exact(netX: MeasureNetwork, netY: MeasureNetwork, p,
     lexicographic order; ``iterations`` is the number of maps scanned.  The
     search ranks maps with vectorized float64 sums; the reported value is
     then recomputed for the winning map with exactly-rounded accumulation.
-    When no map exists the value is ``math.inf`` (infimum over the empty set).
+    When no map exists the value is ``math.inf`` (infimum over the empty set);
+    when maps exist but every one's distortion overflows float64, it raises
+    ``ValueError``.
 
     Raises ``CapExceededError`` when the instance admits more than ``cap``
     maps.  Uniform weights count their maps in closed form, before any scan.
@@ -222,18 +224,21 @@ def gm_exact(netX: MeasureNetwork, netY: MeasureNetwork, p,
     best_key = math.inf
     best_assign = None
     count = 0
-    for assigns in _assignment_blocks(wx, wy):
-        count += len(assigns)
-        if count > cap:
-            raise CapExceededError(
-                f"too large for exact enumeration: more than {cap} maps"
-            )
-        vals = _map_distortion_batch(omx, omy, wx, assigns, p)
-        b = int(np.argmin(vals))
-        if vals[b] < best_key:
-            best_key = float(vals[b])
-            best_assign = assigns[b]
+    with np.errstate(over="ignore"):
+        for assigns in _assignment_blocks(wx, wy):
+            count += len(assigns)
+            if count > cap:
+                raise CapExceededError(
+                    f"too large for exact enumeration: more than {cap} maps"
+                )
+            vals = _map_distortion_batch(omx, omy, wx, assigns, p)
+            b = int(np.argmin(vals))
+            if vals[b] < best_key:
+                best_key = float(vals[b])
+                best_assign = assigns[b]
     if best_assign is None:
+        if count:
+            raise ValueError("the order-p distortion overflows float64 on these tables")
         return SolveReport(math.inf, None, "enumeration", 0, True)
     witness = MongeMap(best_assign)
     value = distortion_map(netX, netY, witness, p)

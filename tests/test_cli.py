@@ -187,6 +187,45 @@ def test_gw_overflowing_tables_exit_one(workdir):
     assert len(lines) == 1 and b"overflows" in lines[0]
 
 
+def _save_overflow_inputs(workdir):
+    """Inputs whose distortions or registration costs overflow float64."""
+    serialize.save_network(str(workdir / "big.json"), MeasureNetwork(
+        np.full(3, 1 / 3), simplex_network(3).omega * 1e200))
+    spd = np.array([[3.0, 1.0, 0.0], [1.0, 3.0, 1.0], [0.0, 1.0, 3.0]])
+    serialize.save_network(str(workdir / "spd.json"), MeasureNetwork(np.full(3, 1 / 3), spd))
+    serialize.save_network(str(workdir / "spd_big.json"),
+                           MeasureNetwork(np.full(3, 1 / 3), spd * 1e200))
+    small = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]
+    for name, far in (("small", 1.0), ("far200", 1e200), ("far308", 1e308)):
+        serialize.save_cloud(str(workdir / f"{name}.json"),
+                             EuclideanCloud([*small[:2], [0.0, far]], [1 / 3] * 3))
+
+
+@pytest.mark.parametrize("argv", [
+    ["gm", "big.json", "delta3.json", "--p", "2"],
+    ["spd", "spd_big.json", "spd.json"],
+    ["miso", "far200.json", "small.json", "--p", "1"],
+    ["miso", "small.json", "far308.json"],
+], ids=["gm", "spd", "miso-1e200", "miso-1e308"])
+def test_overflowing_inputs_exit_one(workdir, argv):
+    _save_overflow_inputs(workdir)
+    proc = run_cli(argv, workdir)
+    assert proc.returncode == 1
+    assert proc.stdout == b""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and b"overflows" in lines[0]
+    assert b"RuntimeWarning" not in proc.stderr
+
+
+def test_gm_sup_distance_of_overflow_input_is_finite(workdir):
+    # the maps exist: at p = inf no power is taken and the value is finite
+    _save_overflow_inputs(workdir)
+    proc = run_cli(["gm", "big.json", "delta3.json", "--p", "inf"], workdir)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["value"] == 1e200
+    assert proc.stderr == b""
+
+
 @pytest.mark.parametrize("flags,message", [(["--max-iters", "-3"], b"max_iters"),
                                            (["--tol", "nan"], b"tol_fw"),
                                            (["--tol", "-1"], b"tol_fw")])

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from gromon import (
     simplex_point_embedding_value,
 )
 from gromon import euclidean
+from gromon.networks import _exact_sum
 from gromon.randgen import random_cloud, random_isometry
 
 
@@ -36,6 +38,32 @@ def test_cloud_to_network_two_points():
 def test_cloud_to_network_three_points():
     net = cloud_to_network(line_cloud(0, 1, 3))
     assert np.array_equal(net.omega, [[0, 1, 3], [1, 0, 2], [3, 2, 0]])
+
+
+def _norm_distances(a, b):
+    """The (n, m, dim) broadcast form that ``_distances`` replaces."""
+    return np.linalg.norm(a[:, None, :] - b[None, :, :], axis=-1)
+
+
+@pytest.mark.parametrize("dim", range(1, 8))
+def test_distances_equal_norm_form_bit_for_bit(dim):
+    rng = np.random.default_rng([70, dim])
+    for k in range(20):
+        n, m = rng.integers(1, 60, 2)
+        scale = 10.0 ** rng.integers(-6, 7)
+        a = scale * rng.standard_normal((n, dim))
+        b = scale * rng.standard_normal((m, dim)) + rng.standard_normal(dim)
+        assert euclidean._distances(a, b).tobytes() == _norm_distances(a, b).tobytes()
+
+
+@pytest.mark.parametrize("dim", range(1, 8))
+def test_cloud_to_network_unchanged(dim):
+    for k in range(5):
+        cloud = random_cloud(3 + 9 * k, dim, [71, dim, k])
+        diff = cloud.points[:, None, :] - cloud.points[None, :, :]
+        omega = np.sqrt((diff * diff).sum(axis=-1))
+        np.fill_diagonal(omega, 0.0)
+        assert cloud_to_network(cloud).omega.tobytes() == omega.tobytes()
 
 
 # -- isometries ---------------------------------------------------------------
@@ -177,7 +205,8 @@ def _m_iso_restarts_reference(x, y, p, restarts, seed, max_alternations):
             cost = np.linalg.norm(moved[:, None, :] - y.points[None, :, :], axis=-1) ** p
             _, phi = linear_sum_assignment(cost)
             iso = procrustes_align(x, y, MongeMap(phi))
-            val = euclidean._registration_cost(x, y, phi, iso, p)
+            res = np.linalg.norm(iso.apply(x.points) - y.points[phi], axis=1)
+            val = _exact_sum(res**p * x.weights) ** (1.0 / p)
             trace.append(val)
             if val < best_val - 1e-14:
                 best_val, best = val, (phi, iso)
@@ -211,12 +240,23 @@ def _registration_pairs():
     yield random_cloud(8, 2, 65), random_cloud(8, 2, 66)
     tri = EuclideanCloud([[0.0, 0.0], [2.0, 0.0], [0.0, 1.0]], [1 / 3] * 3)
     yield tri, EuclideanCloud(tri.points * [-1.0, 1.0], tri.weights)
+    yield random_cloud(9, 1, 67), random_cloud(9, 1, 68)
+    # numpy's norm sums a last axis of 8 or more pairwise
+    yield random_cloud(10, 8, 69), random_cloud(10, 8, 70)
+    yield random_cloud(11, 9, 71), random_cloud(11, 9, 72)
+    # built like the cloud registration benchmark
+    x = random_cloud(100, 3, [73, 0])
+    perm = np.random.default_rng([73, 2]).permutation(100)
+    points = np.empty_like(x.points)
+    points[perm] = (random_isometry(3, [73, 1]).apply(x.points)
+                    + 0.02 * np.random.default_rng([73, 3]).standard_normal((100, 3)))
+    yield x, EuclideanCloud(points, x.weights)
 
 
-@pytest.mark.parametrize("p", [1, 2])
+@pytest.mark.parametrize("p", [1, 1.5, 2, 3])
 def test_m_iso_restart_driver_matches_own_loop(p):
     for x, y in _registration_pairs():
-        for max_alternations in (2, 100):
+        for max_alternations in (1, 2, 3, 100):
             got = m_iso(x, y, p=p, restarts=6, seed=9, max_alternations=max_alternations)
             val, phi, iters, done, trace, iso = _m_iso_restarts_reference(
                 x, y, p, 6, 9, max_alternations)
@@ -227,6 +267,47 @@ def test_m_iso_restart_driver_matches_own_loop(p):
             assert got.trace == tuple(trace)
             assert got.transform.rotation.tobytes() == iso.rotation.tobytes()
             assert got.transform.translation.tobytes() == iso.translation.tobytes()
+
+
+def test_m_iso_cost_memory_is_bounded():
+    import tracemalloc
+
+    n, dim = 300, 3
+    x, y = random_cloud(n, dim, [74, 0]), random_cloud(n, dim, [74, 1])
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        m_iso(x, y, restarts=1, max_alternations=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # an (n, n, dim) difference tensor and its square took 2 * n^2 * dim * 8
+    # bytes; one such temporary beside the (n, n) cost table would exceed this
+    assert peak < n * n * dim * 8
+
+
+@pytest.mark.parametrize("coord,p", [(1e308, 2), (1e200, 1), (1e200, 2)])
+def test_m_iso_rejects_clouds_whose_cost_overflows(coord, p):
+    big = EuclideanCloud([[0.0, 0.0], [1.0, 0.0], [0.0, coord]], [1 / 3] * 3)
+    small = EuclideanCloud([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], [1 / 3] * 3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for x, y in ((big, small), (small, big), (big, big)):
+            with pytest.raises(ValueError, match="registration cost overflows"):
+                m_iso(x, y, p=p, restarts=3)
+
+
+@pytest.mark.parametrize("p", [1, 2])
+def test_m_iso_rejects_clouds_whose_fit_overflows(p):
+    # coordinates near 1e205: the Procrustes cross-covariance is past float64
+    # (the SVD would fail to converge) before any cost is built
+    x, y = random_cloud(8, 3, 75), random_cloud(8, 3, 76)
+    big_x = EuclideanCloud(x.points * 1e205, x.weights)
+    big_y = EuclideanCloud(y.points * 1e205, y.weights)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="registration cost overflows"):
+            m_iso(big_x, big_y, p=p, restarts=3)
 
 
 @pytest.mark.parametrize("seed", range(6))

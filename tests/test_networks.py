@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -140,6 +141,24 @@ def test_distortion_exact_match_is_zero_where_far_terms_overflow(entry, p):
     net = MeasureNetwork([0.5, 0.5], [[0, entry], [entry, 0]])
     pi = Coupling(np.diag(net.weights), net.weights, net.weights)
     assert distortion_p(net, net, pi, p) == 0.0
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_distortion_map_rejects_overflow(p):
+    big = MeasureNetwork(np.full(3, 1 / 3), simplex_network(3).omega * 1.7e308)
+    flipped = MeasureNetwork(big.weights, -big.omega)
+    phi = MongeMap([0, 1, 2])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # each mismatch 3.4e308 is past float64 before any power is taken
+        with pytest.raises(ValueError, match="distortion overflows"):
+            distortion_map(big, flipped, phi, p)
+        with pytest.raises(ValueError, match="distortion overflows"):
+            distortion_map(big, flipped, phi, math.inf)
+        if p > 1:
+            small = MeasureNetwork(big.weights, simplex_network(3).omega * 1e200)
+            with pytest.raises(ValueError, match="distortion overflows"):
+                distortion_map(small, simplex_network(3), phi, p)
 
 
 def test_distortion_weak_iso_coupling_is_zero():

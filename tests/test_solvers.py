@@ -569,6 +569,26 @@ def test_fw_rejects_tables_whose_objective_overflows():
             gw_frank_wolfe(net, net)
 
 
+def test_gm_exact_rejects_maps_whose_distortion_overflows():
+    # six maps exist; every one's order-2 distortion is past float64
+    big = MeasureNetwork(np.full(3, 1 / 3), simplex_network(3).omega * 1e200)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="distortion overflows"):
+            gm_exact(big, simplex_network(3), 2)
+        assert gm_exact(big, simplex_network(3), math.inf).value == 1e200
+
+
+def test_spd_ascent_rejects_tables_whose_distortion_overflows():
+    spd = np.array([[3.0, 1.0, 0.0], [1.0, 3.0, 1.0], [0.0, 1.0, 3.0]])
+    x = MeasureNetwork(np.full(3, 1 / 3), spd * 1e200)
+    y = MeasureNetwork(np.full(3, 1 / 3), spd)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="distortion overflows"):
+            gw_spd_vertex_ascent(x, y)
+
+
 @pytest.mark.parametrize("seed", range(10))
 def test_gw_below_gm_from_witness_init(seed):
     n = 3 + (seed % 3)
