@@ -25,6 +25,7 @@ from .networks import (
     _check_weights,
     _exact_sum,
     _frozen,
+    _numeric,
     check_exponent,
     check_measure_preserving,
 )
@@ -51,8 +52,8 @@ class EuclideanCloud:
     weights: np.ndarray
 
     def __post_init__(self):
-        pts = np.asarray(self.points, dtype=float)
-        w = np.asarray(self.weights, dtype=float)
+        pts = _numeric(self.points, "points")
+        w = _numeric(self.weights, "weights")
         if pts.ndim != 2 or pts.shape[1] < 1:
             raise ValueError(f"points must be (n, dim), got {pts.shape}")
         if not np.all(np.isfinite(pts)):
@@ -80,8 +81,8 @@ class Isometry:
     translation: np.ndarray
 
     def __post_init__(self):
-        rot = np.asarray(self.rotation, dtype=float)
-        tr = np.asarray(self.translation, dtype=float)
+        rot = _numeric(self.rotation, "rotation")
+        tr = _numeric(self.translation, "translation")
         if rot.ndim != 2 or rot.shape[0] != rot.shape[1]:
             raise ValueError("rotation must be square")
         if tr.shape != (rot.shape[0],):

@@ -12,12 +12,11 @@ from __future__ import annotations
 
 import math
 import operator
-from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
 
-from .networks import MeasureNetwork
+from .networks import MeasureNetwork, _numeric
 
 
 def _integer(v, what: str) -> int:
@@ -27,18 +26,6 @@ def _integer(v, what: str) -> int:
         return operator.index(v)
     except TypeError:
         raise TypeError(f"{what} must be an integer, got {v!r}") from None
-
-
-def _edge_weight(v) -> float:
-    try:  # a string, None or a bool is a TypeError
-        if isinstance(v, (bool, str, bytes)):
-            raise TypeError
-        w = float(v)
-    except (TypeError, ValueError):
-        raise TypeError(f"edge weight must be a number, got {v!r}") from None
-    if not math.isfinite(w):
-        raise ValueError(f"edge weights must be finite, got {w!r}")
-    return w
 
 
 @dataclass(frozen=True)
@@ -73,15 +60,16 @@ class Graph:
             norm.append(key)
         object.__setattr__(self, "edges", tuple(norm))
         if self.weights is not None:
-            if (isinstance(self.weights, (str, bytes, Mapping))
-                    or not hasattr(self.weights, "__len__")):
+            w = _numeric(self.weights, "edge weights")
+            if w.ndim != 1:
                 raise TypeError(f"edge weights must be a list, got {self.weights!r}")
-            w = tuple(_edge_weight(v) for v in self.weights)
-            if len(w) != len(norm):
+            if w.size != len(norm):
                 raise ValueError("edge weights length does not match edges")
-            if any(v < 0 for v in w):
+            if not np.all(np.isfinite(w)):
+                raise ValueError("edge weights must be finite")
+            if np.any(w < 0):
                 raise ValueError("edge weights must be nonnegative")
-            object.__setattr__(self, "weights", w)
+            object.__setattr__(self, "weights", tuple(w.tolist()))
 
 
 def _adjacency(g: Graph) -> np.ndarray:

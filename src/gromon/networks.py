@@ -51,6 +51,27 @@ def parse_exponent(text) -> float:
     return check_exponent(float(t))
 
 
+def _numeric(a, what: str) -> np.ndarray:
+    """A numeric input field as a float array.
+
+    An ndarray passes on its dtype kind (signed, unsigned or float).  Nested
+    lists are walked leaf by leaf: a bool, str, bytes, None or mapping leaf is
+    a ``TypeError``, where ``np.asarray`` would parse or upcast it.
+    """
+    stack = [a]
+    while stack:
+        v = stack.pop()
+        if isinstance(v, np.ndarray):
+            if v.dtype.kind not in "iuf":
+                raise TypeError(f"{what} must hold numbers, got an array of {v.dtype}")
+        elif isinstance(v, (list, tuple)):
+            stack.extend(reversed(v))
+        elif isinstance(v, (bool, np.bool_, str, bytes, Mapping, type(None))):
+            raise TypeError(f"{what} must be a list of numbers, got {v!r}" if v is a
+                            else f"each entry of {what} must be a number, got {v!r}")
+    return np.asarray(a, dtype=float)
+
+
 def _frozen(a, dtype=float) -> np.ndarray:
     out = np.array(a, dtype=dtype)
     out.setflags(write=False)
@@ -58,10 +79,12 @@ def _frozen(a, dtype=float) -> np.ndarray:
 
 
 # Pieces of at most _BLOCK terms stay in cache; under _SMALL terms a list for
-# math.fsum is faster; from _TOP up no sum of pieces is safe from overflow.
+# math.fsum is faster; from _TOP up no sum of pieces is safe from overflow;
+# under _TINY a piece's rounding bound could underflow.
 _BLOCK = 1 << 14
 _SMALL = 1 << 10
 _TOP = 2.0 ** 959
+_TINY = 2.0 ** -900
 
 
 def _pieces(blocks):
@@ -71,22 +94,77 @@ def _pieces(blocks):
             yield flat[start:start + _BLOCK]
 
 
+def _split_point(r: np.ndarray, top: float) -> int:
+    """Exponent of the extraction point sigma of a piece r with max|r| = top."""
+    return (2 * r.size + 2).bit_length() + math.frexp(top)[1]
+
+
 def _exact_sum(terms) -> float:
     """Exactly rounded sum of an array, or of the arrays an iterable yields.
 
     Equal bit for bit to ``math.fsum`` over all elements in order, without
-    boxing them: each piece is reduced without rounding error by the
-    error-free extraction of Rump, Ogita & Oishi ("Accurate floating-point
-    summation, part I", 2008), and math.fsum adds the exact partial sums.
-    A piece r of N elements with max|r| < 2**e is split by sigma = 2**(k + e),
+    boxing them, by the error-free extraction of Rump, Ogita & Oishi
+    ("Accurate floating-point summation, part I", 2008).  A piece r of N
+    elements with max|r| < 2**e is split at sigma = 2**s, s = k + e,
     k = bit_length(2N + 2): q = (sigma + r) - sigma is exact, lies on the
     grid ulp(sigma)/2 and sums to less than sigma in magnitude, so
-    ``q.sum()`` is exact in any order; the remainder r - q is exact too, and
-    its largest entry is at most 2**-36 times the previous one.  A non-finite
-    or huge term hands everything from its piece on to math.fsum as it is,
-    so overflow and nan behave as there.
+    ``q.sum()`` is exact in any order, and so is each entry of r - q, which
+    is at most ulp(sigma)/2 = 2**(s - 53).
+
+    As in their AccSum, one extraction per piece is enough when it decides
+    the rounding.  The float sum of the N entries of r - q, in any order, is
+    within N**2 * 2**(s - 106) of their exact sum; E adds these bounds over
+    the pieces with 4x slack.  If math.fsum of the exact partial sums gives
+    the same float with -E and with +E appended, that float is the rounded
+    exact sum, since rounding is monotone.  Otherwise every piece is
+    extracted again until its remainder is zero, which iterates ``terms`` a
+    second time, so a one-shot iterator is listed first.  A piece of nonzero
+    magnitude under 2**-900, where E could underflow, sends the sum to that
+    exhaustive pass directly, and so does a non-finite or huge term; there
+    it hands everything from its piece on to math.fsum as it is, so
+    overflow and nan behave as there.
     """
-    pieces = _pieces((terms,) if isinstance(terms, np.ndarray) else terms)
+    if isinstance(terms, np.ndarray):
+        blocks = (terms,)
+    else:
+        blocks = list(terms) if iter(terms) is terms else terms
+    value = _certified_sum(blocks)
+    return _extracted_sum(blocks) if value is None else value
+
+
+def _certified_sum(blocks) -> float | None:
+    """The exactly rounded sum from one extraction per piece, or None when
+    that does not decide the rounding or a piece is huge, tiny or not
+    finite."""
+    parts: list[float] = []
+    bound = 0.0
+    for r in _pieces(blocks):
+        top = float(np.abs(r).max())
+        if not top < _TOP:
+            return None
+        if r.size < _SMALL:
+            parts += r.tolist()
+        elif top >= _TINY:
+            s = _split_point(r, top)
+            sigma = math.ldexp(1.0, s)
+            q = r + sigma
+            q -= sigma
+            parts.append(float(q.sum()))
+            np.subtract(r, q, out=q)
+            parts.append(float(q.sum()))
+            bound += math.ldexp(r.size * r.size, s - 104)
+        elif top:
+            return None
+    if not bound:
+        return math.fsum(parts)
+    low = math.fsum(parts + [-bound])
+    return low if low == math.fsum(parts + [bound]) else None
+
+
+def _extracted_sum(blocks) -> float:
+    """The exactly rounded sum, extracting from each piece until its
+    remainder is zero."""
+    pieces = _pieces(blocks)
     parts: list[float] = []
     for r in pieces:
         top = float(np.abs(r).max())
@@ -96,17 +174,26 @@ def _exact_sum(terms) -> float:
         if r.size < _SMALL:
             parts += r.tolist()
             continue
-        k = (2 * r.size + 2).bit_length()
         r = np.array(r, dtype=float)
         q = np.empty_like(r)
         while top:
-            sigma = math.ldexp(1.0, k + math.frexp(top)[1])
+            sigma = math.ldexp(1.0, _split_point(r, top))
             np.add(r, sigma, out=q)
             q -= sigma
             parts.append(float(q.sum()))
             r -= q
             top = float(np.abs(r).max())
     return math.fsum(parts)
+
+
+class _Reiterable:
+    """An iterable whose every ``iter()`` calls ``make()`` afresh."""
+
+    def __init__(self, make):
+        self._make = make
+
+    def __iter__(self):
+        return self._make()
 
 
 def _distortion(omx: np.ndarray, omy: np.ndarray, ix: np.ndarray, iy: np.ndarray,
@@ -117,7 +204,8 @@ def _distortion(omx: np.ndarray, omy: np.ndarray, ix: np.ndarray, iy: np.ndarray
     For p = inf the result is its max (``w`` unused); for finite p it is the
     p-th root of the exactly rounded sum of the terms mismatch**p * w[a] * w[b],
     multiplied left to right, or mismatch**p * (w[a] * w[b]) when
-    ``pair_weights`` is set.  Only blocks of about _BLOCK terms exist at once.
+    ``pair_weights`` is set.  Each block of about _BLOCK terms is formed in
+    place, and only one exists at a time; the sum may form them twice.
     On finite tables the result is infinite only when a term overflowed,
     which raises ``ValueError``.
     """
@@ -128,15 +216,28 @@ def _distortion(omx: np.ndarray, omy: np.ndarray, ix: np.ndarray, iy: np.ndarray
     def mismatch():
         for start in range(0, ix.size, step):
             s = slice(start, start + step)
-            yield s, np.abs(x_cols[ix[s]] - y_cols[iy[s]])
+            d = x_cols[ix[s]]
+            d -= y_cols[iy[s]]
+            yield s, np.abs(d, out=d)
+
+    def terms():
+        for s, d in mismatch():
+            if p == 2.0:
+                d *= d
+            elif p != 1.0:
+                d **= p
+            if pair_weights:
+                d *= np.outer(w[s], w)
+            else:
+                d *= w[s, None]
+                d *= w
+            yield d
 
     with np.errstate(over="ignore"):
         if math.isinf(p):
             value = max(float(d.max()) for _, d in mismatch())
-        elif pair_weights:
-            value = _exact_sum(d ** p * np.outer(w[s], w) for s, d in mismatch())
         else:
-            value = _exact_sum(d ** p * w[s, None] * w for s, d in mismatch())
+            value = _exact_sum(_Reiterable(terms))
     if not math.isfinite(value):
         raise ValueError("the order-p distortion overflows float64 on these tables")
     return value if math.isinf(p) else value ** (1.0 / p)
@@ -163,9 +264,9 @@ class MeasureNetwork:
     labels: tuple | None = None
 
     def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float)
+        w = _numeric(self.weights, "weights")
         _check_weights(w)
-        om = np.asarray(self.omega, dtype=float)
+        om = _numeric(self.omega, "omega")
         if om.shape != (w.size, w.size):
             raise ValueError(f"omega must be {w.size}x{w.size}, got {om.shape}")
         if not np.all(np.isfinite(om)):
@@ -202,9 +303,9 @@ class Coupling:
     target_weights: np.ndarray
 
     def __post_init__(self):
-        t = np.asarray(self.table, dtype=float)
-        sw = np.asarray(self.source_weights, dtype=float)
-        tw = np.asarray(self.target_weights, dtype=float)
+        t = _numeric(self.table, "coupling table")
+        sw = _numeric(self.source_weights, "source_weights")
+        tw = _numeric(self.target_weights, "target_weights")
         _check_weights(sw, "source_weights")
         _check_weights(tw, "target_weights")
         if t.shape != (sw.size, tw.size):

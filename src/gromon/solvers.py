@@ -208,9 +208,12 @@ def gm_exact(netX: MeasureNetwork, netY: MeasureNetwork, p,
     ``ValueError``.
 
     Raises ``CapExceededError`` when the instance admits more than ``cap``
-    maps.  Uniform weights count their maps in closed form, before any scan.
+    maps, and ``ValueError`` when ``cap`` is below 1.  Uniform weights count
+    their maps in closed form, before any scan.
     """
     p = check_exponent(p)
+    if cap < 1:
+        raise ValueError(f"cap must be >= 1, got {cap}")
     wx, wy = netX.weights, netY.weights
     if _uniform(wx) and _uniform(wy):
         total = _count_uniform_maps(netX.n, netY.n)

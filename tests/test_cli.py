@@ -132,6 +132,13 @@ MALFORMED = [
     pytest.param("graph", b'{"n": 3, "edges": [[0, 1, 2]]}', id="graph-edge-triple"),
     pytest.param("graph", b'0 1 nan\n', id="graph-edge-list-weight-nan"),
     pytest.param("graph", b'0 1 inf\n', id="graph-edge-list-weight-infinite"),
+    # numeric fields that numpy would parse (strings) or upcast (bools)
+    pytest.param("network", b'{"weights": ["0.5", "0.5"], "omega": [["0", "1"], ["1", "0"]]}',
+                 id="network-numbers-as-strings"),
+    pytest.param("network", b'{"weights": [true], "omega": [[false]]}', id="network-bools"),
+    pytest.param("cloud", b'{"dim": 2, "points": [["1", "2"], [true, 0]], "weights": [0.5, 0.5]}',
+                 id="cloud-points-strings-and-bool"),
+    pytest.param("coupling", b'{"table": [["0.5", "0"], ["0", "0.5"]]}', id="coupling-strings"),
 ]
 
 HALVES = [0.5, 0.5]
@@ -158,6 +165,15 @@ def test_malformed_field_is_one_line_input_error(workdir, monkeypatch, capsys, k
     assert captured.err.count("bad.json") == 1
     with pytest.raises(serialize.FormatError):
         load("bad.json")
+
+
+@pytest.mark.parametrize("cap", ["0", "-5"])
+def test_gm_non_positive_cap_is_one_line_input_error(workdir, monkeypatch, capsys, cap):
+    monkeypatch.chdir(workdir)
+    assert cli.main(["gm", "delta2.json", "delta2.json", "--cap", cap]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: cap must be >= 1, got {cap}\n"
 
 
 def test_gw_command(workdir):

@@ -24,6 +24,7 @@ from gromon import (
     size_p,
     validate_network,
 )
+from gromon.euclidean import EuclideanCloud, Isometry
 from gromon.networks import _BLOCK, _SMALL, _exact_sum, pseudometric_violation
 from gromon.randgen import random_coupling, random_metric_network
 from gromon.solvers import gm_over_split
@@ -563,3 +564,91 @@ def test_distortion_memory_is_bounded(p):
         tracemalloc.stop()
     # the n^2 m^2 = 2.56e6-term tensor alone would be 20 MB
     assert peak < 8 * 2**20
+
+
+# -- certified sums: one extraction per piece, else the exhaustive pass --------
+
+def _undecided_sums():
+    """2 * _SMALL terms summing exactly to the tie 1 + 2**-53, and to just
+    above it: one extraction leaves the rounding undecided in both."""
+    tie = np.zeros(2 * _SMALL)
+    tie[:2] = 1.0, 2.0 ** -53
+    above = tie.copy()
+    above[2] = 2.0 ** -200
+    return [pytest.param(tie, 1.0, id="tie"),
+            pytest.param(above, 1.0 + 2.0 ** -52, id="above-tie")]
+
+
+def _recording_exhaustive_pass(monkeypatch):
+    import gromon.networks as networks_module
+
+    calls = []
+    exhaustive = networks_module._extracted_sum
+
+    def recording(blocks):
+        calls.append(blocks)
+        return exhaustive(blocks)
+
+    monkeypatch.setattr(networks_module, "_extracted_sum", recording)
+    return calls
+
+
+@pytest.mark.parametrize("one_shot", [False, True], ids=["array", "one-shot-iterator"])
+@pytest.mark.parametrize("a,want", _undecided_sums())
+def test_exact_sum_falls_back_when_undecided(a, want, one_shot, monkeypatch):
+    calls = _recording_exhaustive_pass(monkeypatch)
+    terms = iter([a[:_SMALL], a[_SMALL:]]) if one_shot else a
+    got = _exact_sum(terms)
+    assert got == math.fsum(a.tolist()) == want
+    assert len(calls) == 1
+
+
+def test_distortion_sums_take_one_extraction(monkeypatch):
+    # nonnegative terms over 21 blocks: the certified pass always decides
+    calls = _recording_exhaustive_pass(monkeypatch)
+    x, y, pi = list(_rect_pairs())[-1]
+    for p in (1, 1.5, 2, 3):
+        distortion_p(x, y, pi, p)
+        gm_over_split(x, y, pi, p)
+    assert calls == []
+
+
+# -- numeric input fields ---------------------------------------------------------
+
+BAD_NUMERIC = [
+    pytest.param(["0.5", "0.5"], id="strings"),
+    pytest.param([True, 0.0], id="bool"),
+    pytest.param([None, 1.0], id="null"),
+    pytest.param([b"1", 0.0], id="bytes"),
+    pytest.param([{"a": 1}, 0.0], id="mapping"),
+    pytest.param("12", id="string-field"),
+    pytest.param(np.array([True, False]), id="bool-array"),
+    pytest.param(np.array(["1", "0"]), id="string-array"),
+]
+
+
+@pytest.mark.parametrize("bad", BAD_NUMERIC)
+def test_numeric_fields_reject_non_numbers(bad):
+    # the bad value sits in a 1-d field and in a row of a 2-d field
+    half, eye = [0.5, 0.5], [[1.0, 0.0], [0.0, 1.0]]
+    table = bad if isinstance(bad, str) else [bad, [0.0, 0.5]]
+    cases = [
+        lambda: MeasureNetwork(bad, eye),
+        lambda: MeasureNetwork(half, table),
+        lambda: Coupling(table, half, half),
+        lambda: Coupling(np.diag(half), bad, half),
+        lambda: EuclideanCloud(table, half),
+        lambda: EuclideanCloud(eye, bad),
+        lambda: Isometry(table, [0.0, 0.0]),
+        lambda: Isometry(eye, bad),
+    ]
+    for make in cases:
+        with pytest.raises(TypeError, match="number"):
+            make()
+
+
+def test_numeric_fields_accept_integer_arrays_and_lists():
+    net = MeasureNetwork([0.5, 0.5], np.array([[0, 1], [1, 0]], dtype=np.int32))
+    assert net.omega.dtype == float and net.omega[0, 1] == 1.0
+    cloud = EuclideanCloud(np.arange(4, dtype=np.uint8).reshape(2, 2), (0.5, 0.5))
+    assert cloud.points.tolist() == [[0.0, 1.0], [2.0, 3.0]]

@@ -210,6 +210,14 @@ def test_gm_cap_exceeded():
                  MeasureNetwork(w, np.zeros((5, 5))), 1, cap=2)
 
 
+@pytest.mark.parametrize("cap", [0, -5])
+def test_gm_rejects_non_positive_cap(cap):
+    for w in ([0.5, 0.5], [0.25, 0.75]):  # the uniform count and the streaming scan
+        net = MeasureNetwork(w, np.zeros((2, 2)))
+        with pytest.raises(ValueError, match=f"cap must be >= 1, got {cap}"):
+            gm_exact(net, net, 2, cap=cap)
+
+
 @pytest.mark.parametrize("block", [1, 7])
 def test_gm_unchanged_by_block_size(block, monkeypatch):
     rng = np.random.default_rng(3)
