@@ -150,6 +150,17 @@ def _haar_orthogonal(dim: int, rng: np.random.Generator) -> np.ndarray:
     return q * np.sign(np.diag(r))
 
 
+def _principal_axes(cloud: EuclideanCloud, centroid: np.ndarray) -> np.ndarray:
+    """Orthonormal eigenvectors (columns) of the weighted, centred covariance.
+
+    Raises ``ValueError`` when the covariance overflows float64."""
+    d = cloud.points - centroid
+    cov = d.T @ (cloud.weights[:, None] * d)
+    if not np.isfinite(cov).all():
+        raise ValueError(_OVERFLOW)
+    return np.linalg.eigh(cov)[1]
+
+
 def _has_monge_map(x: EuclideanCloud, y: EuclideanCloud) -> bool:
     if _uniform(x.weights) and _uniform(y.weights):
         # decided without enumeration, whose search tree can be huge here
@@ -166,8 +177,12 @@ def m_iso(x: EuclideanCloud, y: EuclideanCloud, p=2, restarts: int = 20,
     other finite p the order-2 transform is reused as a surrogate while the
     objective is still evaluated at the true p, so the reported value is an
     upper bound either way).  Restart 0, the canonical start, fits the
-    transform to the identity assignment; the rest start from seeded
-    Haar-random orthogonal transforms after centroid alignment.  A restart
+    transform to the identity assignment.  Restarts 1..2^dim map the
+    principal axes of x onto those of y (eigenvectors of the weighted,
+    centred covariances, computed once per call), restart r flipping the
+    sign of axis k when bit k of r - 1 is set, so reflections are included;
+    the rest start from seeded Haar-random orthogonal transforms.  Every
+    start aligns the centroids.  A restart
     stops when the assignment repeats the previous one (the transform and
     the value depend on the assignment alone, so they would repeat too) or
     when the value fails to drop by more than 1e-14.  The lowest value wins,
@@ -179,7 +194,8 @@ def m_iso(x: EuclideanCloud, y: EuclideanCloud, p=2, restarts: int = 20,
     Only uniform equal-cardinality clouds are searched.  Any other pair
     reports ``math.inf`` when no measure-preserving map exists and raises
     ``ValueError`` ("unsupported weighting") when one does.  Clouds whose
-    fit, costs or values overflow float64 raise ``ValueError``.
+    covariances, fit, costs or values overflow float64 raise ``ValueError``;
+    the covariances are checked first, before any restart runs.
     """
     p = check_exponent(p)
     if math.isinf(p):
@@ -203,7 +219,12 @@ def m_iso(x: EuclideanCloud, y: EuclideanCloud, p=2, restarts: int = 20,
         if rng is None:
             iso = procrustes_align(x, y, MongeMap(np.arange(x.n)))
         else:
-            rot = _haar_orthogonal(x.dim, rng)
+            if r <= 2 ** x.dim:
+                # bit k of r - 1 flips the sign of principal axis k
+                signs = [-1.0 if (r - 1) >> k & 1 else 1.0 for k in range(x.dim)]
+                rot = (vy * signs) @ vx.T
+            else:
+                rot = _haar_orthogonal(x.dim, rng)
             iso = Isometry(rot, cy - rot @ cx)
         moved = iso.apply(x.points)
         best = (math.inf, None, iso)
@@ -230,6 +251,7 @@ def m_iso(x: EuclideanCloud, y: EuclideanCloud, p=2, restarts: int = 20,
         return best[0], max_alternations, (*best, False, trace)
 
     with np.errstate(over="ignore", invalid="ignore"):
+        vx, vy = _principal_axes(x, cx), _principal_axes(y, cy)
         (val, phi, iso, done, trace), total_iters = _best_restart(restarts, seed, run)
     return SolveReport(val, MongeMap(phi), "alternating", total_iters, done,
                        trace=tuple(trace), transform=iso)

@@ -11,21 +11,11 @@ eigenvalue exp(-48), below float resolution next to its largest eigenvalue
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .networks import MeasureNetwork, _numeric
-
-
-def _integer(v, what: str) -> int:
-    try:  # a float, a string, None or a bool is a TypeError
-        if isinstance(v, bool):
-            raise TypeError
-        return operator.index(v)
-    except TypeError:
-        raise TypeError(f"{what} must be an integer, got {v!r}") from None
+from .networks import MeasureNetwork, _integer, _numeric
 
 
 @dataclass(frozen=True)

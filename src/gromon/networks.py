@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from collections.abc import Mapping
 from dataclasses import dataclass
 
@@ -70,6 +71,36 @@ def _numeric(a, what: str) -> np.ndarray:
             raise TypeError(f"{what} must be a list of numbers, got {v!r}" if v is a
                             else f"each entry of {what} must be a number, got {v!r}")
     return np.asarray(a, dtype=float)
+
+
+def _integer(v, what: str) -> int:
+    try:  # a float, a string, None or a bool is a TypeError
+        if isinstance(v, bool):
+            raise TypeError
+        return operator.index(v)
+    except TypeError:
+        raise TypeError(f"{what} must be an integer, got {v!r}") from None
+
+
+def _integers(a, what: str) -> np.ndarray:
+    """An integer input field as an intp array.
+
+    An ndarray passes on its dtype kind (signed or unsigned).  Nested lists are
+    walked leaf by leaf, and each leaf must pass ``_integer``: a bool, float,
+    str, None or any other leaf is a ``TypeError``, where ``np.asarray`` would
+    truncate or parse it.
+    """
+    stack = [a]
+    while stack:
+        v = stack.pop()
+        if isinstance(v, np.ndarray):
+            if v.dtype.kind not in "iu":
+                raise TypeError(f"{what} must hold integers, got an array of {v.dtype}")
+        elif isinstance(v, (list, tuple)):
+            stack.extend(reversed(v))
+        else:
+            _integer(v, what if v is a else f"each entry of {what}")
+    return np.asarray(a, dtype=np.intp)
 
 
 def _frozen(a, dtype=float) -> np.ndarray:
@@ -336,7 +367,7 @@ class MongeMap:
     assignment: np.ndarray
 
     def __post_init__(self):
-        a = np.asarray(self.assignment, dtype=np.intp)
+        a = _integers(self.assignment, "assignment")
         if a.ndim != 1 or a.size == 0:
             raise ValueError("assignment must be a nonempty 1-d integer array")
         if a.min() < 0:
@@ -351,8 +382,8 @@ class MongeMap:
 def check_measure_preserving(phi: MongeMap, source_weights, target_weights) -> None:
     """Raise unless ``phi`` pushes the source weights onto the target weights,
     each fiber sum within ``TOL_MASS`` of its target weight."""
-    sw = np.asarray(source_weights, dtype=float)
-    tw = np.asarray(target_weights, dtype=float)
+    sw = _numeric(source_weights, "source weights")
+    tw = _numeric(target_weights, "target weights")
     a = phi.assignment
     if a.size != sw.size:
         raise NotMeasurePreservingError(
@@ -458,8 +489,8 @@ def distortion_map(netX: MeasureNetwork, netY: MeasureNetwork, phi: MongeMap, p)
 
 def coupling_from_map(phi: MongeMap, source_weights, target_weights) -> Coupling:
     """The sparse coupling induced by a measure-preserving map."""
-    sw = np.asarray(source_weights, dtype=float)
-    tw = np.asarray(target_weights, dtype=float)
+    sw = _numeric(source_weights, "source weights")
+    tw = _numeric(target_weights, "target weights")
     check_measure_preserving(phi, sw, tw)
     table = np.zeros((sw.size, tw.size))
     table[np.arange(sw.size), phi.assignment] = sw
@@ -490,7 +521,7 @@ def pullback_network(net_metric: MeasureNetwork, rho: MongeMap,
         raise ValueError(
             f"pullback requires a metric network (worst axiom violation {flag.max_violation:g})"
         )
-    sw = np.asarray(source_weights, dtype=float)
+    sw = _numeric(source_weights, "source weights")
     check_measure_preserving(rho, sw, net_metric.weights)
     a = rho.assignment
     return MeasureNetwork(sw, net_metric.omega[np.ix_(a, a)])

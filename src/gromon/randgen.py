@@ -10,7 +10,7 @@ import numpy as np
 
 from .euclidean import EuclideanCloud, Isometry, _haar_orthogonal
 from .graphs import Graph
-from .networks import Coupling, MeasureNetwork
+from .networks import Coupling, MeasureNetwork, _numeric
 
 
 def _rng(seed) -> np.random.Generator:
@@ -67,8 +67,8 @@ def random_coupling(source_weights, target_weights, seed) -> Coupling:
     """Random coupling: positive seeded table projected onto the marginals
     by alternating row/column scaling, at most 500 rounds or until the row
     sums are within 1e-13."""
-    sw = np.asarray(source_weights, dtype=float)
-    tw = np.asarray(target_weights, dtype=float)
+    sw = _numeric(source_weights, "source weights")
+    tw = _numeric(target_weights, "target weights")
     rng = _rng(seed)
     t = rng.uniform(0.5, 1.5, size=(sw.size, tw.size))
     for _ in range(500):

@@ -21,8 +21,8 @@ import math
 from typing import Any
 
 from .euclidean import EuclideanCloud, Isometry
-from .graphs import Graph, _integer
-from .networks import Coupling, MeasureNetwork, MongeMap
+from .graphs import Graph
+from .networks import Coupling, MeasureNetwork, MongeMap, _integer
 from .solvers import MassSplit, SolveReport
 
 

@@ -38,6 +38,7 @@ from .networks import (
     _check_weights,
     _distortion,
     _exact_sum,
+    _numeric,
     check_exponent,
     check_measure_preserving,
     distortion_map,
@@ -162,8 +163,8 @@ def enumerate_monge_maps(source_weights, target_weights) -> Iterator[MongeMap]:
     ``check_measure_preserving``.  An empty stream is a valid result and
     signals that the Gromov-Monge distance is infinite.
     """
-    sw = np.asarray(source_weights, dtype=float)
-    tw = np.asarray(target_weights, dtype=float)
+    sw = _numeric(source_weights, "source weights")
+    tw = _numeric(target_weights, "target weights")
     _check_weights(sw, "source weights")
     _check_weights(tw, "target weights")
     for block in _assignment_blocks(sw, tw):

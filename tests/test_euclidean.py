@@ -185,12 +185,22 @@ def test_m_iso_reflection_flag():
     assert full.value <= 1e-8
 
 
-def _m_iso_restarts_reference(x, y, p, restarts, seed, max_alternations):
+def _axes(cloud, centroid):
+    d = cloud.points - centroid
+    return np.linalg.eigh(d.T @ (cloud.weights[:, None] * d))[1]
+
+
+def _m_iso_restarts_reference(x, y, p, restarts, seed, max_alternations,
+                              axis_starts=True):
     """(value, witness, iterations, converged, trace, transform) of m_iso's own
-    restart loop, as it was before the shared restart driver."""
+    restart loop, as it was before the shared restart driver.  With
+    ``axis_starts`` restarts 1..2^dim start from the principal axes of x
+    mapped onto those of y, restart r flipping the axes set in r - 1;
+    without, every restart past 0 starts from a seeded Haar rotation."""
     n = x.n
     cx = x.weights @ x.points
     cy = y.weights @ y.points
+    vx, vy = _axes(x, cx), _axes(y, cy)
 
     def run(iso, phi):
         if phi is not None:
@@ -219,8 +229,11 @@ def _m_iso_restarts_reference(x, y, p, restarts, seed, max_alternations):
         if r == 0:
             start = Isometry(np.eye(x.dim), cy - cx)
             return (*run(start, np.arange(n, dtype=np.intp)), r)
-        rng = np.random.default_rng([seed, r])
-        rot = euclidean._haar_orthogonal(x.dim, rng)
+        if axis_starts and r <= 2 ** x.dim:
+            flips = (r - 1) >> np.arange(x.dim) & 1
+            rot = (vy * (1 - 2 * flips)) @ vx.T
+        else:
+            rot = euclidean._haar_orthogonal(x.dim, np.random.default_rng([seed, r]))
         start = Isometry(rot, cy - rot @ cx)
         return (*run(start, None), r)
 
@@ -244,13 +257,18 @@ def _registration_pairs():
     # numpy's norm sums a last axis of 8 or more pairwise
     yield random_cloud(10, 8, 69), random_cloud(10, 8, 70)
     yield random_cloud(11, 9, 71), random_cloud(11, 9, 72)
-    # built like the cloud registration benchmark
-    x = random_cloud(100, 3, [73, 0])
-    perm = np.random.default_rng([73, 2]).permutation(100)
+    yield _planted_pair([73])[:2]
+
+
+def _planted_pair(key):
+    """Built like the cloud registration benchmark: a 100-point cloud, and a
+    rigidly moved copy with noise 0.02 whose point perm[i] is point i."""
+    x = random_cloud(100, 3, [*key, 0])
+    perm = np.random.default_rng([*key, 2]).permutation(100)
     points = np.empty_like(x.points)
-    points[perm] = (random_isometry(3, [73, 1]).apply(x.points)
-                    + 0.02 * np.random.default_rng([73, 3]).standard_normal((100, 3)))
-    yield x, EuclideanCloud(points, x.weights)
+    points[perm] = (random_isometry(3, [*key, 1]).apply(x.points)
+                    + 0.02 * np.random.default_rng([*key, 3]).standard_normal((100, 3)))
+    return x, EuclideanCloud(points, x.weights), perm
 
 
 @pytest.mark.parametrize("p", [1, 1.5, 2, 3])
@@ -267,6 +285,47 @@ def test_m_iso_restart_driver_matches_own_loop(p):
             assert got.trace == tuple(trace)
             assert got.transform.rotation.tobytes() == iso.rotation.tobytes()
             assert got.transform.translation.tobytes() == iso.translation.tobytes()
+
+
+@pytest.mark.parametrize("k", range(8))
+def test_m_iso_axis_starts_find_planted_match(k):
+    x, y, perm = _planted_pair([73, k])
+    got = m_iso(x, y, p=2, restarts=10, seed=k)
+    assert np.array_equal(got.witness.assignment, perm)
+    haar = _m_iso_restarts_reference(x, y, 2, 10, k, 100, axis_starts=False)
+    assert got.value <= haar[0]
+    # restart 0, the identity fit, is the same start in both loops
+    one = m_iso(x, y, p=2, restarts=1, seed=k)
+    val, phi, _, _, trace, _ = _m_iso_restarts_reference(x, y, 2, 1, k, 100, axis_starts=False)
+    assert float(one.value).hex() == float(val).hex()
+    assert np.array_equal(one.witness.assignment, phi)
+    assert one.trace == tuple(trace)
+
+
+def _recomputed_value(x, y, report, p):
+    phi, iso = report.witness.assignment, report.transform
+    lengths = np.linalg.norm(iso.apply(x.points) - y.points[phi], axis=1)
+    return math.fsum((x.weights * lengths ** p).tolist()) ** (1.0 / p)
+
+
+def _square_pair():
+    # equal covariance eigenvalues: every pair of orthogonal axes is principal
+    x = EuclideanCloud([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]], [0.25] * 4)
+    y = EuclideanCloud(random_isometry(2, 77).apply(x.points)[[2, 0, 3, 1]], x.weights)
+    return x, y
+
+
+@pytest.mark.parametrize("pair,restarts", [
+    ((random_cloud(9, 1, 78), random_cloud(9, 1, 79)), 5),  # 2 sign patterns
+    ((random_cloud(12, 9, 80), random_cloud(12, 9, 81)), 6),  # 512 patterns, 5 slots
+    (_square_pair(), 10),
+])
+@pytest.mark.parametrize("p", [1, 2])
+def test_m_iso_axis_starts_return_permutation_and_value(pair, restarts, p):
+    x, y = pair
+    got = m_iso(x, y, p=p, restarts=restarts, seed=3)
+    assert np.array_equal(np.sort(got.witness.assignment), np.arange(x.n))
+    assert got.value == pytest.approx(_recomputed_value(x, y, got, p), rel=1e-12, abs=1e-12)
 
 
 def test_m_iso_cost_memory_is_bounded():

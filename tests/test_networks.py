@@ -13,6 +13,7 @@ from gromon import (
     MongeMap,
     NotMeasurePreservingError,
     check_exponent,
+    check_measure_preserving,
     coupling_from_map,
     distortion_map,
     distortion_p,
@@ -27,7 +28,7 @@ from gromon import (
 from gromon.euclidean import EuclideanCloud, Isometry
 from gromon.networks import _BLOCK, _SMALL, _exact_sum, pseudometric_violation
 from gromon.randgen import random_coupling, random_metric_network
-from gromon.solvers import gm_over_split
+from gromon.solvers import enumerate_monge_maps, gm_over_split
 
 from conftest import networks, relabeled
 
@@ -652,3 +653,47 @@ def test_numeric_fields_accept_integer_arrays_and_lists():
     assert net.omega.dtype == float and net.omega[0, 1] == 1.0
     cloud = EuclideanCloud(np.arange(4, dtype=np.uint8).reshape(2, 2), (0.5, 0.5))
     assert cloud.points.tolist() == [[0.0, 1.0], [2.0, 3.0]]
+
+
+@pytest.mark.parametrize("bad", BAD_NUMERIC)
+def test_map_weight_arguments_reject_non_numbers(bad):
+    half = [0.5, 0.5]
+    cases = [
+        lambda: check_measure_preserving(MongeMap([0, 1]), bad, half),
+        lambda: check_measure_preserving(MongeMap([0, 1]), half, bad),
+        lambda: coupling_from_map(MongeMap([0, 1]), bad, half),
+        lambda: coupling_from_map(MongeMap([0, 1]), half, bad),
+        lambda: pullback_network(simplex_network(2), MongeMap([0, 1]), bad),
+        lambda: next(enumerate_monge_maps(bad, half)),
+        lambda: random_coupling(half, bad, 0),
+    ]
+    for call in cases:
+        with pytest.raises(TypeError, match="number"):
+            call()
+
+
+BAD_INTEGER = [
+    pytest.param([0.7, 1.9, True], id="floats-and-bool"),
+    pytest.param([0, 1.0], id="integral-float"),
+    pytest.param([True, False], id="bools"),
+    pytest.param(["0", "1"], id="strings"),
+    pytest.param([0, None], id="null"),
+    pytest.param([[0, np.float64(1.0)]], id="nested-float"),
+    pytest.param("01", id="string-field"),
+    pytest.param(range(2), id="range"),
+    pytest.param(np.array([0.0, 1.0]), id="float-array"),
+    pytest.param(np.array([True, False]), id="bool-array"),
+]
+
+
+@pytest.mark.parametrize("bad", BAD_INTEGER)
+def test_monge_map_rejects_non_integers(bad):
+    with pytest.raises(TypeError, match="integer"):
+        MongeMap(bad)
+
+
+def test_monge_map_accepts_integer_arrays_and_lists():
+    for good in ([2, 0, np.int64(1)], (2, 0, 1), np.array([2, 0, 1], dtype=np.uint8),
+                 np.array([2, 0, 1], dtype=np.intp)):
+        phi = MongeMap(good)
+        assert phi.assignment.dtype == np.intp and phi.assignment.tolist() == [2, 0, 1]
