@@ -1,6 +1,9 @@
 import itertools
 import math
+import sys
+import threading
 import warnings
+from collections import OrderedDict
 from fractions import Fraction
 
 import numpy as np
@@ -243,8 +246,165 @@ def test_gm_unchanged_by_block_size(block, monkeypatch):
         return out
 
     expected = solve_all()
+    # _BLOCK_MAPS is part of the replay key: the second solve enumerates each
+    # of the three pairs that admit maps afresh, in blocks of the new size
+    monkeypatch.setattr(solvers, "_replay", OrderedDict())
+    cold, enumerate_blocks = [], solvers._assignment_blocks
+
+    def counted(source, target):
+        cold.append((source.tolist(), target.tolist()))
+        return enumerate_blocks(source, target)
+
+    monkeypatch.setattr(solvers, "_assignment_blocks", counted)
     monkeypatch.setattr(solvers, "_BLOCK_MAPS", block)
     assert solve_all() == expected
+    assert len(cold) == 3
+    assert all(len(b) <= block for blocks in solvers._replay.values() for b in blocks)
+
+
+# (source weights, target weights) of the gm_enum benchmark shapes: uniform
+# 7-7, rational 7-5 and the same kind of weights as 10-digit decimals, 7-6
+REPLAY_SHAPES = (
+    (np.full(7, 1 / 7), np.full(7, 1 / 7)),
+    (np.full(7, 1 / 7), np.array([2, 2, 1, 1, 1]) / 7),
+    (np.full(7, round(1 / 7, 10)), np.round(np.array([2, 1, 1, 1, 1, 1]) / 7, 10)),
+)
+
+
+def replay_pair(shape, seed):
+    wx, wy = REPLAY_SHAPES[shape]
+    return (MeasureNetwork(wx, random_metric_network(wx.size, [seed, 0]).omega),
+            MeasureNetwork(wy, random_metric_network(wy.size, [seed, 1]).omega))
+
+
+def report_bits(report):
+    return report.value.hex(), report.witness.assignment.tolist(), report.iterations
+
+
+def refuse_enumeration(*args):
+    raise AssertionError("enumerated a pair whose maps were stored")
+
+
+@pytest.mark.parametrize("p", [1, 1.5, 2, 3, math.inf])
+@pytest.mark.parametrize("shape", range(3))
+def test_gm_replay_matches_cold_enumeration(shape, p, monkeypatch):
+    monkeypatch.setattr(solvers, "_replay", OrderedDict())
+    x, y = replay_pair(shape, 50 + shape)
+    cold = gm_exact(x, y, p)
+    assert len(solvers._replay) == 1
+    # the same pair and other tables on the same weights replay the stored maps
+    x2, y2 = replay_pair(shape, 60 + shape)
+    with monkeypatch.context() as mp:
+        mp.setattr(solvers, "_assignment_blocks", refuse_enumeration)
+        replayed = [gm_exact(x, y, p), gm_exact(x2, y2, p)]
+    monkeypatch.setattr(solvers, "_replay", OrderedDict())
+    assert report_bits(replayed[0]) == report_bits(cold)
+    assert report_bits(replayed[1]) == report_bits(gm_exact(x2, y2, p))
+
+
+def test_cap_exceeded_on_replay_and_never_stored(monkeypatch):
+    monkeypatch.setattr(solvers, "_replay", OrderedDict())
+    x, y = replay_pair(1, 70)
+    with pytest.raises(CapExceededError) as cold:
+        gm_exact(x, y, 2, cap=100)
+    assert not solvers._replay  # a stream stopped by the cap is not stored
+    gm_exact(x, y, 2)
+    assert len(solvers._replay) == 1
+    monkeypatch.setattr(solvers, "_assignment_blocks", refuse_enumeration)
+    with pytest.raises(CapExceededError) as replayed:
+        gm_exact(x, y, 2, cap=100)
+    assert str(replayed.value) == str(cold.value)
+    assert gm_exact(x, y, 2, cap=1260).iterations == 1260  # exactly at the cap
+
+
+def test_replay_stores_only_whole_streams_within_budget(monkeypatch):
+    monkeypatch.setattr(solvers, "_replay", OrderedDict())
+    w, half = np.full(6, 1 / 6), np.full(3, 1 / 3)  # 90 maps of 6 entries
+    assert next(enumerate_monge_maps(w, half)).assignment.tolist() == [0, 0, 1, 1, 2, 2]
+    assert not solvers._replay  # a caller stopped after one map
+    monkeypatch.setattr(solvers, "_REPLAY_ENTRIES", 90 * 6 - 1)
+    assert len(list(enumerate_monge_maps(w, half))) == 90
+    assert not solvers._replay  # one entry over the budget
+    monkeypatch.setattr(solvers, "_REPLAY_ENTRIES", 90 * 6)
+    maps = [m.assignment.tolist() for m in enumerate_monge_maps(w, half)]
+    blocks = solvers._replay[w.tobytes(), half.tobytes(), solvers._BLOCK_MAPS]
+    assert [row.tolist() for b in blocks for row in b] == maps
+    for b in blocks:
+        assert not b.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            b[0, 0] = 1
+
+
+def test_replay_evicts_least_recently_used(monkeypatch):
+    monkeypatch.setattr(solvers, "_replay", OrderedDict())
+    monkeypatch.setattr(solvers, "_REPLAY_PAIRS", 2)
+    monkeypatch.setattr(solvers, "_REPLAY_ENTRIES", 20)
+    # maps x entries: 2 x 2, 6 x 3, 1 x 1 and 1 x 2
+    pairs = [(np.full(n, 1 / n), np.full(n, 1 / n)) for n in (2, 3, 1)]
+    pairs.append((np.array([0.25, 0.75]), np.array([0.75, 0.25])))
+
+    def enumerate_pair(i):
+        list(enumerate_monge_maps(*pairs[i]))
+        return [next(i for i, (s, t) in enumerate(pairs)
+                     if (s.tobytes(), t.tobytes()) == key[:2]) for key in solvers._replay]
+
+    assert enumerate_pair(0) == [0]
+    assert enumerate_pair(1) == [1]  # 22 entries: over the budget together
+    assert enumerate_pair(0) == [0]
+    assert enumerate_pair(2) == [0, 2]
+    assert enumerate_pair(3) == [2, 3]  # one pair too many
+    assert enumerate_pair(2) == [3, 2]  # replayed: now the most recent
+
+
+def test_replay_store_shared_by_threads(monkeypatch):
+    """Threads that replay and evict the same few pairs all see every map."""
+    monkeypatch.setattr(solvers, "_replay", OrderedDict())
+    monkeypatch.setattr(solvers, "_REPLAY_PAIRS", 2)
+    pairs = [(np.full(n, 1 / n), np.full(n, 1 / n)) for n in (1, 2, 3)]
+    expected = [[m.assignment.tolist() for m in enumerate_monge_maps(*pair)] for pair in pairs]
+    errors, done = [], []
+
+    def work(t):
+        try:
+            for r in range(1000):
+                i = (t + r) % 3
+                assert [m.assignment.tolist() for m in enumerate_monge_maps(*pairs[i])] == expected[i]
+            done.append(t)
+        except Exception as exc:  # reported by the main thread
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(t,)) for t in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert sorted(done) == list(range(6))
+    assert len(solvers._replay) <= 2
+
+
+@pytest.mark.parametrize("p", [1, 1.5, 2, 3, math.inf])
+def test_batch_distortion_in_place_matches_out_of_place(p):
+    rng = np.random.default_rng([80, int(min(p, 9) * 2)])
+    for n, m, batch in ((7, 5, 300), (6, 6, 1), (4, 2, 50)):
+        omx = rng.uniform(-3, 3, (n, n))
+        omy = rng.uniform(-3, 3, (m, m))
+        w = rng.uniform(0.1, 1, n)
+        assigns = rng.integers(0, m, (batch, n)).astype(np.intp)
+        diff = np.abs(omx[None, :, :] - omy[assigns[:, :, None], assigns[:, None, :]])
+        if math.isinf(p):
+            expected = diff.max(axis=(1, 2))
+        else:
+            diff = diff * diff if p == 2 else diff if p == 1 else diff ** p
+            expected = np.einsum("bik,i,k->b", diff, w, w)
+        got = solvers._map_distortion_batch(omx, omy, w, assigns, float(p))
+        assert got.tobytes() == expected.tobytes()
 
 
 def test_gm_near_equal_small_weights_is_finite():
