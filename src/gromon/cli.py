@@ -19,7 +19,7 @@ from . import serialize
 from .acceptance import run_all
 from .euclidean import m_iso
 from .graphs import heat_kernel_network
-from .networks import EPS_SUPP, parse_exponent
+from .networks import EPS_SUPP, distortion_map, parse_exponent
 from .randgen import (
     random_cloud,
     random_graph,
@@ -31,7 +31,6 @@ from .solvers import (
     gm_exact,
     gw_frank_wolfe,
     gw_spd_vertex_ascent,
-    gm_over_split,
     mass_split_from_coupling,
 )
 
@@ -206,7 +205,7 @@ def _cmd_split(args) -> int:
     net_y = serialize.load_network(args.target)
     pi = serialize.load_coupling(args.coupling, net_x.weights, net_y.weights)
     split = mass_split_from_coupling(net_x, net_y, pi)
-    value = gm_over_split(net_x, net_y, pi, p)
+    value = distortion_map(split.Z, net_y, split.phi, p)
     sys.stdout.write(serialize.dumps_canonical(
         serialize.mass_split_to_dict(split, value)))
     return 0

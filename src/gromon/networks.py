@@ -125,16 +125,12 @@ def _pieces(blocks):
             yield flat[start:start + _BLOCK]
 
 
-def _split_point(r: np.ndarray, top: float) -> int:
-    """Exponent of the extraction point sigma of a piece r with max|r| = top."""
-    return (2 * r.size + 2).bit_length() + math.frexp(top)[1]
-
-
 def _exact_sum(terms) -> float:
-    """Exactly rounded sum of an array, or of the arrays an iterable yields.
+    """Exactly rounded sum of an array, or of the arrays that a zero-argument
+    callable yields afresh on each call.
 
-    Equal bit for bit to ``math.fsum`` over all elements in order, without
-    boxing them, by the error-free extraction of Rump, Ogita & Oishi
+    Equal bit for bit to ``math.fsum`` over all elements in order, usually
+    without boxing them, by the error-free extraction of Rump, Ogita & Oishi
     ("Accurate floating-point summation, part I", 2008).  A piece r of N
     elements with max|r| < 2**e is split at sigma = 2**s, s = k + e,
     k = bit_length(2N + 2): q = (sigma + r) - sigma is exact, lies on the
@@ -147,36 +143,23 @@ def _exact_sum(terms) -> float:
     within N**2 * 2**(s - 106) of their exact sum; E adds these bounds over
     the pieces with 4x slack.  If math.fsum of the exact partial sums gives
     the same float with -E and with +E appended, that float is the rounded
-    exact sum, since rounding is monotone.  Otherwise every piece is
-    extracted again until its remainder is zero, which iterates ``terms`` a
-    second time, so a one-shot iterator is listed first.  A piece of nonzero
-    magnitude under 2**-900, where E could underflow, sends the sum to that
-    exhaustive pass directly, and so does a non-finite or huge term; there
-    it hands everything from its piece on to math.fsum as it is, so
-    overflow and nan behave as there.
+    exact sum, since rounding is monotone.  Otherwise the blocks are formed
+    a second time and math.fsum runs over every term, one piece at a time,
+    so memory stays O(_BLOCK).  It goes there at once when a piece holds a
+    non-finite or huge term, so overflow and nan behave as in math.fsum, or
+    has a nonzero magnitude under 2**-900, where E could underflow.
     """
-    if isinstance(terms, np.ndarray):
-        blocks = (terms,)
-    else:
-        blocks = list(terms) if iter(terms) is terms else terms
-    value = _certified_sum(blocks)
-    return _extracted_sum(blocks) if value is None else value
-
-
-def _certified_sum(blocks) -> float | None:
-    """The exactly rounded sum from one extraction per piece, or None when
-    that does not decide the rounding or a piece is huge, tiny or not
-    finite."""
+    blocks = (lambda: (terms,)) if isinstance(terms, np.ndarray) else terms
     parts: list[float] = []
     bound = 0.0
-    for r in _pieces(blocks):
+    for r in _pieces(blocks()):
         top = float(np.abs(r).max())
         if not top < _TOP:
-            return None
+            break
         if r.size < _SMALL:
             parts += r.tolist()
         elif top >= _TINY:
-            s = _split_point(r, top)
+            s = (2 * r.size + 2).bit_length() + math.frexp(top)[1]
             sigma = math.ldexp(1.0, s)
             q = r + sigma
             q -= sigma
@@ -185,46 +168,14 @@ def _certified_sum(blocks) -> float | None:
             parts.append(float(q.sum()))
             bound += math.ldexp(r.size * r.size, s - 104)
         elif top:
-            return None
-    if not bound:
-        return math.fsum(parts)
-    low = math.fsum(parts + [-bound])
-    return low if low == math.fsum(parts + [bound]) else None
-
-
-def _extracted_sum(blocks) -> float:
-    """The exactly rounded sum, extracting from each piece until its
-    remainder is zero."""
-    pieces = _pieces(blocks)
-    parts: list[float] = []
-    for r in pieces:
-        top = float(np.abs(r).max())
-        if not top < _TOP:
-            rest = itertools.chain.from_iterable(x.tolist() for x in pieces)
-            return math.fsum(itertools.chain(parts, r.tolist(), rest))
-        if r.size < _SMALL:
-            parts += r.tolist()
-            continue
-        r = np.array(r, dtype=float)
-        q = np.empty_like(r)
-        while top:
-            sigma = math.ldexp(1.0, _split_point(r, top))
-            np.add(r, sigma, out=q)
-            q -= sigma
-            parts.append(float(q.sum()))
-            r -= q
-            top = float(np.abs(r).max())
-    return math.fsum(parts)
-
-
-class _Reiterable:
-    """An iterable whose every ``iter()`` calls ``make()`` afresh."""
-
-    def __init__(self, make):
-        self._make = make
-
-    def __iter__(self):
-        return self._make()
+            break
+    else:
+        if not bound:
+            return math.fsum(parts)
+        low = math.fsum(parts + [-bound])
+        if low == math.fsum(parts + [bound]):
+            return low
+    return math.fsum(itertools.chain.from_iterable(r.tolist() for r in _pieces(blocks())))
 
 
 def _distortion(omx: np.ndarray, omy: np.ndarray, ix: np.ndarray, iy: np.ndarray,
@@ -236,7 +187,8 @@ def _distortion(omx: np.ndarray, omy: np.ndarray, ix: np.ndarray, iy: np.ndarray
     p-th root of the exactly rounded sum of the terms mismatch**p * w[a] * w[b],
     multiplied left to right, or mismatch**p * (w[a] * w[b]) when
     ``pair_weights`` is set.  Each block of about _BLOCK terms is formed in
-    place, and only one exists at a time; the sum may form them twice.
+    place, and only one exists at a time; ``_exact_sum`` calls ``terms``
+    once, or twice when it falls back to ``math.fsum``.
     On finite tables the result is infinite only when a term overflowed,
     which raises ``ValueError``.
     """
@@ -268,7 +220,7 @@ def _distortion(omx: np.ndarray, omy: np.ndarray, ix: np.ndarray, iy: np.ndarray
         if math.isinf(p):
             value = max(float(d.max()) for _, d in mismatch())
         else:
-            value = _exact_sum(_Reiterable(terms))
+            value = _exact_sum(terms)
     if not math.isfinite(value):
         raise ValueError("the order-p distortion overflows float64 on these tables")
     return value if math.isinf(p) else value ** (1.0 / p)

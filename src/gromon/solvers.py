@@ -253,10 +253,11 @@ def gm_exact(netX: MeasureNetwork, netY: MeasureNetwork, p,
 
     Scans every measure-preserving map (each fiber sum within ``TOL_MASS``
     of its target weight), block by block from the enumerator behind
-    ``enumerate_monge_maps``, and returns the first minimizer in
-    lexicographic order; ``iterations`` is the number of maps scanned.  The
-    search ranks maps with vectorized float64 sums; the reported value is
-    then recomputed for the winning map with exactly-rounded accumulation.
+    ``enumerate_monge_maps``, and returns the first minimizer of the float64
+    ranking; its value is exactly rounded.  ``iterations`` is the number of
+    maps scanned.  Maps are ranked by vectorized float64 sums, so one with a
+    lower exact value can lose by a rounding; only the winner's value is
+    then recomputed with exactly-rounded accumulation.
     When no map exists the value is ``math.inf`` (infimum over the empty set);
     when maps exist but every one's distortion overflows float64, it raises
     ``ValueError``.

@@ -1,6 +1,9 @@
+import argparse
 import json
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -422,6 +425,19 @@ def test_threads_flag_is_rejected(argv, capsys):
                                   ["spd", "a", "b"], ["miso", "a", "b"]])
 def test_format_flag_on_report_commands(argv):
     assert cli._build_parser().parse_args([*argv, "--format", "csv"]).format == "csv"
+
+
+def test_readme_lists_the_flags_of_each_subcommand():
+    # the README's flag table has one row per subcommand, naming exactly the
+    # flags that subcommand's parser takes
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    subparsers = next(a for a in cli._build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    for name, sub in subparsers.choices.items():
+        row = re.search(rf"^\| `{name}` +\|(.*)$", readme, re.M)
+        assert row, f"no README flag row for {name}"
+        flags = {f for a in sub._actions for f in a.option_strings if f.startswith("--")}
+        assert set(re.findall(r"--[a-z][a-z-]*", row[1])) == flags - {"--help"}, name
 
 
 def test_bad_seed_environment_fails_only_seeded_commands(monkeypatch, capsys):

@@ -394,7 +394,7 @@ def test_exact_sum_of_block_iterable():
     rng = np.random.default_rng(3)
     blocks = [rng.standard_normal(s) * 1e-3 for s in (5, _BLOCK + 9, 0, _SMALL, 40)]
     want = math.fsum(np.concatenate(blocks).tolist())
-    assert _exact_sum(iter(blocks)) == want
+    assert _exact_sum(lambda: iter(blocks)) == want
     assert _exact_sum(np.concatenate(blocks).reshape(-1, 1)) == want
 
 
@@ -496,8 +496,8 @@ def test_kernel_forms_the_reference_terms(pair, monkeypatch):
     x, y, pi = pair
     seen = []
 
-    def recording_sum(blocks):
-        seen.append(np.concatenate([b.ravel() for b in blocks]))
+    def recording_sum(terms):
+        seen.append(np.concatenate([b.ravel() for b in terms()]))
         return math.fsum(seen[-1].tolist())
 
     monkeypatch.setattr(networks_module, "_exact_sum", recording_sum)
@@ -523,8 +523,8 @@ def test_distortion_forms_terms_of_support_pairs_only(monkeypatch):
     assert support <= 23
     formed = []
 
-    def counting_sum(blocks):
-        blocks = [b.ravel() for b in blocks]
+    def counting_sum(terms):
+        blocks = [b.ravel() for b in terms()]
         formed.append(sum(b.size for b in blocks))
         return math.fsum(np.concatenate(blocks).tolist())
 
@@ -567,7 +567,7 @@ def test_distortion_memory_is_bounded(p):
     assert peak < 8 * 2**20
 
 
-# -- certified sums: one extraction per piece, else the exhaustive pass --------
+# -- certified sums: one extraction per piece, else math.fsum over every term ---
 
 def _undecided_sums():
     """2 * _SMALL terms summing exactly to the tie 1 + 2**-53, and to just
@@ -580,38 +580,44 @@ def _undecided_sums():
             pytest.param(above, 1.0 + 2.0 ** -52, id="above-tie")]
 
 
-def _recording_exhaustive_pass(monkeypatch):
-    import gromon.networks as networks_module
+# _exact_sum calls its terms callable once when one extraction per piece
+# decides the rounding, and a second time when it falls back to math.fsum.
 
-    calls = []
-    exhaustive = networks_module._extracted_sum
-
-    def recording(blocks):
-        calls.append(blocks)
-        return exhaustive(blocks)
-
-    monkeypatch.setattr(networks_module, "_extracted_sum", recording)
-    return calls
-
-
-@pytest.mark.parametrize("one_shot", [False, True], ids=["array", "one-shot-iterator"])
+@pytest.mark.parametrize("halves", [False, True], ids=["array", "halves"])
 @pytest.mark.parametrize("a,want", _undecided_sums())
-def test_exact_sum_falls_back_when_undecided(a, want, one_shot, monkeypatch):
-    calls = _recording_exhaustive_pass(monkeypatch)
-    terms = iter([a[:_SMALL], a[_SMALL:]]) if one_shot else a
-    got = _exact_sum(terms)
-    assert got == math.fsum(a.tolist()) == want
-    assert len(calls) == 1
+def test_exact_sum_falls_back_when_undecided(a, want, halves):
+    calls = []
+
+    def terms():
+        calls.append(None)
+        return [a[:_SMALL], a[_SMALL:]] if halves else [a]
+
+    assert _exact_sum(terms) == math.fsum(a.tolist()) == want
+    assert len(calls) == 2
 
 
 def test_distortion_sums_take_one_extraction(monkeypatch):
     # nonnegative terms over 21 blocks: the certified pass always decides
-    calls = _recording_exhaustive_pass(monkeypatch)
+    import gromon.networks as networks_module
+
+    exact_sum = networks_module._exact_sum
+    calls = []
+
+    def counting_sum(terms):
+        calls.append(0)
+
+        def formed():
+            calls[-1] += 1
+            return terms()
+
+        return exact_sum(formed)
+
+    monkeypatch.setattr(networks_module, "_exact_sum", counting_sum)
     x, y, pi = list(_rect_pairs())[-1]
     for p in (1, 1.5, 2, 3):
         distortion_p(x, y, pi, p)
         gm_over_split(x, y, pi, p)
-    assert calls == []
+    assert calls == [1] * 8
 
 
 # -- numeric input fields ---------------------------------------------------------

@@ -424,6 +424,18 @@ def test_gm_report_value_matches_witness():
         distortion_map(net_x, net_y, report.witness, 2), abs=1e-10)
 
 
+@pytest.mark.xfail(strict=True, reason="gm_exact ranks maps by float64 sums; the map "
+                   "[2 0 0 1 1 3] is 1 ulp below its witness [0 0 2 1 1 3]")
+def test_gm_value_is_the_exact_minimum():
+    net_x = MeasureNetwork(np.full(6, 1 / 6), random_metric_network(6, [16, 1, 0]).omega)
+    net_y = MeasureNetwork(np.array([2, 2, 1, 1]) / 6,
+                           random_metric_network(4, [16, 1, 1]).omega)
+    exact = min(distortion_map(net_x, net_y, phi, 1)
+                for phi in enumerate_monge_maps(net_x.weights, net_y.weights))
+    assert exact == 0.3818306903468243
+    assert gm_exact(net_x, net_y, 1).value == exact
+
+
 def test_gm_infinity_values():
     for n in (2, 4, 7):
         assert gm_infinity(simplex_network(n), one_point_network()).value == 1.0
