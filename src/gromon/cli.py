@@ -16,7 +16,6 @@ import os
 import sys
 
 from . import serialize
-from .acceptance import run_all
 from .euclidean import m_iso
 from .graphs import heat_kernel_network
 from .networks import EPS_SUPP, distortion_map, parse_exponent
@@ -227,6 +226,7 @@ def _cmd_rand(args) -> int:
 
 
 def _cmd_suite(args) -> int:
+    from .acceptance import run_all  # only this command loads the suite
     results = run_all(stream=sys.stdout)
     failed = [r for r in results if not r.passed]
     print(f"{len(results) - len(failed)}/{len(results)} criteria passed")
@@ -251,6 +251,9 @@ def main(argv=None) -> int:
         return _COMMANDS[args.command](args)
     except (ValueError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:  # an input too large for this machine
+        print(f"error: out of memory: {str(exc) or 'allocation failed'}", file=sys.stderr)
         return 1
 
 

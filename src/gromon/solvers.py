@@ -20,10 +20,9 @@ tie rule make results independent of scheduling.
 
 from __future__ import annotations
 
+import functools
 import math
-import threading
 import warnings
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Iterator
 
@@ -157,48 +156,24 @@ def _assignment_blocks(source: np.ndarray, target: np.ndarray) -> Iterator[np.nd
                 yield done
 
 
-# Assignment blocks kept for replay, keyed on the exact bytes of both weight
-# vectors and the block size, least recently used first: callers score one
-# pair of weights against many tables and exponents.  At most _REPLAY_PAIRS
-# pairs and _REPLAY_ENTRIES intp entries in all (8 MiB) are kept.
-_REPLAY_PAIRS = 64
-_REPLAY_ENTRIES = 1 << 20
-_replay: OrderedDict[tuple[bytes, bytes, int], tuple[np.ndarray, ...]] = OrderedDict()
-_replay_lock = threading.Lock()
+# Callers score one pair of weights against many tables and exponents: keep
+# the maps of _REPLAY_PAIRS pairs of _REPLAY_ENTRIES intp entries each (8 MiB).
+_REPLAY_PAIRS = 16
+_REPLAY_ENTRIES = 1 << 16
 
 
-def _map_blocks(source: np.ndarray, target: np.ndarray) -> Iterator[np.ndarray]:
-    """The read-only blocks of ``_assignment_blocks(source, target)``,
-    replayed when the same pair of weights streamed to the end before.
-
-    A first stream is stored only once it has run to the end and its blocks
-    fit ``_REPLAY_ENTRIES``; a stream closed early (a cap, an exception, a
-    caller that stops) is never stored.  Storing a pair evicts the least
-    recently used ones until both bounds hold.
-    """
-    key = (source.tobytes(), target.tobytes(), _BLOCK_MAPS)
-    with _replay_lock:
-        blocks = _replay.get(key)
-        if blocks is not None:
-            _replay.move_to_end(key)
-    if blocks is not None:
-        yield from blocks
-        return
-    kept, entries = [], 0
-    for block in _assignment_blocks(source, target):
-        block.setflags(write=False)
+@functools.lru_cache(maxsize=_REPLAY_PAIRS)
+def _stored_blocks(source: bytes, target: bytes) -> tuple[np.ndarray, ...] | None:
+    """The read-only blocks of ``_assignment_blocks`` for these float64
+    weight bytes, or None once they pass ``_REPLAY_ENTRIES`` entries."""
+    blocks, entries = [], 0
+    for block in _assignment_blocks(np.frombuffer(source), np.frombuffer(target)):
         entries += block.size
-        if entries <= _REPLAY_ENTRIES:
-            kept.append(block)
-        else:
-            kept.clear()  # never stored: hold no blocks for the rest of the scan
-        yield block
-    if entries <= _REPLAY_ENTRIES:
-        with _replay_lock:
-            _replay[key] = tuple(kept)
-            while (len(_replay) > _REPLAY_PAIRS
-                   or sum(b.size for bs in _replay.values() for b in bs) > _REPLAY_ENTRIES):
-                _replay.popitem(last=False)
+        if entries > _REPLAY_ENTRIES:
+            return None
+        block.setflags(write=False)
+        blocks.append(block)
+    return tuple(blocks)
 
 
 def enumerate_monge_maps(source_weights, target_weights) -> Iterator[MongeMap]:
@@ -207,15 +182,14 @@ def enumerate_monge_maps(source_weights, target_weights) -> Iterator[MongeMap]:
     The maps are the rows of the blocks that ``gm_exact`` scans: those whose
     every fiber sum is within ``TOL_MASS`` of its target weight, the rule of
     ``check_measure_preserving``.  An empty stream is a valid result and
-    signals that the Gromov-Monge distance is infinite.  A pair of weight
-    vectors streamed to the end before in this process, byte for byte, is
-    replayed from a bounded store (``_map_blocks``); the maps are the same.
+    signals that the Gromov-Monge distance is infinite.  The maps are
+    enumerated as the caller pulls them; only ``gm_exact`` replays them.
     """
     sw = _numeric(source_weights, "source weights")
     tw = _numeric(target_weights, "target weights")
     _check_weights(sw, "source weights")
     _check_weights(tw, "target weights")
-    for block in _map_blocks(sw, tw):
+    for block in _assignment_blocks(sw, tw):
         for row in block:
             yield MongeMap(row)
 
@@ -266,10 +240,10 @@ def gm_exact(netX: MeasureNetwork, netY: MeasureNetwork, p,
     maps, and ``ValueError`` when ``cap`` is below 1.  Uniform weights count
     their maps in closed form, before any scan.
 
-    The maps depend on the weights alone: a pair of weight vectors whose
-    maps this process enumerated to the end before, byte for byte, replays
-    the stored blocks from a bounded least-recently-used store
-    (``_map_blocks``) instead of enumerating again.  Value, witness,
+    The maps depend on the weights alone, and only this function replays
+    them: the blocks of a pair of weight vectors, keyed on their bytes, stay
+    within the bounds of the least-recently-used store ``_stored_blocks``
+    for later calls to scan instead of enumerating again.  Value, witness,
     ``iterations`` and the cap check are the same either way.
     """
     p = check_exponent(p)
@@ -288,8 +262,9 @@ def gm_exact(netX: MeasureNetwork, netY: MeasureNetwork, p,
     best_key = math.inf
     best_assign = None
     count = 0
+    stored = _stored_blocks(wx.tobytes(), wy.tobytes())
     with np.errstate(over="ignore"):
-        for assigns in _map_blocks(wx, wy):
+        for assigns in _assignment_blocks(wx, wy) if stored is None else stored:
             count += len(assigns)
             if count > cap:
                 raise CapExceededError(

@@ -45,6 +45,17 @@ def test_gm_infeasible_exit_code(workdir):
     assert json.loads(proc.stdout)["value"] == "inf"
 
 
+def test_gm_non_uniform_infeasible_exit_code(workdir, monkeypatch, capsys):
+    serialize.save_network(str(workdir / "x.json"),
+                           MeasureNetwork([0.5, 0.25, 0.25], np.zeros((3, 3))))
+    serialize.save_network(str(workdir / "y.json"), MeasureNetwork([0.6, 0.4], np.zeros((2, 2))))
+    monkeypatch.chdir(workdir)
+    assert cli.main(["gm", "x.json", "y.json"]) == 2
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["value"] == "inf"
+    assert "no measure-preserving map" in captured.err
+
+
 def test_gm_inf_exponent_reports_eps(workdir):
     proc = run_cli(["gm", "delta2.json", "delta2.json", "--p", "inf"], workdir)
     assert proc.returncode == 0, proc.stderr
@@ -312,6 +323,28 @@ def test_rand_graph_bad_edge_prob_exit_one(workdir, edge_prob):
     assert b"edge_prob must be in [0, 1]" in proc.stderr
     assert b"Traceback" not in proc.stderr
     assert not (workdir / "g.json").exists()
+
+
+def test_out_of_memory_is_one_line_input_error(workdir, monkeypatch, capsys):
+    def too_large(n, seed):
+        raise MemoryError("Unable to allocate 7.28 TiB for an array with shape (1000000, 1000000)")
+
+    monkeypatch.setattr(cli, "random_spd_network", too_large)
+    monkeypatch.chdir(workdir)
+    assert cli.main(["rand", "--kind", "spd", "--n", "1000000", "--out", "x.json"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: out of memory: Unable to allocate 7.28 TiB "
+                            "for an array with shape (1000000, 1000000)\n")
+    assert not (workdir / "x.json").exists()
+
+
+def test_cli_import_leaves_out_the_acceptance_suite():
+    proc = subprocess.run([sys.executable, "-c",
+                           "import sys, gromon.cli; print('gromon.acceptance' in sys.modules)"],
+                          capture_output=True, env=child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == b"False\n"
 
 
 def test_spd_command(workdir):

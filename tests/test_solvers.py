@@ -3,7 +3,6 @@ import math
 import sys
 import threading
 import warnings
-from collections import OrderedDict
 from fractions import Fraction
 
 import numpy as np
@@ -182,10 +181,19 @@ def test_gm_weak_iso_gap():
     assert distortion_p(net_x, net_y, pi, 2) == pytest.approx(0.0, abs=1e-12)
 
 
-def test_gm_infeasible_reports_infinity():
-    report = gm_exact(one_point_network(), simplex_network(2), 2)
-    assert math.isinf(report.value)
-    assert report.witness is None
+def test_gm_infeasible_reports_infinity(monkeypatch, empty_store):
+    # uniform weights count no maps; non-uniform ones enumerate none, cold
+    # and then from the stored empty stream
+    skew = (MeasureNetwork([0.5, 0.25, 0.25], np.zeros((3, 3))),
+            MeasureNetwork([0.6, 0.4], np.zeros((2, 2))))
+    reports = [gm_exact(one_point_network(), simplex_network(2), 2), gm_exact(*skew, 2)]
+    assert empty_store(skew[0].weights.tobytes(), skew[1].weights.tobytes()) == ()
+    monkeypatch.setattr(solvers, "_assignment_blocks", refuse_enumeration)
+    reports.append(gm_exact(*skew, 2))
+    for report in reports:
+        assert math.isinf(report.value)
+        assert report.witness is None
+        assert report.iterations == 0
 
 
 def test_gm_indivisible_uniform_is_infinite_without_enumeration(monkeypatch):
@@ -222,7 +230,7 @@ def test_gm_rejects_non_positive_cap(cap):
 
 
 @pytest.mark.parametrize("block", [1, 7])
-def test_gm_unchanged_by_block_size(block, monkeypatch):
+def test_gm_unchanged_by_block_size(block, monkeypatch, empty_store):
     rng = np.random.default_rng(3)
     decimal = np.round(np.array([2, 1, 1, 1, 1]) / 6, 10)
     shapes = [([1 / 5] * 5, [1 / 5] * 5), ([1 / 6] * 6, [2 / 6, 2 / 6, 1 / 6, 1 / 6]),
@@ -246,20 +254,20 @@ def test_gm_unchanged_by_block_size(block, monkeypatch):
         return out
 
     expected = solve_all()
-    # _BLOCK_MAPS is part of the replay key: the second solve enumerates each
-    # of the three pairs that admit maps afresh, in blocks of the new size
-    monkeypatch.setattr(solvers, "_replay", OrderedDict())
+    # the store keeps blocks of the old size: emptied, the second solve
+    # enumerates each of the three pairs that admit maps afresh
+    empty_store.cache_clear()
     cold, enumerate_blocks = [], solvers._assignment_blocks
 
     def counted(source, target):
-        cold.append((source.tolist(), target.tolist()))
+        cold.append((source.tobytes(), target.tobytes()))
         return enumerate_blocks(source, target)
 
     monkeypatch.setattr(solvers, "_assignment_blocks", counted)
     monkeypatch.setattr(solvers, "_BLOCK_MAPS", block)
     assert solve_all() == expected
     assert len(cold) == 3
-    assert all(len(b) <= block for blocks in solvers._replay.values() for b in blocks)
+    assert all(len(b) <= block for pair in cold for b in empty_store(*pair))
 
 
 # (source weights, target weights) of the gm_enum benchmark shapes: uniform
@@ -285,31 +293,35 @@ def refuse_enumeration(*args):
     raise AssertionError("enumerated a pair whose maps were stored")
 
 
+@pytest.fixture()
+def empty_store():
+    """An empty map store, emptied again afterwards."""
+    solvers._stored_blocks.cache_clear()
+    yield solvers._stored_blocks
+    solvers._stored_blocks.cache_clear()
+
+
 @pytest.mark.parametrize("p", [1, 1.5, 2, 3, math.inf])
 @pytest.mark.parametrize("shape", range(3))
-def test_gm_replay_matches_cold_enumeration(shape, p, monkeypatch):
-    monkeypatch.setattr(solvers, "_replay", OrderedDict())
+def test_gm_replay_matches_cold_enumeration(shape, p, monkeypatch, empty_store):
     x, y = replay_pair(shape, 50 + shape)
     cold = gm_exact(x, y, p)
-    assert len(solvers._replay) == 1
+    assert empty_store.cache_info().currsize == 1
     # the same pair and other tables on the same weights replay the stored maps
     x2, y2 = replay_pair(shape, 60 + shape)
     with monkeypatch.context() as mp:
         mp.setattr(solvers, "_assignment_blocks", refuse_enumeration)
         replayed = [gm_exact(x, y, p), gm_exact(x2, y2, p)]
-    monkeypatch.setattr(solvers, "_replay", OrderedDict())
+    empty_store.cache_clear()
     assert report_bits(replayed[0]) == report_bits(cold)
     assert report_bits(replayed[1]) == report_bits(gm_exact(x2, y2, p))
 
 
-def test_cap_exceeded_on_replay_and_never_stored(monkeypatch):
-    monkeypatch.setattr(solvers, "_replay", OrderedDict())
+def test_cap_exceeded_cold_and_on_replay(monkeypatch, empty_store):
     x, y = replay_pair(1, 70)
     with pytest.raises(CapExceededError) as cold:
         gm_exact(x, y, 2, cap=100)
-    assert not solvers._replay  # a stream stopped by the cap is not stored
-    gm_exact(x, y, 2)
-    assert len(solvers._replay) == 1
+    assert empty_store.cache_info().currsize == 1  # the store enumerates past the cap
     monkeypatch.setattr(solvers, "_assignment_blocks", refuse_enumeration)
     with pytest.raises(CapExceededError) as replayed:
         gm_exact(x, y, 2, cap=100)
@@ -317,58 +329,78 @@ def test_cap_exceeded_on_replay_and_never_stored(monkeypatch):
     assert gm_exact(x, y, 2, cap=1260).iterations == 1260  # exactly at the cap
 
 
-def test_replay_stores_only_whole_streams_within_budget(monkeypatch):
-    monkeypatch.setattr(solvers, "_replay", OrderedDict())
+def test_replay_stores_only_whole_streams_within_budget(monkeypatch, empty_store):
     w, half = np.full(6, 1 / 6), np.full(3, 1 / 3)  # 90 maps of 6 entries
-    assert next(enumerate_monge_maps(w, half)).assignment.tolist() == [0, 0, 1, 1, 2, 2]
-    assert not solvers._replay  # a caller stopped after one map
-    monkeypatch.setattr(solvers, "_REPLAY_ENTRIES", 90 * 6 - 1)
-    assert len(list(enumerate_monge_maps(w, half))) == 90
-    assert not solvers._replay  # one entry over the budget
-    monkeypatch.setattr(solvers, "_REPLAY_ENTRIES", 90 * 6)
+    x, y = MeasureNetwork(w, np.zeros((6, 6))), MeasureNetwork(half, np.zeros((3, 3)))
     maps = [m.assignment.tolist() for m in enumerate_monge_maps(w, half)]
-    blocks = solvers._replay[w.tobytes(), half.tobytes(), solvers._BLOCK_MAPS]
+    monkeypatch.setattr(solvers, "_REPLAY_ENTRIES", 90 * 6)
+    assert gm_exact(x, y, 2).iterations == 90
+    blocks = empty_store(w.tobytes(), half.tobytes())
+    assert empty_store.cache_info().hits == 1
     assert [row.tolist() for b in blocks for row in b] == maps
     for b in blocks:
         assert not b.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             b[0, 0] = 1
+    empty_store.cache_clear()
+    monkeypatch.setattr(solvers, "_REPLAY_ENTRIES", 90 * 6 - 1)  # one entry over the budget
+    assert gm_exact(x, y, 2).iterations == 90
+    assert empty_store(w.tobytes(), half.tobytes()) is None
 
 
-def test_replay_evicts_least_recently_used(monkeypatch):
-    monkeypatch.setattr(solvers, "_replay", OrderedDict())
-    monkeypatch.setattr(solvers, "_REPLAY_PAIRS", 2)
-    monkeypatch.setattr(solvers, "_REPLAY_ENTRIES", 20)
-    # maps x entries: 2 x 2, 6 x 3, 1 x 1 and 1 x 2
-    pairs = [(np.full(n, 1 / n), np.full(n, 1 / n)) for n in (2, 3, 1)]
-    pairs.append((np.array([0.25, 0.75]), np.array([0.75, 0.25])))
+def test_replay_evicts_least_recently_used(empty_store):
+    # one- and two-point weight pairs, 1 or 2 maps each, more than the store holds
+    pairs = [(np.array([1.0]), np.array([1.0]))]
+    pairs += [(np.array([k, 1 - k]), np.array([k, 1 - k])) for k in np.arange(1, 21) / 32]
+    assert len(pairs) > solvers._REPLAY_PAIRS
 
-    def enumerate_pair(i):
-        list(enumerate_monge_maps(*pairs[i]))
-        return [next(i for i, (s, t) in enumerate(pairs)
-                     if (s.tobytes(), t.tobytes()) == key[:2]) for key in solvers._replay]
+    def solve(i):
+        x, y = (MeasureNetwork(w, np.zeros((w.size, w.size))) for w in pairs[i])
+        before = empty_store.cache_info().hits
+        gm_exact(x, y, 1)
+        return empty_store.cache_info().hits - before  # 1 if replayed
 
-    assert enumerate_pair(0) == [0]
-    assert enumerate_pair(1) == [1]  # 22 entries: over the budget together
-    assert enumerate_pair(0) == [0]
-    assert enumerate_pair(2) == [0, 2]
-    assert enumerate_pair(3) == [2, 3]  # one pair too many
-    assert enumerate_pair(2) == [3, 2]  # replayed: now the most recent
+    assert [solve(i) for i in range(solvers._REPLAY_PAIRS)] == [0] * solvers._REPLAY_PAIRS
+    assert solve(0) == 1  # pair 0 becomes the most recent
+    assert solve(solvers._REPLAY_PAIRS) == 0  # evicts pair 1, the least recent
+    assert empty_store.cache_info().currsize == solvers._REPLAY_PAIRS
+    assert solve(0) == 1
+    assert solve(1) == 0
+    assert empty_store.cache_info().currsize <= solvers._REPLAY_PAIRS
 
 
-def test_replay_store_shared_by_threads(monkeypatch):
-    """Threads that replay and evict the same few pairs all see every map."""
-    monkeypatch.setattr(solvers, "_replay", OrderedDict())
-    monkeypatch.setattr(solvers, "_REPLAY_PAIRS", 2)
-    pairs = [(np.full(n, 1 / n), np.full(n, 1 / n)) for n in (1, 2, 3)]
-    expected = [[m.assignment.tolist() for m in enumerate_monge_maps(*pair)] for pair in pairs]
+def test_enumerate_monge_maps_streams_and_stores_nothing(monkeypatch, empty_store):
+    pulled, enumerate_blocks = [], solvers._assignment_blocks
+
+    def counted(source, target):
+        for block in enumerate_blocks(source, target):
+            pulled.append(len(block))
+            yield block
+
+    monkeypatch.setattr(solvers, "_BLOCK_MAPS", 4)
+    monkeypatch.setattr(solvers, "_assignment_blocks", counted)
+    first = next(enumerate_monge_maps(np.full(6, 1 / 6), np.full(3, 1 / 3)))
+    assert first.assignment.tolist() == [0, 0, 1, 1, 2, 2]
+    assert len(pulled) == 1  # one block of the 90 maps, not the whole stream
+    assert empty_store.cache_info().currsize == 0
+
+
+def test_replay_store_shared_by_threads(empty_store):
+    """Threads that solve, store and replay the same few pairs all get the
+    values of a lone solve."""
+    pairs = [replay_pair(shape, 80 + shape) for shape in range(3)]
+    pairs.append(weak_iso_pair())
+    expected = [report_bits(gm_exact(x, y, 2)) for x, y in pairs]
+    empty_store.cache_clear()
     errors, done = [], []
 
     def work(t):
         try:
-            for r in range(1000):
-                i = (t + r) % 3
-                assert [m.assignment.tolist() for m in enumerate_monge_maps(*pairs[i])] == expected[i]
+            for r in range(20):
+                i = (t + r) % len(pairs)
+                assert report_bits(gm_exact(*pairs[i], 2)) == expected[i]
+                if r % 7 == t:
+                    empty_store.cache_clear()
             done.append(t)
         except Exception as exc:  # reported by the main thread
             errors.append(exc)
@@ -380,13 +412,13 @@ def test_replay_store_shared_by_threads(monkeypatch):
         for t in threads:
             t.start()
         for t in threads:
-            t.join(timeout=60)
+            t.join(timeout=120)
     finally:
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert errors == []
     assert sorted(done) == list(range(6))
-    assert len(solvers._replay) <= 2
+    assert empty_store.cache_info().currsize <= solvers._REPLAY_PAIRS
 
 
 @pytest.mark.parametrize("p", [1, 1.5, 2, 3, math.inf])
