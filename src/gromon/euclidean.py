@@ -23,7 +23,6 @@ from .networks import (
     MeasureNetwork,
     MongeMap,
     _check_weights,
-    _exact_sum,
     _frozen,
     _numeric,
     check_exponent,
@@ -241,7 +240,7 @@ def m_iso(x: EuclideanCloud, y: EuclideanCloud, p=2, restarts: int = 20,
             iso = procrustes_align(x, y, MongeMap(phi))
             moved = iso.apply(x.points)
             res = np.linalg.norm(moved - y.points[phi], axis=1)
-            val = _exact_sum(res**p * x.weights) ** (1.0 / p)
+            val = math.fsum((res**p * x.weights).tolist()) ** (1.0 / p)
             if not math.isfinite(val):
                 raise ValueError(_OVERFLOW)
             trace.append(val)

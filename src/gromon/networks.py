@@ -126,8 +126,8 @@ def _pieces(blocks):
 
 
 def _exact_sum(terms) -> float:
-    """Exactly rounded sum of an array, or of the arrays that a zero-argument
-    callable yields afresh on each call.
+    """Exactly rounded sum of the arrays that the zero-argument callable
+    ``terms`` yields afresh on each call.
 
     Equal bit for bit to ``math.fsum`` over all elements in order, usually
     without boxing them, by the error-free extraction of Rump, Ogita & Oishi
@@ -143,16 +143,15 @@ def _exact_sum(terms) -> float:
     within N**2 * 2**(s - 106) of their exact sum; E adds these bounds over
     the pieces with 4x slack.  If math.fsum of the exact partial sums gives
     the same float with -E and with +E appended, that float is the rounded
-    exact sum, since rounding is monotone.  Otherwise the blocks are formed
-    a second time and math.fsum runs over every term, one piece at a time,
+    exact sum, since rounding is monotone.  Otherwise ``terms`` is called a
+    second time and math.fsum runs over every term, one piece at a time,
     so memory stays O(_BLOCK).  It goes there at once when a piece holds a
     non-finite or huge term, so overflow and nan behave as in math.fsum, or
     has a nonzero magnitude under 2**-900, where E could underflow.
     """
-    blocks = (lambda: (terms,)) if isinstance(terms, np.ndarray) else terms
     parts: list[float] = []
     bound = 0.0
-    for r in _pieces(blocks()):
+    for r in _pieces(terms()):
         top = float(np.abs(r).max())
         if not top < _TOP:
             break
@@ -175,20 +174,22 @@ def _exact_sum(terms) -> float:
         low = math.fsum(parts + [-bound])
         if low == math.fsum(parts + [bound]):
             return low
-    return math.fsum(itertools.chain.from_iterable(r.tolist() for r in _pieces(blocks())))
+    return math.fsum(itertools.chain.from_iterable(r.tolist() for r in _pieces(terms())))
 
 
 def _distortion(omx: np.ndarray, omy: np.ndarray, ix: np.ndarray, iy: np.ndarray,
-                w: np.ndarray | None, p: float, *, pair_weights: bool) -> float:
+                w: np.ndarray, p: float) -> float:
     """Distortion over ordered pairs of points a = (ix[a], iy[a]), by row blocks.
 
     The mismatch of a pair (a, b) is |omx[ix[a], ix[b]] - omy[iy[a], iy[b]]|.
     For p = inf the result is its max (``w`` unused); for finite p it is the
     p-th root of the exactly rounded sum of the terms mismatch**p * w[a] * w[b],
-    multiplied left to right, or mismatch**p * (w[a] * w[b]) when
-    ``pair_weights`` is set.  Each block of about _BLOCK terms is formed in
-    place, and only one exists at a time; ``_exact_sum`` calls ``terms``
-    once, or twice when it falls back to ``math.fsum``.
+    multiplied left to right.  Every finite-p distortion (of a coupling, a
+    map, a split or a p-size) forms its terms by this one rule, so a map's
+    distortion equals its induced coupling's bit for bit.  Each block of
+    about _BLOCK terms is formed in place, and only one exists at a time;
+    ``_exact_sum`` calls ``terms`` once, or twice when it falls back to
+    ``math.fsum``.
     On finite tables the result is infinite only when a term overflowed,
     which raises ``ValueError``.
     """
@@ -209,11 +210,8 @@ def _distortion(omx: np.ndarray, omy: np.ndarray, ix: np.ndarray, iy: np.ndarray
                 d *= d
             elif p != 1.0:
                 d **= p
-            if pair_weights:
-                d *= np.outer(w[s], w)
-            else:
-                d *= w[s, None]
-                d *= w
+            d *= w[s, None]
+            d *= w
             yield d
 
     with np.errstate(over="ignore"):
@@ -233,7 +231,10 @@ def _check_weights(w: np.ndarray, what: str = "weights") -> None:
         raise ValueError(f"{what} must be finite")
     if np.any(w <= 0.0):
         raise ValueError(f"{what} must be strictly positive; zero-weight points are rejected")
-    mass = math.fsum(w.tolist())
+    try:
+        mass = math.fsum(w.tolist())
+    except OverflowError:  # the partial sums overflow: far from 1
+        mass = math.inf
     if abs(mass - 1.0) > TOL_MASS:
         raise ValueError(f"{what} must sum to 1 within {TOL_MASS:g}, got {mass!r}")
 
@@ -384,8 +385,9 @@ def pseudometric_violation(omega: np.ndarray) -> float:
     sym = float(np.abs(om - om.T).max())
     diag = float(np.abs(np.diag(om)).max())
     neg = float(max(0.0, -om.min()))
-    # tri[i,j,k] = om[i,j] - om[i,k] - om[k,j]
-    tri = float(max(0.0, (om[:, :, None] - om[:, None, :] - om.T[None, :, :]).max()))
+    # om[i,j] - om[i,k] - om[k,j], one k at a time so memory stays O(n^2)
+    tri = max(0.0, max(float((om - om[:, k, None] - om[None, k, :]).max())
+                       for k in range(om.shape[0])))
     return max(sym, diag, neg, tri)
 
 
@@ -422,21 +424,21 @@ def distortion_p(netX: MeasureNetwork, netY: MeasureNetwork, pi: Coupling, p) ->
     _check_couples(pi, netX, netY)
     t = pi.table
     rows, cols = np.nonzero(t > EPS_SUPP if math.isinf(p) else t)
-    return _distortion(netX.omega, netY.omega, rows, cols, t[rows, cols], p,
-                       pair_weights=False)
+    return _distortion(netX.omega, netY.omega, rows, cols, t[rows, cols], p)
 
 
 def distortion_map(netX: MeasureNetwork, netY: MeasureNetwork, phi: MongeMap, p) -> float:
     """p-distortion of a measure-preserving map, via the simplified double sum.
 
-    Equals ``distortion_p`` of the induced coupling; the double-sum form skips
+    Equals ``distortion_p`` of the induced coupling, bit for bit (at p = inf
+    when every source weight exceeds ``EPS_SUPP``); the double-sum form skips
     building the coupling table.  The n*n terms are summed exactly rounded,
     block by block, as in ``distortion_p``.
     """
     p = check_exponent(p)
     check_measure_preserving(phi, netX.weights, netY.weights)
     return _distortion(netX.omega, netY.omega, np.arange(netX.n), phi.assignment,
-                       netX.weights, p, pair_weights=True)
+                       netX.weights, p)
 
 
 def coupling_from_map(phi: MongeMap, source_weights, target_weights) -> Coupling:
@@ -457,7 +459,7 @@ def size_p(net: MeasureNetwork, p) -> float:
     """
     p = check_exponent(p)
     return _distortion(net.omega, np.zeros((1, 1)), np.arange(net.n),
-                       np.zeros(net.n, dtype=np.intp), net.weights, p, pair_weights=True)
+                       np.zeros(net.n, dtype=np.intp), net.weights, p)
 
 
 def pullback_network(net_metric: MeasureNetwork, rho: MongeMap,

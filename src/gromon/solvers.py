@@ -38,7 +38,6 @@ from .networks import (
     _check_couples,
     _check_weights,
     _distortion,
-    _exact_sum,
     _numeric,
     check_exponent,
     check_measure_preserving,
@@ -679,7 +678,7 @@ def _split_support(netX: MeasureNetwork, netY: MeasureNetwork,
     _check_couples(pi, netX, netY)
     rows, cols = np.nonzero(pi.table > EPS_SUPP)
     mass = pi.table[rows, cols]
-    mass = mass / _exact_sum(mass)
+    mass = mass / math.fsum(mass.tolist())
     rho, phi = MongeMap(rows), MongeMap(cols)
     check_measure_preserving(rho, mass, netX.weights)
     check_measure_preserving(phi, mass, netY.weights)
@@ -713,5 +712,4 @@ def gm_over_split(netX: MeasureNetwork, netY: MeasureNetwork,
     """
     rho, phi, mass = _split_support(netX, netY, pi)
     p = check_exponent(p)
-    return _distortion(netX.omega, netY.omega, rho.assignment, phi.assignment, mass, p,
-                       pair_weights=True)
+    return _distortion(netX.omega, netY.omega, rho.assignment, phi.assignment, mass, p)

@@ -247,6 +247,17 @@ def test_overflowing_inputs_exit_one(workdir, argv):
     assert b"RuntimeWarning" not in proc.stderr
 
 
+def test_overflowing_weights_exit_one(workdir):
+    (workdir / "big.json").write_text(json.dumps(
+        {"weights": [1e308, 1e308], "omega": [[0.0, 1.0], [1.0, 0.0]]}))
+    proc = run_cli(["gm", "delta2.json", "big.json"], workdir)
+    assert proc.returncode == 1
+    assert proc.stdout == b""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith(b"error: big.json: ") and b"must sum to 1" in lines[0]
+
+
 def test_gm_sup_distance_of_overflow_input_is_finite(workdir):
     # the maps exist: at p = inf no power is taken and the value is finite
     _save_overflow_inputs(workdir)

@@ -20,7 +20,6 @@ from gromon import (
     simplex_point_embedding_value,
 )
 from gromon import euclidean
-from gromon.networks import _exact_sum
 from gromon.randgen import random_cloud, random_isometry
 
 
@@ -216,7 +215,7 @@ def _m_iso_restarts_reference(x, y, p, restarts, seed, max_alternations,
             _, phi = linear_sum_assignment(cost)
             iso = procrustes_align(x, y, MongeMap(phi))
             res = np.linalg.norm(iso.apply(x.points) - y.points[phi], axis=1)
-            val = _exact_sum(res**p * x.weights) ** (1.0 / p)
+            val = math.fsum((res**p * x.weights).tolist()) ** (1.0 / p)
             trace.append(val)
             if val < best_val - 1e-14:
                 best_val, best = val, (phi, iso)

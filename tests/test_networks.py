@@ -53,6 +53,20 @@ def test_weights_must_sum_to_one():
         MeasureNetwork([0.6, 0.6], np.zeros((2, 2)))
 
 
+OVERFLOWING = [1e308, 1e308]  # math.fsum overflows on the way to the mass
+
+
+@pytest.mark.parametrize("make", [
+    lambda: MeasureNetwork(OVERFLOWING, np.zeros((2, 2))),
+    lambda: Coupling(np.eye(2) * 0.5, OVERFLOWING, [0.5, 0.5]),
+    lambda: EuclideanCloud(np.zeros((2, 1)), OVERFLOWING),
+    lambda: next(enumerate_monge_maps([0.5, 0.5], OVERFLOWING)),
+], ids=["network", "coupling", "cloud", "enumerate"])
+def test_overflowing_weights_are_a_value_error(make):
+    with pytest.raises(ValueError, match="must sum to 1 within 1e-09, got inf"):
+        make()
+
+
 def test_omega_shape_checked():
     with pytest.raises(ValueError, match="omega"):
         MeasureNetwork([0.5, 0.5], np.zeros((2, 3)))
@@ -107,6 +121,16 @@ def test_validate_triangle_failure_magnitude():
     flag = validate_network(MeasureNetwork([1 / 3] * 3, om))
     assert not flag.is_metric
     assert flag.max_violation == pytest.approx(3.0, abs=1e-12)
+
+
+def test_pseudometric_violation_matches_triangle_tensor():
+    rng = np.random.default_rng(29)
+    for n in (1, 2, 5, 9):
+        om = rng.standard_normal((n, n))
+        tri = max(0.0, (om[:, :, None] - om[:, None, :] - om.T[None, :, :]).max())
+        sym = np.abs(om - om.T).max()
+        want = max(sym, np.abs(np.diag(om)).max(), max(0.0, -om.min()), tri)
+        assert pseudometric_violation(om) == want
 
 
 def test_validate_rejects_asymmetric():
@@ -333,7 +357,8 @@ def fsum_outcome(f, a):
 
 def assert_sums_like_fsum(a):
     before = a.copy()
-    assert fsum_outcome(_exact_sum, a) == fsum_outcome(lambda v: math.fsum(v.tolist()), a)
+    assert (fsum_outcome(lambda v: _exact_sum(lambda: (v,)), a)
+            == fsum_outcome(lambda v: math.fsum(v.tolist()), a))
     assert np.array_equal(a, before, equal_nan=True)
 
 
@@ -395,7 +420,7 @@ def test_exact_sum_of_block_iterable():
     blocks = [rng.standard_normal(s) * 1e-3 for s in (5, _BLOCK + 9, 0, _SMALL, 40)]
     want = math.fsum(np.concatenate(blocks).tolist())
     assert _exact_sum(lambda: iter(blocks)) == want
-    assert _exact_sum(np.concatenate(blocks).reshape(-1, 1)) == want
+    assert _exact_sum(lambda: (np.concatenate(blocks).reshape(-1, 1),)) == want
 
 
 # Reference copies of the full-tensor evaluators the kernel replaced: every
@@ -421,14 +446,15 @@ def ref_distortion_map(omx, omy, w, a, p):
     pulled = omy[np.ix_(a, a)]
     if math.isinf(p):
         return float(np.abs(omx - pulled).max())
-    terms = np.abs(omx - pulled) ** p * np.outer(w, w)
+    terms = np.abs(omx - pulled) ** p * w[:, None] * w[None, :]
     return ref_fsum(terms) ** (1.0 / p)
 
 
 def ref_size_p(net, p):
     if math.isinf(p):
         return float(np.abs(net.omega).max())
-    terms = np.abs(net.omega) ** p * np.outer(net.weights, net.weights)
+    w = net.weights
+    terms = np.abs(net.omega) ** p * w[:, None] * w[None, :]
     return ref_fsum(terms) ** (1.0 / p)
 
 
@@ -482,9 +508,9 @@ def ref_terms(net_x, net_y, pi, p):
     rows, cols = np.nonzero(t > 1e-12)
     mass = t[rows, cols] / ref_fsum(t[rows, cols])
     pulled = net_y.omega[np.ix_(cols, cols)]
-    split = np.abs(net_x.omega[np.ix_(rows, rows)] - pulled) ** p * np.outer(mass, mass)
+    split = np.abs(net_x.omega[np.ix_(rows, rows)] - pulled) ** p * mass[:, None] * mass[None, :]
     w = net_x.weights
-    size = np.abs(net_x.omega) ** p * np.outer(w, w)
+    size = np.abs(net_x.omega) ** p * w[:, None] * w[None, :]
     return coupling.ravel(), split.ravel(), size.ravel()
 
 
@@ -549,6 +575,31 @@ def test_distortion_map_bit_identical_to_full_tensor(n, m):
             x.omega, y.omega, x.weights, phi.assignment, p)
 
 
+def _induced_pairs():
+    """Seeded pairs with non-uniform weights, n <= 8, and a surjective map
+    phi whose pushforward of the source weights is the target weights."""
+    rng = np.random.default_rng(19)
+    for k in range(200):
+        n = int(rng.integers(1, 9))
+        m = int(rng.integers(1, n + 1))
+        a = np.concatenate([np.arange(m), rng.integers(0, m, n - m)])
+        phi = MongeMap(rng.permutation(a))
+        counts = rng.integers(1, 10, n)
+        sw = counts / counts.sum()
+        x = MeasureNetwork(sw, random_metric_network(n, [19, k]).omega)
+        y = MeasureNetwork(np.bincount(phi.assignment, weights=sw, minlength=m),
+                           rng.standard_normal((m, m)) * 10.0 ** (k % 3 - 1))
+        yield x, y, phi
+
+
+def test_map_distortion_equals_induced_coupling_distortion():
+    # dis_p(phi) = dis_p(pi_phi): one term rule makes the two sums bit-equal
+    for x, y, phi in _induced_pairs():
+        pi = coupling_from_map(phi, x.weights, y.weights)
+        for p in EXPONENTS:
+            assert distortion_map(x, y, phi, p) == distortion_p(x, y, pi, p)
+
+
 @pytest.mark.parametrize("p", [2, math.inf])
 def test_distortion_memory_is_bounded(p):
     import tracemalloc
@@ -564,6 +615,22 @@ def test_distortion_memory_is_bounded(p):
     finally:
         tracemalloc.stop()
     # the n^2 m^2 = 2.56e6-term tensor alone would be 20 MB
+    assert peak < 8 * 2**20
+
+
+def test_metric_check_memory_is_bounded():
+    import tracemalloc
+
+    net = random_metric_network(300, 17)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        flag = validate_network(net)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert flag.is_metric
+    # the n^3 triangle tensor alone would be 216 MB
     assert peak < 8 * 2**20
 
 

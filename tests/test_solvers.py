@@ -456,15 +456,32 @@ def test_gm_report_value_matches_witness():
         distortion_map(net_x, net_y, report.witness, 2), abs=1e-10)
 
 
+@pytest.mark.parametrize("source,target", [
+    (np.full(7, 1 / 7), np.full(7, 1 / 7)),
+    (np.full(7, 1 / 7), np.array([2, 2, 1, 1, 1]) / 7),
+    (np.full(7, round(1 / 7, 10)), np.round(np.array([2, 1, 1, 1, 1, 1]) / 7, 10)),
+], ids=["uniform", "rational", "decimal"])
+def test_gm_value_is_its_witness_coupling_distortion(source, target):
+    # 24 draws per shape include values where the terms
+    # mismatch**p * (w[a] * w[b]) would round 1 ulp off the coupling's sum
+    for k in range(24):
+        p = (1, 2, 3, math.inf)[k % 4]
+        net_x = MeasureNetwork(source, random_metric_network(source.size, [21, k, 0]).omega)
+        net_y = MeasureNetwork(target, random_metric_network(target.size, [21, k, 1]).omega)
+        report = gm_exact(net_x, net_y, p)
+        pi = coupling_from_map(report.witness, source, target)
+        assert report.value == distortion_p(net_x, net_y, pi, p)
+
+
 @pytest.mark.xfail(strict=True, reason="gm_exact ranks maps by float64 sums; the map "
-                   "[2 0 0 1 1 3] is 1 ulp below its witness [0 0 2 1 1 3]")
+                   "[5 2 0 1 3 4] is 1 ulp below its witness [4 2 0 1 3 5]")
 def test_gm_value_is_the_exact_minimum():
-    net_x = MeasureNetwork(np.full(6, 1 / 6), random_metric_network(6, [16, 1, 0]).omega)
-    net_y = MeasureNetwork(np.array([2, 2, 1, 1]) / 6,
-                           random_metric_network(4, [16, 1, 1]).omega)
+    u = np.full(6, 1 / 6)
+    net_x = MeasureNetwork(u, random_metric_network(6, [16, 38, 0]).omega)
+    net_y = MeasureNetwork(u, random_metric_network(6, [16, 38, 1]).omega)
     exact = min(distortion_map(net_x, net_y, phi, 1)
                 for phi in enumerate_monge_maps(net_x.weights, net_y.weights))
-    assert exact == 0.3818306903468243
+    assert exact == 0.1432643190626279
     assert gm_exact(net_x, net_y, 1).value == exact
 
 
