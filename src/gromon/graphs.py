@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .networks import MeasureNetwork, _integer, _numeric
+from .networks import MeasureNetwork, _integer, _number, _numeric
 
 
 @dataclass(frozen=True)
@@ -90,7 +90,7 @@ def heat_kernel_network(g: Graph, t: float) -> MeasureNetwork:
     below float resolution next to the largest eigenvalue, 1 (lambda = 0),
     and the computed table can be singular or indefinite.
     """
-    t = float(t)
+    t = _number(t, "t")
     if not 0.0 < t < math.inf:  # also rejects nan
         raise ValueError("t must be positive and finite")
     evals, evecs = np.linalg.eigh(laplacian(g))

@@ -37,8 +37,8 @@ class NotMeasurePreservingError(ValueError):
 
 
 def check_exponent(p) -> float:
-    """Validate an order parameter: a float >= 1, with ``math.inf`` allowed."""
-    p = float(p)
+    """Validate an order parameter: a number >= 1 or ``math.inf`` (text: ``parse_exponent``)."""
+    p = _number(p, "exponent")
     if math.isnan(p) or p < 1.0:
         raise ValueError(f"exponent must satisfy p >= 1 (math.inf allowed), got {p}")
     return p
@@ -50,6 +50,16 @@ def parse_exponent(text) -> float:
     if t in ("inf", "infinity", "oo"):
         return math.inf
     return check_exponent(float(t))
+
+
+# Numeric fields reject these, where float() or np.asarray would parse or upcast them.
+_NOT_NUMBERS = (bool, np.bool_, str, bytes, Mapping, type(None))
+
+
+def _number(v, what: str) -> float:
+    if isinstance(v, _NOT_NUMBERS):
+        raise TypeError(f"{what} must be a number, got {v!r}")
+    return float(v)
 
 
 def _numeric(a, what: str) -> np.ndarray:
@@ -67,7 +77,7 @@ def _numeric(a, what: str) -> np.ndarray:
                 raise TypeError(f"{what} must hold numbers, got an array of {v.dtype}")
         elif isinstance(v, (list, tuple)):
             stack.extend(reversed(v))
-        elif isinstance(v, (bool, np.bool_, str, bytes, Mapping, type(None))):
+        elif isinstance(v, _NOT_NUMBERS):
             raise TypeError(f"{what} must be a list of numbers, got {v!r}" if v is a
                             else f"each entry of {what} must be a number, got {v!r}")
     return np.asarray(a, dtype=float)
@@ -109,20 +119,12 @@ def _frozen(a, dtype=float) -> np.ndarray:
     return out
 
 
-# Pieces of at most _BLOCK terms stay in cache; under _SMALL terms a list for
-# math.fsum is faster; from _TOP up no sum of pieces is safe from overflow;
-# under _TINY a piece's rounding bound could underflow.
+# A distortion block of about _BLOCK terms stays in cache; from _TOP up no sum
+# of blocks is safe from overflow; under _TINY a block's rounding bound could
+# underflow.
 _BLOCK = 1 << 14
-_SMALL = 1 << 10
 _TOP = 2.0 ** 959
 _TINY = 2.0 ** -900
-
-
-def _pieces(blocks):
-    for b in blocks:
-        flat = b.ravel()
-        for start in range(0, flat.size, _BLOCK):
-            yield flat[start:start + _BLOCK]
 
 
 def _exact_sum(terms) -> float:
@@ -131,33 +133,32 @@ def _exact_sum(terms) -> float:
 
     Equal bit for bit to ``math.fsum`` over all elements in order, usually
     without boxing them, by the error-free extraction of Rump, Ogita & Oishi
-    ("Accurate floating-point summation, part I", 2008).  A piece r of N
+    ("Accurate floating-point summation, part I", 2008).  A block r of N
     elements with max|r| < 2**e is split at sigma = 2**s, s = k + e,
     k = bit_length(2N + 2): q = (sigma + r) - sigma is exact, lies on the
     grid ulp(sigma)/2 and sums to less than sigma in magnitude, so
     ``q.sum()`` is exact in any order, and so is each entry of r - q, which
-    is at most ulp(sigma)/2 = 2**(s - 53).
+    is at most ulp(sigma)/2 = 2**(s - 53).  This holds for any N: k grows
+    with N, and s < 1024 keeps sigma finite while max|r| < _TOP = 2**959.
 
-    As in their AccSum, one extraction per piece is enough when it decides
+    As in their AccSum, one extraction per block is enough when it decides
     the rounding.  The float sum of the N entries of r - q, in any order, is
     within N**2 * 2**(s - 106) of their exact sum; E adds these bounds over
-    the pieces with 4x slack.  If math.fsum of the exact partial sums gives
+    the blocks with 4x slack.  If math.fsum of the exact partial sums gives
     the same float with -E and with +E appended, that float is the rounded
     exact sum, since rounding is monotone.  Otherwise ``terms`` is called a
-    second time and math.fsum runs over every term, one piece at a time,
-    so memory stays O(_BLOCK).  It goes there at once when a piece holds a
-    non-finite or huge term, so overflow and nan behave as in math.fsum, or
-    has a nonzero magnitude under 2**-900, where E could underflow.
+    second time and math.fsum runs over every term, one block at a time.
+    It goes there at once when a block holds a non-finite or huge term, so
+    overflow and nan behave as in math.fsum, or has a nonzero magnitude
+    under 2**-900, where E could underflow; a block of zeros adds nothing.
     """
     parts: list[float] = []
     bound = 0.0
-    for r in _pieces(terms()):
-        top = float(np.abs(r).max())
+    for r in terms():
+        top = float(np.abs(r).max(initial=0.0))
         if not top < _TOP:
             break
-        if r.size < _SMALL:
-            parts += r.tolist()
-        elif top >= _TINY:
+        if top >= _TINY:
             s = (2 * r.size + 2).bit_length() + math.frexp(top)[1]
             sigma = math.ldexp(1.0, s)
             q = r + sigma
@@ -169,12 +170,10 @@ def _exact_sum(terms) -> float:
         elif top:
             break
     else:
-        if not bound:
-            return math.fsum(parts)
         low = math.fsum(parts + [-bound])
         if low == math.fsum(parts + [bound]):
             return low
-    return math.fsum(itertools.chain.from_iterable(r.tolist() for r in _pieces(terms())))
+    return math.fsum(itertools.chain.from_iterable(r.ravel().tolist() for r in terms()))
 
 
 def _distortion(omx: np.ndarray, omy: np.ndarray, ix: np.ndarray, iy: np.ndarray,
@@ -188,8 +187,8 @@ def _distortion(omx: np.ndarray, omy: np.ndarray, ix: np.ndarray, iy: np.ndarray
     map, a split or a p-size) forms its terms by this one rule, so a map's
     distortion equals its induced coupling's bit for bit.  Each block of
     about _BLOCK terms is formed in place, and only one exists at a time;
-    ``_exact_sum`` calls ``terms`` once, or twice when it falls back to
-    ``math.fsum``.
+    ``_exact_sum`` sums each block as it comes, and calls ``terms`` once,
+    or twice when it falls back to ``math.fsum``.
     On finite tables the result is infinite only when a term overflowed,
     which raises ``ValueError``.
     """

@@ -369,9 +369,6 @@ class _TransportBasis:
             self.adj[i].append(s)
             self.adj[n + j].append(s)
 
-    def _other(self, s: int, node: int) -> int:
-        return self.n + self.cols[s] if node < self.n else self.rows[s]
-
     def solve(self, cost: np.ndarray) -> np.ndarray:
         """Pivot to an optimal basis for ``cost`` and return its vertex.
 
@@ -390,14 +387,15 @@ class _TransportBasis:
             # potentials u_i + v_j = c_ij on the tree, from u_0 = 0
             pot = [0.0] * (n + m)
             up = [-1] * (n + m)  # the cell joining a node to its parent
+            parent = [-1] * (n + m)
             depth = [0] * (n + m)
             stack = [0]
             while stack:
                 a = stack.pop()
                 for s in adj[a]:
                     if s != up[a]:
-                        b = self._other(s, a)
-                        up[b], depth[b] = s, depth[a] + 1
+                        b = n + cols[s] if a < n else rows[s]
+                        up[b], parent[b], depth[b] = s, a, depth[a] + 1
                         pot[b] = c[rows[s]][cols[s]] - pot[a]
                         stack.append(b)
             pot_arr = np.array(pot)
@@ -417,10 +415,10 @@ class _TransportBasis:
             while a != b:
                 if depth[a] >= depth[b]:
                     from_a.append(up[a])
-                    a = self._other(up[a], a)
+                    a = parent[a]
                 else:
                     from_b.append(up[b])
-                    b = self._other(up[b], b)
+                    b = parent[b]
             losing = from_a[0::2] + from_b[0::2]
             leave = min(losing, key=flow.__getitem__)
             theta = flow[leave]

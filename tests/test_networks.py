@@ -26,7 +26,7 @@ from gromon import (
     validate_network,
 )
 from gromon.euclidean import EuclideanCloud, Isometry
-from gromon.networks import _BLOCK, _SMALL, _exact_sum, pseudometric_violation
+from gromon.networks import _BLOCK, _exact_sum, pseudometric_violation
 from gromon.randgen import random_coupling, random_metric_network
 from gromon.solvers import enumerate_monge_maps, gm_over_split
 
@@ -101,12 +101,22 @@ def test_coupling_rejects_negative_entries():
 def test_exponent_validation():
     assert check_exponent(1) == 1.0
     assert math.isinf(check_exponent(math.inf))
+    for p in (np.int64(3), np.float32(1.5), np.float64(2.0), 2.5):
+        assert check_exponent(p) == float(p)
+    assert math.isinf(check_exponent(np.float64(math.inf)))
     assert math.isinf(parse_exponent("inf"))
     assert parse_exponent("2.5") == 2.5
     with pytest.raises(ValueError):
         check_exponent(0.5)
     with pytest.raises(ValueError):
         parse_exponent("nan")
+
+
+@pytest.mark.parametrize("p", [True, False, np.bool_(True), "2", "inf", b"3", np.str_("2")],
+                         ids=["true", "false", "np-bool", "str", "str-inf", "bytes", "np-str"])
+def test_exponent_rejects_bools_and_text(p):
+    with pytest.raises(TypeError, match="exponent must be a number"):
+        check_exponent(p)
 
 
 def test_validate_simplex_is_metric():
@@ -342,7 +352,8 @@ def test_pullback_is_pseudometric(seed):
 
 # -- exact chunked distortion kernel -----------------------------------------------
 
-# lengths around both thresholds: the plain-fsum cutoff and the block length
+_SMALL = 1 << 10  # a short array length
+# lengths around a short length and around the block length
 EDGE_SIZES = (0, 1, 2, _SMALL - 1, _SMALL, _SMALL + 1,
               _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + _SMALL - 1)
 
@@ -634,20 +645,22 @@ def test_metric_check_memory_is_bounded():
     assert peak < 8 * 2**20
 
 
-# -- certified sums: one extraction per piece, else math.fsum over every term ---
+# -- certified sums: one extraction per block, else math.fsum over every term ---
 
 def _undecided_sums():
     """2 * _SMALL terms summing exactly to the tie 1 + 2**-53, and to just
-    above it: one extraction leaves the rounding undecided in both."""
+    above it, and the 2-term tie itself: one extraction leaves the rounding
+    undecided in each, however short the block."""
     tie = np.zeros(2 * _SMALL)
     tie[:2] = 1.0, 2.0 ** -53
     above = tie.copy()
     above[2] = 2.0 ** -200
     return [pytest.param(tie, 1.0, id="tie"),
-            pytest.param(above, 1.0 + 2.0 ** -52, id="above-tie")]
+            pytest.param(above, 1.0 + 2.0 ** -52, id="above-tie"),
+            pytest.param(tie[:2], 1.0, id="short-tie")]
 
 
-# _exact_sum calls its terms callable once when one extraction per piece
+# _exact_sum calls its terms callable once when one extraction per block
 # decides the rounding, and a second time when it falls back to math.fsum.
 
 @pytest.mark.parametrize("halves", [False, True], ids=["array", "halves"])

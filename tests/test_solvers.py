@@ -229,6 +229,12 @@ def test_gm_rejects_non_positive_cap(cap):
             gm_exact(net, net, 2, cap=cap)
 
 
+@pytest.mark.parametrize("p", ["inf", "2", True, b"1"], ids=["str-inf", "str", "true", "bytes"])
+def test_gm_rejects_text_and_bool_exponents(p):
+    with pytest.raises(TypeError, match="exponent must be a number"):
+        gm_exact(simplex_network(4), simplex_network(2), p)
+
+
 @pytest.mark.parametrize("block", [1, 7])
 def test_gm_unchanged_by_block_size(block, monkeypatch, empty_store):
     rng = np.random.default_rng(3)
