@@ -18,7 +18,7 @@ import sys
 from . import serialize
 from .euclidean import m_iso
 from .graphs import heat_kernel_network
-from .networks import EPS_SUPP, distortion_map, parse_exponent
+from .networks import distortion_map, parse_exponent
 from .randgen import (
     random_cloud,
     random_graph,
@@ -133,8 +133,6 @@ def _emit_report(report, args, p=None, seed=None) -> None:
     meta = {"command": args.command}
     if p is not None:
         meta["p"] = "inf" if math.isinf(p) else p
-        if math.isinf(p):
-            meta["eps_supp"] = EPS_SUPP
     if seed is not None:
         meta["seed"] = seed
     sys.stdout.write(serialize.dumps_canonical(serialize.report_to_dict(report, meta)))

@@ -22,9 +22,9 @@ from scipy.optimize import linear_sum_assignment
 from .networks import (
     MeasureNetwork,
     MongeMap,
-    _check_weights,
     _frozen,
     _numeric,
+    _weights,
     check_exponent,
     check_measure_preserving,
 )
@@ -52,12 +52,9 @@ class EuclideanCloud:
 
     def __post_init__(self):
         pts = _numeric(self.points, "points")
-        w = _numeric(self.weights, "weights")
         if pts.ndim != 2 or pts.shape[1] < 1:
             raise ValueError(f"points must be (n, dim), got {pts.shape}")
-        if not np.all(np.isfinite(pts)):
-            raise ValueError("point coordinates must be finite")
-        _check_weights(w)
+        w = _weights(self.weights)
         if w.size != pts.shape[0]:
             raise ValueError("weights length does not match point count")
         object.__setattr__(self, "points", _frozen(pts))
@@ -181,14 +178,13 @@ def m_iso(x: EuclideanCloud, y: EuclideanCloud, p=2, restarts: int = 20,
     centred covariances, computed once per call), restart r flipping the
     sign of axis k when bit k of r - 1 is set, so reflections are included;
     the rest start from seeded Haar-random orthogonal transforms.  Every
-    start aligns the centroids.  A restart
-    stops when the assignment repeats the previous one (the transform and
-    the value depend on the assignment alone, so they would repeat too) or
-    when the value fails to drop by more than 1e-14.  The lowest value wins,
-    ties going to the earliest restart.  Transforms range over all
-    isometries: reflections are always allowed.  Each cost table is built
-    coordinate by coordinate (``_distances``), never as an (n, n, dim)
-    tensor.
+    start aligns the centroids.  A restart stops when the assignment
+    repeats the previous one (the transform and the value depend on the
+    assignment alone, so they would repeat too) or when the value fails to
+    drop by more than 1e-14.  The lowest value wins, ties going to the
+    earliest restart.  Transforms range over all isometries: reflections
+    are always allowed.  Each cost table is built coordinate by coordinate
+    (``_distances``), never as an (n, n, dim) tensor.
 
     Only uniform equal-cardinality clouds are searched.  Any other pair
     reports ``math.inf`` when no measure-preserving map exists and raises

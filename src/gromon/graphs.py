@@ -55,8 +55,6 @@ class Graph:
                 raise TypeError(f"edge weights must be a list, got {self.weights!r}")
             if w.size != len(norm):
                 raise ValueError("edge weights length does not match edges")
-            if not np.all(np.isfinite(w)):
-                raise ValueError("edge weights must be finite")
             if np.any(w < 0):
                 raise ValueError("edge weights must be nonnegative")
             object.__setattr__(self, "weights", tuple(w.tolist()))

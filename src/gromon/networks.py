@@ -57,30 +57,12 @@ _NOT_NUMBERS = (bool, np.bool_, str, bytes, Mapping, type(None))
 
 
 def _number(v, what: str) -> float:
-    if isinstance(v, _NOT_NUMBERS):
+    """A scalar input as a float, by the leaf rule of ``_field``: a 0-d
+    ndarray passes on its dtype kind, and a larger array is refused."""
+    if (isinstance(v, _NOT_NUMBERS) or isinstance(v, np.ndarray)
+            and (v.ndim or v.dtype.kind not in "iuf")):
         raise TypeError(f"{what} must be a number, got {v!r}")
     return float(v)
-
-
-def _numeric(a, what: str) -> np.ndarray:
-    """A numeric input field as a float array.
-
-    An ndarray passes on its dtype kind (signed, unsigned or float).  Nested
-    lists are walked leaf by leaf: a bool, str, bytes, None or mapping leaf is
-    a ``TypeError``, where ``np.asarray`` would parse or upcast it.
-    """
-    stack = [a]
-    while stack:
-        v = stack.pop()
-        if isinstance(v, np.ndarray):
-            if v.dtype.kind not in "iuf":
-                raise TypeError(f"{what} must hold numbers, got an array of {v.dtype}")
-        elif isinstance(v, (list, tuple)):
-            stack.extend(reversed(v))
-        elif isinstance(v, _NOT_NUMBERS):
-            raise TypeError(f"{what} must be a list of numbers, got {v!r}" if v is a
-                            else f"each entry of {what} must be a number, got {v!r}")
-    return np.asarray(a, dtype=float)
 
 
 def _integer(v, what: str) -> int:
@@ -92,24 +74,44 @@ def _integer(v, what: str) -> int:
         raise TypeError(f"{what} must be an integer, got {v!r}") from None
 
 
-def _integers(a, what: str) -> np.ndarray:
-    """An integer input field as an intp array.
+def _field(a, what: str, kinds: str) -> None:
+    """Check an input field before ``np.asarray`` reads it, since it would
+    parse, upcast or truncate what this refuses.
 
-    An ndarray passes on its dtype kind (signed or unsigned).  Nested lists are
-    walked leaf by leaf, and each leaf must pass ``_integer``: a bool, float,
-    str, None or any other leaf is a ``TypeError``, where ``np.asarray`` would
-    truncate or parse it.
+    ``kinds`` is "iuf" for a float field and "iu" for an integer field.  An
+    ndarray passes on its dtype kind.  Nested lists and tuples are walked
+    leaf by leaf: in a float field a bool, str, bytes, None or mapping leaf
+    is a ``TypeError``; in an integer field each leaf must pass ``_integer``.
     """
     stack = [a]
     while stack:
         v = stack.pop()
         if isinstance(v, np.ndarray):
-            if v.dtype.kind not in "iu":
-                raise TypeError(f"{what} must hold integers, got an array of {v.dtype}")
+            if v.dtype.kind not in kinds:
+                noun = "numbers" if kinds == "iuf" else "integers"
+                raise TypeError(f"{what} must hold {noun}, got an array of {v.dtype}")
         elif isinstance(v, (list, tuple)):
             stack.extend(reversed(v))
-        else:
+        elif kinds == "iu":
             _integer(v, what if v is a else f"each entry of {what}")
+        elif isinstance(v, _NOT_NUMBERS):
+            raise TypeError(f"{what} must be a list of numbers, got {v!r}" if v is a
+                            else f"each entry of {what} must be a number, got {v!r}")
+
+
+def _numeric(a, what: str) -> np.ndarray:
+    """A float input field (see ``_field``) as a float array; a nan or
+    infinite entry is a ``ValueError``."""
+    _field(a, what, "iuf")
+    out = np.asarray(a, dtype=float)
+    if not np.isfinite(out).all():
+        raise ValueError(f"{what} must be finite")
+    return out
+
+
+def _integers(a, what: str) -> np.ndarray:
+    """An integer input field (see ``_field``) as an intp array."""
+    _field(a, what, "iu")
     return np.asarray(a, dtype=np.intp)
 
 
@@ -223,11 +225,13 @@ def _distortion(omx: np.ndarray, omy: np.ndarray, ix: np.ndarray, iy: np.ndarray
     return value if math.isinf(p) else value ** (1.0 / p)
 
 
-def _check_weights(w: np.ndarray, what: str = "weights") -> None:
+def _weights(a, what: str = "weights") -> np.ndarray:
+    """A weight vector input as a float array: a numeric field (see
+    ``_numeric``) that is a nonempty 1-d vector of strictly positive entries
+    summing to 1 within ``TOL_MASS``."""
+    w = _numeric(a, what)
     if w.ndim != 1 or w.size == 0:
         raise ValueError(f"{what} must be a nonempty 1-d vector")
-    if not np.all(np.isfinite(w)):
-        raise ValueError(f"{what} must be finite")
     if np.any(w <= 0.0):
         raise ValueError(f"{what} must be strictly positive; zero-weight points are rejected")
     try:
@@ -236,6 +240,16 @@ def _check_weights(w: np.ndarray, what: str = "weights") -> None:
         mass = math.inf
     if abs(mass - 1.0) > TOL_MASS:
         raise ValueError(f"{what} must sum to 1 within {TOL_MASS:g}, got {mass!r}")
+    return w
+
+
+def _check_marginals(t: np.ndarray, sw: np.ndarray, tw: np.ndarray, what: str) -> None:
+    """Raise ``MarginalError`` unless the row sums of ``t`` are within
+    ``TOL_MASS`` of ``sw`` and its column sums of ``tw``."""
+    row_dev = float(np.abs(t.sum(axis=1) - sw).max())
+    col_dev = float(np.abs(t.sum(axis=0) - tw).max())
+    if row_dev > TOL_MASS or col_dev > TOL_MASS:
+        raise MarginalError(f"{what}: rows off by {row_dev:g}, columns off by {col_dev:g}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -247,13 +261,10 @@ class MeasureNetwork:
     labels: tuple | None = None
 
     def __post_init__(self):
-        w = _numeric(self.weights, "weights")
-        _check_weights(w)
+        w = _weights(self.weights)
         om = _numeric(self.omega, "omega")
         if om.shape != (w.size, w.size):
             raise ValueError(f"omega must be {w.size}x{w.size}, got {om.shape}")
-        if not np.all(np.isfinite(om)):
-            raise ValueError("omega entries must be finite")
         if self.labels is not None:
             if (isinstance(self.labels, (str, bytes, Mapping))
                     or not hasattr(self.labels, "__len__")):
@@ -287,22 +298,13 @@ class Coupling:
 
     def __post_init__(self):
         t = _numeric(self.table, "coupling table")
-        sw = _numeric(self.source_weights, "source_weights")
-        tw = _numeric(self.target_weights, "target_weights")
-        _check_weights(sw, "source_weights")
-        _check_weights(tw, "target_weights")
+        sw = _weights(self.source_weights, "source_weights")
+        tw = _weights(self.target_weights, "target_weights")
         if t.shape != (sw.size, tw.size):
             raise ValueError(f"table must be {sw.size}x{tw.size}, got {t.shape}")
-        if not np.all(np.isfinite(t)):
-            raise ValueError("coupling table must be finite")
         if np.any(t < 0.0):
             raise ValueError("coupling table must be nonnegative")
-        row_dev = float(np.abs(t.sum(axis=1) - sw).max())
-        col_dev = float(np.abs(t.sum(axis=0) - tw).max())
-        if row_dev > TOL_MASS or col_dev > TOL_MASS:
-            raise MarginalError(
-                f"marginal mismatch: rows off by {row_dev:g}, columns off by {col_dev:g}"
-            )
+        _check_marginals(t, sw, tw, "marginal mismatch")
         object.__setattr__(self, "table", _frozen(t))
         object.__setattr__(self, "source_weights", _frozen(sw))
         object.__setattr__(self, "target_weights", _frozen(tw))
@@ -352,13 +354,8 @@ def check_measure_preserving(phi: MongeMap, source_weights, target_weights) -> N
 def _check_couples(pi: Coupling, netX: MeasureNetwork, netY: MeasureNetwork) -> None:
     if pi.shape != (netX.n, netY.n):
         raise MarginalError(f"coupling shape {pi.shape} does not match ({netX.n}, {netY.n})")
-    row_dev = float(np.abs(pi.table.sum(axis=1) - netX.weights).max())
-    col_dev = float(np.abs(pi.table.sum(axis=0) - netY.weights).max())
-    if row_dev > TOL_MASS or col_dev > TOL_MASS:
-        raise MarginalError(
-            f"coupling does not couple these networks: rows off by {row_dev:g}, "
-            f"columns off by {col_dev:g}"
-        )
+    _check_marginals(pi.table, netX.weights, netY.weights,
+                     "coupling does not couple these networks")
 
 
 def product_coupling(netX: MeasureNetwork, netY: MeasureNetwork) -> Coupling:

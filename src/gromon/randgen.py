@@ -10,13 +10,13 @@ import numpy as np
 
 from .euclidean import EuclideanCloud, Isometry, _haar_orthogonal
 from .graphs import Graph
-from .networks import Coupling, MeasureNetwork, _numeric
+from .networks import Coupling, MeasureNetwork, _integer, _number, _numeric
 
 
 def _rng(seed) -> np.random.Generator:
     if isinstance(seed, (list, tuple)):
-        return np.random.default_rng([int(s) for s in seed])
-    return np.random.default_rng(np.uint64(seed))
+        return np.random.default_rng([_integer(s, "each seed entry") for s in seed])
+    return np.random.default_rng(np.uint64(_integer(seed, "seed")))
 
 
 def random_spd_network(n: int, seed) -> MeasureNetwork:
@@ -48,6 +48,7 @@ def random_cloud(n: int, dim: int, seed) -> EuclideanCloud:
 
 def random_graph(n: int, seed, edge_prob: float = 0.5) -> Graph:
     """Erdos-Renyi graph with the given edge probability."""
+    edge_prob = _number(edge_prob, "edge_prob")
     if not 0.0 <= edge_prob <= 1.0:
         raise ValueError("edge_prob must be in [0, 1]")
     rng = _rng(seed)

@@ -36,9 +36,8 @@ from .networks import (
     MeasureNetwork,
     MongeMap,
     _check_couples,
-    _check_weights,
     _distortion,
-    _numeric,
+    _weights,
     check_exponent,
     check_measure_preserving,
     distortion_map,
@@ -184,10 +183,8 @@ def enumerate_monge_maps(source_weights, target_weights) -> Iterator[MongeMap]:
     signals that the Gromov-Monge distance is infinite.  The maps are
     enumerated as the caller pulls them; only ``gm_exact`` replays them.
     """
-    sw = _numeric(source_weights, "source weights")
-    tw = _numeric(target_weights, "target weights")
-    _check_weights(sw, "source weights")
-    _check_weights(tw, "target weights")
+    sw = _weights(source_weights, "source weights")
+    tw = _weights(target_weights, "target weights")
     for block in _assignment_blocks(sw, tw):
         for row in block:
             yield MongeMap(row)

@@ -56,13 +56,14 @@ def test_gm_non_uniform_infeasible_exit_code(workdir, monkeypatch, capsys):
     assert "no measure-preserving map" in captured.err
 
 
-def test_gm_inf_exponent_reports_eps(workdir):
+def test_gm_inf_exponent_report_has_no_eps(workdir):
+    # gm's maps count every point, so the support threshold is not reported
     proc = run_cli(["gm", "delta2.json", "delta2.json", "--p", "inf"], workdir)
     assert proc.returncode == 0, proc.stderr
     out = json.loads(proc.stdout)
     assert out["value"] == 0.0
     assert out["meta"]["p"] == "inf"
-    assert out["meta"]["eps_supp"] == 1e-12
+    assert "eps_supp" not in out["meta"]
 
 
 def test_gm_csv_and_plain_formats(workdir):

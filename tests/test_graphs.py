@@ -94,8 +94,10 @@ def test_heat_kernel_rejects_nonpositive_t():
             heat_kernel_network(Graph(2, ((0, 1),)), t)
 
 
-@pytest.mark.parametrize("t", ["1.0", True, np.bool_(True), b"1"],
-                         ids=["str", "true", "np-bool", "bytes"])
+@pytest.mark.parametrize("t", ["1.0", True, np.bool_(True), b"1",
+                               np.array(True), np.array("2"), np.array([2.0])],
+                         ids=["str", "true", "np-bool", "bytes",
+                              "0d-bool-array", "0d-str-array", "1d-array"])
 def test_heat_kernel_rejects_text_and_bool_t(t):
     with pytest.raises(TypeError, match="t must be a number"):
         heat_kernel_network(Graph(2, ((0, 1),)), t)
@@ -104,7 +106,7 @@ def test_heat_kernel_rejects_text_and_bool_t(t):
 def test_heat_kernel_accepts_numeric_scalars():
     g = random_graph(5, 4)
     want = heat_kernel_network(g, 1.0).omega
-    for t in (1, np.int64(1), np.float32(1.0), np.float64(1.0)):
+    for t in (1, np.int64(1), np.float32(1.0), np.float64(1.0), np.array(1.0)):
         assert np.array_equal(heat_kernel_network(g, t).omega, want)
 
 

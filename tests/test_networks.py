@@ -101,7 +101,7 @@ def test_coupling_rejects_negative_entries():
 def test_exponent_validation():
     assert check_exponent(1) == 1.0
     assert math.isinf(check_exponent(math.inf))
-    for p in (np.int64(3), np.float32(1.5), np.float64(2.0), 2.5):
+    for p in (np.int64(3), np.float32(1.5), np.float64(2.0), 2.5, np.array(2.0), np.array(3)):
         assert check_exponent(p) == float(p)
     assert math.isinf(check_exponent(np.float64(math.inf)))
     assert math.isinf(parse_exponent("inf"))
@@ -112,8 +112,10 @@ def test_exponent_validation():
         parse_exponent("nan")
 
 
-@pytest.mark.parametrize("p", [True, False, np.bool_(True), "2", "inf", b"3", np.str_("2")],
-                         ids=["true", "false", "np-bool", "str", "str-inf", "bytes", "np-str"])
+@pytest.mark.parametrize("p", [True, False, np.bool_(True), "2", "inf", b"3", np.str_("2"),
+                               np.array(True), np.array("2"), np.array([2.0])],
+                         ids=["true", "false", "np-bool", "str", "str-inf", "bytes", "np-str",
+                              "0d-bool-array", "0d-str-array", "1d-array"])
 def test_exponent_rejects_bools_and_text(p):
     with pytest.raises(TypeError, match="exponent must be a number"):
         check_exponent(p)
@@ -702,20 +704,26 @@ def test_distortion_sums_take_one_extraction(monkeypatch):
 
 # -- numeric input fields ---------------------------------------------------------
 
+# each bad value with the error it raises: a non-number is a TypeError, a
+# nan or infinite number a ValueError
 BAD_NUMERIC = [
-    pytest.param(["0.5", "0.5"], id="strings"),
-    pytest.param([True, 0.0], id="bool"),
-    pytest.param([None, 1.0], id="null"),
-    pytest.param([b"1", 0.0], id="bytes"),
-    pytest.param([{"a": 1}, 0.0], id="mapping"),
-    pytest.param("12", id="string-field"),
-    pytest.param(np.array([True, False]), id="bool-array"),
-    pytest.param(np.array(["1", "0"]), id="string-array"),
+    pytest.param(["0.5", "0.5"], TypeError, id="strings"),
+    pytest.param([True, 0.0], TypeError, id="bool"),
+    pytest.param([None, 1.0], TypeError, id="null"),
+    pytest.param([b"1", 0.0], TypeError, id="bytes"),
+    pytest.param([{"a": 1}, 0.0], TypeError, id="mapping"),
+    pytest.param("12", TypeError, id="string-field"),
+    pytest.param(np.array([True, False]), TypeError, id="bool-array"),
+    pytest.param(np.array(["1", "0"]), TypeError, id="string-array"),
+    pytest.param([math.nan, 1.0], ValueError, id="nan"),
+    pytest.param([0.5, math.inf], ValueError, id="inf"),
+    pytest.param(np.array([-math.inf, 0.5]), ValueError, id="minus-inf-array"),
 ]
+BAD_NUMERIC_TEXT = {TypeError: "number", ValueError: "must be finite"}
 
 
-@pytest.mark.parametrize("bad", BAD_NUMERIC)
-def test_numeric_fields_reject_non_numbers(bad):
+@pytest.mark.parametrize("bad,error", BAD_NUMERIC)
+def test_numeric_fields_reject_non_numbers(bad, error):
     # the bad value sits in a 1-d field and in a row of a 2-d field
     half, eye = [0.5, 0.5], [[1.0, 0.0], [0.0, 1.0]]
     table = bad if isinstance(bad, str) else [bad, [0.0, 0.5]]
@@ -730,7 +738,7 @@ def test_numeric_fields_reject_non_numbers(bad):
         lambda: Isometry(eye, bad),
     ]
     for make in cases:
-        with pytest.raises(TypeError, match="number"):
+        with pytest.raises(error, match=BAD_NUMERIC_TEXT[error]):
             make()
 
 
@@ -741,8 +749,8 @@ def test_numeric_fields_accept_integer_arrays_and_lists():
     assert cloud.points.tolist() == [[0.0, 1.0], [2.0, 3.0]]
 
 
-@pytest.mark.parametrize("bad", BAD_NUMERIC)
-def test_map_weight_arguments_reject_non_numbers(bad):
+@pytest.mark.parametrize("bad,error", BAD_NUMERIC)
+def test_map_weight_arguments_reject_non_numbers(bad, error):
     half = [0.5, 0.5]
     cases = [
         lambda: check_measure_preserving(MongeMap([0, 1]), bad, half),
@@ -754,7 +762,7 @@ def test_map_weight_arguments_reject_non_numbers(bad):
         lambda: random_coupling(half, bad, 0),
     ]
     for call in cases:
-        with pytest.raises(TypeError, match="number"):
+        with pytest.raises(error, match=BAD_NUMERIC_TEXT[error]):
             call()
 
 

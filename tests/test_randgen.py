@@ -52,3 +52,26 @@ def test_edge_prob_extremes():
 def test_edge_prob_out_of_range_rejected(edge_prob):
     with pytest.raises(ValueError, match=r"edge_prob must be in \[0, 1\]"):
         random_graph(4, 0, edge_prob=edge_prob)
+
+
+@pytest.mark.parametrize("edge_prob", [True, "0.5", np.array(True)],
+                         ids=["true", "str", "0d-bool-array"])
+def test_edge_prob_must_be_a_number(edge_prob):
+    with pytest.raises(TypeError, match="edge_prob must be a number"):
+        random_graph(4, 0, edge_prob=edge_prob)
+
+
+@pytest.mark.parametrize("seed", [1.7, "5", True, [True, 2.9], np.float64(3.0)],
+                         ids=["float", "str", "true", "list-bool-float", "np-float"])
+def test_seed_must_be_integers(seed):
+    with pytest.raises(TypeError, match="must be an integer"):
+        random_metric_network(3, seed)
+
+
+@pytest.mark.parametrize("seed,entropy", [
+    (0, 0), (2**64 - 1, 2**64 - 1), ([2**64 - 1, 3], [2**64 - 1, 3]),
+    (np.uint64(7), 7), (np.int64(7), 7), ((5, np.int32(2)), [5, 2]),
+], ids=["zero", "max", "list", "np-uint", "np-int", "tuple-np-int"])
+def test_integer_seeds_keep_their_streams(seed, entropy):
+    want = np.random.default_rng(entropy).standard_normal(4)
+    assert random_cloud(4, 1, seed).points.tobytes() == want.tobytes()
