@@ -90,7 +90,7 @@ class Isometry:
         object.__setattr__(self, "translation", _frozen(tr))
 
     def apply(self, points: np.ndarray) -> np.ndarray:
-        return np.asarray(points, dtype=float) @ self.rotation.T + self.translation
+        return _numeric(points, "points") @ self.rotation.T + self.translation
 
 
 def _distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:

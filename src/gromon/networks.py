@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 import operator
 from collections.abc import Mapping
 from dataclasses import dataclass
@@ -52,15 +53,18 @@ def parse_exponent(text) -> float:
     return check_exponent(float(t))
 
 
-# Numeric fields reject these, where float() or np.asarray would parse or upcast them.
-_NOT_NUMBERS = (bool, np.bool_, str, bytes, Mapping, type(None))
+def _real(v) -> bool:
+    """The leaf rule of a float field: a real number that is not a bool.
+    float() or np.asarray would parse text, count a bool as 0 or 1 and drop
+    the imaginary part of a complex number."""
+    return isinstance(v, numbers.Real) and not isinstance(v, bool)
 
 
 def _number(v, what: str) -> float:
     """A scalar input as a float, by the leaf rule of ``_field``: a 0-d
     ndarray passes on its dtype kind, and a larger array is refused."""
-    if (isinstance(v, _NOT_NUMBERS) or isinstance(v, np.ndarray)
-            and (v.ndim or v.dtype.kind not in "iuf")):
+    if not (_real(v) or isinstance(v, np.ndarray) and not v.ndim
+            and v.dtype.kind in "iuf"):
         raise TypeError(f"{what} must be a number, got {v!r}")
     return float(v)
 
@@ -80,8 +84,8 @@ def _field(a, what: str, kinds: str) -> None:
 
     ``kinds`` is "iuf" for a float field and "iu" for an integer field.  An
     ndarray passes on its dtype kind.  Nested lists and tuples are walked
-    leaf by leaf: in a float field a bool, str, bytes, None or mapping leaf
-    is a ``TypeError``; in an integer field each leaf must pass ``_integer``.
+    leaf by leaf: in a float field each leaf must pass ``_real``, in an
+    integer field ``_integer``; any other leaf is a ``TypeError``.
     """
     stack = [a]
     while stack:
@@ -94,7 +98,7 @@ def _field(a, what: str, kinds: str) -> None:
             stack.extend(reversed(v))
         elif kinds == "iu":
             _integer(v, what if v is a else f"each entry of {what}")
-        elif isinstance(v, _NOT_NUMBERS):
+        elif not _real(v):
             raise TypeError(f"{what} must be a list of numbers, got {v!r}" if v is a
                             else f"each entry of {what} must be a number, got {v!r}")
 
@@ -376,8 +380,9 @@ def one_point_network() -> MeasureNetwork:
 
 
 def pseudometric_violation(omega: np.ndarray) -> float:
-    """Largest violation of symmetry, zero diagonal, nonnegativity or triangles."""
-    om = np.asarray(omega, dtype=float)
+    """Largest violation of symmetry, zero diagonal, nonnegativity or triangles
+    of a square table, a float field (see ``_numeric``)."""
+    om = _numeric(omega, "omega")
     sym = float(np.abs(om - om.T).max())
     diag = float(np.abs(np.diag(om)).max())
     neg = float(max(0.0, -om.min()))
@@ -423,18 +428,26 @@ def distortion_p(netX: MeasureNetwork, netY: MeasureNetwork, pi: Coupling, p) ->
     return _distortion(netX.omega, netY.omega, rows, cols, t[rows, cols], p)
 
 
+def _map_distortion(omx: np.ndarray, omy: np.ndarray, w: np.ndarray, a: np.ndarray,
+                    p: float) -> float:
+    """``_distortion`` of the map ``a`` out of the weights ``w``; at p = inf
+    only the source points that weigh more than ``EPS_SUPP`` are read."""
+    source = np.flatnonzero(w > EPS_SUPP) if math.isinf(p) else np.arange(w.size)
+    return _distortion(omx, omy, source, a[source], w[source], p)
+
+
 def distortion_map(netX: MeasureNetwork, netY: MeasureNetwork, phi: MongeMap, p) -> float:
     """p-distortion of a measure-preserving map, via the simplified double sum.
 
-    Equals ``distortion_p`` of the induced coupling, bit for bit (at p = inf
-    when every source weight exceeds ``EPS_SUPP``); the double-sum form skips
-    building the coupling table.  The n*n terms are summed exactly rounded,
-    block by block, as in ``distortion_p``.
+    Equals ``distortion_p`` of the induced coupling, bit for bit; the
+    double-sum form skips building the coupling table.  The n*n terms are
+    summed exactly rounded, block by block, as in ``distortion_p``.  At
+    p = inf the sup runs over the source points that weigh more than
+    ``EPS_SUPP``, the support of the induced coupling.
     """
     p = check_exponent(p)
     check_measure_preserving(phi, netX.weights, netY.weights)
-    return _distortion(netX.omega, netY.omega, np.arange(netX.n), phi.assignment,
-                       netX.weights, p)
+    return _map_distortion(netX.omega, netY.omega, netX.weights, phi.assignment, p)
 
 
 def coupling_from_map(phi: MongeMap, source_weights, target_weights) -> Coupling:
@@ -451,11 +464,12 @@ def size_p(net: MeasureNetwork, p) -> float:
     """p-size of a network: the L^p norm of |omega| under weights x weights.
 
     This is the distortion of the constant map onto a one-point network with
-    a zero table, and is evaluated as such.
+    a zero table, and is evaluated as such (at p = inf over the points that
+    weigh more than ``EPS_SUPP``).
     """
     p = check_exponent(p)
-    return _distortion(net.omega, np.zeros((1, 1)), np.arange(net.n),
-                       np.zeros(net.n, dtype=np.intp), net.weights, p)
+    return _map_distortion(net.omega, np.zeros((1, 1)), net.weights,
+                           np.zeros(net.n, dtype=np.intp), p)
 
 
 def pullback_network(net_metric: MeasureNetwork, rho: MongeMap,

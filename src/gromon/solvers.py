@@ -37,6 +37,7 @@ from .networks import (
     MongeMap,
     _check_couples,
     _distortion,
+    _map_distortion,
     _weights,
     check_exponent,
     check_measure_preserving,
@@ -154,23 +155,51 @@ def _assignment_blocks(source: np.ndarray, target: np.ndarray) -> Iterator[np.nd
                 yield done
 
 
+@functools.lru_cache(maxsize=16)
+def _source_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The n(n+1)/2 unordered pairs i <= k of source points as two read-only
+    index arrays: the n pairs (i, i) first, then i < k in row-major order."""
+    i, k = np.triu_indices(n, 1)
+    diag = np.arange(n)
+    pairs = np.concatenate([diag, i]), np.concatenate([diag, k])
+    for a in pairs:
+        a.setflags(write=False)
+    return pairs
+
+
+def _map_cells(assigns: np.ndarray, m: int) -> np.ndarray:
+    """(n(n+1)/2, B) intp: the flat index into ``_term_table`` of the cell of
+    each map of the (B, n) block ``assigns`` in each slab, one column per map.
+    Slab s of the pair (i, k) holds the map's term at cell (a[i], a[k])."""
+    i, k = _source_pairs(assigns.shape[1])
+    a = assigns.T
+    return (np.arange(i.size) * (m * m))[:, None] + a[i] * m + a[k]
+
+
 # Callers score one pair of weights against many tables and exponents: keep
-# the maps of _REPLAY_PAIRS pairs of _REPLAY_ENTRIES intp entries each (8 MiB).
-_REPLAY_PAIRS = 16
-_REPLAY_ENTRIES = 1 << 16
+# the maps and their cells of _REPLAY_PAIRS pairs, each of at most
+# _REPLAY_ENTRIES intp entries in all (8 MiB).  The uniform 7-7 pair takes
+# 5040 * (7 + 28) = 176 400.
+_REPLAY_PAIRS = 4
+_REPLAY_ENTRIES = 1 << 18
 
 
 @functools.lru_cache(maxsize=_REPLAY_PAIRS)
-def _stored_blocks(source: bytes, target: bytes) -> tuple[np.ndarray, ...] | None:
+def _stored_blocks(source: bytes,
+                   target: bytes) -> tuple[tuple[np.ndarray, np.ndarray], ...] | None:
     """The read-only blocks of ``_assignment_blocks`` for these float64
-    weight bytes, or None once they pass ``_REPLAY_ENTRIES`` entries."""
+    weight bytes, each with its ``_map_cells``, or None once maps and cells
+    pass ``_REPLAY_ENTRIES`` entries."""
+    target_weights = np.frombuffer(target)
     blocks, entries = [], 0
-    for block in _assignment_blocks(np.frombuffer(source), np.frombuffer(target)):
-        entries += block.size
+    for block in _assignment_blocks(np.frombuffer(source), target_weights):
+        cells = _map_cells(block, target_weights.size)
+        entries += block.size + cells.size
         if entries > _REPLAY_ENTRIES:
             return None
         block.setflags(write=False)
-        blocks.append(block)
+        cells.setflags(write=False)
+        blocks.append((block, cells))
     return tuple(blocks)
 
 
@@ -198,23 +227,71 @@ def _count_uniform_maps(n: int, m: int) -> int:
     return math.factorial(n) // (math.factorial(k) ** m)
 
 
-def _map_distortion_batch(omx: np.ndarray, omy: np.ndarray, w: np.ndarray,
-                          assigns: np.ndarray, p: float) -> np.ndarray:
-    """dis^p (or the sup for p=inf) for a batch of assignments, plain float64.
+def _term_table(omx: np.ndarray, omy: np.ndarray, w: np.ndarray, p: float) -> np.ndarray:
+    """The flat folded term table of a pair of networks, (n(n+1)/2, m, m).
 
-    One gather makes the only (B, n, n) temporary; every later step runs in
-    place on it.
+    Slab s of the source pair (i, k) of ``_source_pairs`` holds at (j, l)
+    what a map with a[i] = j and a[k] = l adds to its distortion.  Each term
+    is formed by the rule of ``networks._distortion``,
+    |omx[i, k] - omy[j, l]|**p * w[i] * w[k] multiplied left to right, and
+    for i < k the terms of (i, k) and (k, i) are folded into one entry: a
+    sum at finite p.  At p = inf an entry is the larger mismatch, or 0 when
+    i or k weighs at most ``EPS_SUPP``, the support rule of
+    ``distortion_map``.  Overflow gives inf, never nan; the caller silences
+    its warning.
     """
-    diff = omy[assigns[:, :, None], assigns[:, None, :]]
-    np.subtract(omx, diff, out=diff)
-    np.abs(diff, out=diff)
+    n = w.size
+    i, k = _source_pairs(n)
+
+    def terms(a, b, om):
+        # ordered source pairs (a, b) against om[j, l]
+        d = omx[a, b][:, None, None] - om
+        np.abs(d, out=d)
+        if math.isinf(p):
+            return d
+        if p == 2.0:
+            d *= d
+        elif p != 1.0:
+            d **= p
+        d *= w[a][:, None, None]
+        d *= w[b][:, None, None]
+        return d
+
+    table = terms(i, k, omy)
+    back = terms(k[n:], i[n:], omy.T)
     if math.isinf(p):
-        return diff.max(axis=(1, 2))
-    if p == 2.0:
-        diff *= diff
-    elif p != 1.0:
-        diff **= p
-    return np.einsum("bik,i,k->b", diff, w, w)
+        np.maximum(table[n:], back, out=table[n:])
+        table[(w[i] <= EPS_SUPP) | (w[k] <= EPS_SUPP)] = 0.0
+    else:
+        table[n:] += back
+    return table.ravel()
+
+
+def _map_distortion_batch(terms: np.ndarray, cells: np.ndarray, p: float) -> np.ndarray:
+    """dis^p (the sup at p = inf) of a block of maps from their ``_map_cells``
+    in the folded ``_term_table``: a plain float64 sum, or an exact max."""
+    picked = terms[cells]  # terms.take would first copy a read-only stored index
+    return picked.max(axis=0) if math.isinf(p) else picked.sum(axis=0)
+
+
+def _screen_slack(n: int, p: float) -> float:
+    """The relative slack of ``gm_exact``'s screen for n source points at
+    finite p: a map's float score is within it of the exact sum of its terms,
+    and every exact minimizer scores within it of the least score."""
+    # The screen keeps every map a whose exact value V(a) could be least.
+    # With u = 2**-53 and K = n(n+1)/2 entries per score: each term of the
+    # table is _distortion's (equal for p in {1, 2}; numpy's pow is within
+    # 4 ulps of exact, so two evaluations and their weight products differ
+    # by at most 24u), the fold rounds once and the sum of K nonnegative
+    # entries by at most (K - 1)u in any order, so the score is
+    # F(a) = S(a)(1 + t), |t| <= g ~ (K + 25)u, for S(a) the exact sum of
+    # _distortion's terms.  V(a) = pow(R(a), 1/p) with R(a) = S(a)(1 +- u)
+    # and pow within 2 ulps, so V(a) <= V(b) gives
+    # R(a) <= R(b)((1 + 4u)/(1 - 4u))**p(1 + 2u), and for b of least score
+    # F(a) <= F(b) exp(2.01(g + u + 4.01pu)) <= F(b)(1 + 4(g + u + 5pu)) as
+    # long as that slack is at most 1/2.  Two more u cover forming the
+    # screen's limit F(b)(1 + slack).
+    return 4 * (n * (n + 1) // 2 + 28 + 5 * p) * 2.0**-53
 
 
 def gm_exact(netX: MeasureNetwork, netY: MeasureNetwork, p,
@@ -223,11 +300,17 @@ def gm_exact(netX: MeasureNetwork, netY: MeasureNetwork, p,
 
     Scans every measure-preserving map (each fiber sum within ``TOL_MASS``
     of its target weight), block by block from the enumerator behind
-    ``enumerate_monge_maps``, and returns the first minimizer of the float64
-    ranking; its value is exactly rounded.  ``iterations`` is the number of
-    maps scanned.  Maps are ranked by vectorized float64 sums, so one with a
-    lower exact value can lose by a rounding; only the winner's value is
-    then recomputed with exactly-rounded accumulation.
+    ``enumerate_monge_maps``, and returns the first exact minimizer in
+    lexicographic order: the first map whose ``distortion_map`` value is
+    least, with that value.  ``iterations`` is the number of maps scanned.
+
+    Each map is scored from one folded term table (``_term_table``) by a
+    float64 sum of its n(n+1)/2 entries, which only screens: every map whose
+    float score is within a rounding slack of the least score so far is
+    ranked again by its exactly rounded distortion, and strict ``<`` in
+    block order keeps the first.  The slack bounds every rounding between
+    the two, so no exact minimizer is screened out.  At p = inf the score is
+    a max, already exact, and no map is ranked again.
     When no map exists the value is ``math.inf`` (infimum over the empty set);
     when maps exist but every one's distortion overflows float64, it raises
     ``ValueError``.
@@ -237,10 +320,11 @@ def gm_exact(netX: MeasureNetwork, netY: MeasureNetwork, p,
     their maps in closed form, before any scan.
 
     The maps depend on the weights alone, and only this function replays
-    them: the blocks of a pair of weight vectors, keyed on their bytes, stay
-    within the bounds of the least-recently-used store ``_stored_blocks``
-    for later calls to scan instead of enumerating again.  Value, witness,
-    ``iterations`` and the cap check are the same either way.
+    them: the blocks of a pair of weight vectors and their cells, keyed on
+    the weights' bytes, stay within the bounds of the least-recently-used
+    store ``_stored_blocks`` for later calls to scan instead of enumerating
+    again.  Value, witness, ``iterations`` and the cap check are the same
+    either way.
     """
     p = check_exponent(p)
     if cap < 1:
@@ -255,29 +339,43 @@ def gm_exact(netX: MeasureNetwork, netY: MeasureNetwork, p,
                 f"too large for exact enumeration: {total} maps exceed cap {cap}"
             )
     omx, omy = netX.omega, netY.omega
-    best_key = math.inf
+    n, m = netX.n, netY.n
+    slack, tiny = _screen_slack(n, p), n * n * 2.0**-1066
+    top = np.finfo(float).max
+    best_float = best_value = math.inf
     best_assign = None
     count = 0
-    stored = _stored_blocks(wx.tobytes(), wy.tobytes())
+    blocks = _stored_blocks(wx.tobytes(), wy.tobytes())
+    if blocks is None:
+        blocks = ((a, _map_cells(a, m)) for a in _assignment_blocks(wx, wy))
     with np.errstate(over="ignore"):
-        for assigns in _assignment_blocks(wx, wy) if stored is None else stored:
+        terms = _term_table(omx, omy, wx, p)
+        for assigns, cells in blocks:
             count += len(assigns)
             if count > cap:
                 raise CapExceededError(
                     f"too large for exact enumeration: more than {cap} maps"
                 )
-            vals = _map_distortion_batch(omx, omy, wx, assigns, p)
+            vals = _map_distortion_batch(terms, cells, p)
             b = int(np.argmin(vals))
-            if vals[b] < best_key:
-                best_key = float(vals[b])
-                best_assign = assigns[b]
+            if math.isinf(p):
+                if vals[b] < best_value:
+                    best_value, best_assign = float(vals[b]), assigns[b]
+                continue
+            best_float = min(best_float, float(vals[b]))
+            # tiny covers terms under the normal range, where rounding is
+            # absolute; past 1/2 (p beyond about 2e14) the slack's bound
+            # fails, and every map whose score is finite is ranked again
+            limit = min(best_float * (1 + slack) + tiny, top) if slack <= 0.5 else top
+            for c in np.flatnonzero(vals <= limit):
+                value = _map_distortion(omx, omy, wx, assigns[c], p)
+                if value < best_value:
+                    best_value, best_assign = value, assigns[c]
     if best_assign is None:
         if count:
             raise ValueError("the order-p distortion overflows float64 on these tables")
         return SolveReport(math.inf, None, "enumeration", 0, True)
-    witness = MongeMap(best_assign)
-    value = distortion_map(netX, netY, witness, p)
-    return SolveReport(value, witness, "enumeration", count, True)
+    return SolveReport(best_value, MongeMap(best_assign), "enumeration", count, True)
 
 
 def gm_infinity(netX: MeasureNetwork, netY: MeasureNetwork,

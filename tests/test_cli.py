@@ -10,7 +10,7 @@ import pytest
 
 from gromon import MeasureNetwork, simplex_network
 from gromon.randgen import random_cloud, random_isometry
-from gromon import cli, serialize
+from gromon import cli, serialize, solvers
 from gromon.euclidean import EuclideanCloud
 
 from conftest import child_env, near_equal_small_pair, skewed_pair
@@ -483,6 +483,18 @@ def test_readme_lists_the_flags_of_each_subcommand():
         assert row, f"no README flag row for {name}"
         flags = {f for a in sub._actions for f in a.option_strings if f.startswith("--")}
         assert set(re.findall(r"--[a-z][a-z-]*", row[1])) == flags - {"--help"}, name
+
+
+def test_readme_states_the_replay_store_bounds():
+    # "at most <pairs> pairs of at most 2^<k> entries each ..., <MiB> MiB in all"
+    readme = " ".join((Path(__file__).resolve().parents[1] / "README.md").read_text().split())
+    found = re.search(r"at most (\d+) pairs of at most 2\^(\d+) entries each .*?(\d+) MiB in all",
+                      readme)
+    assert found, "no replay store bounds in the README"
+    pairs, log_entries, mib = map(int, found.groups())
+    assert pairs == solvers._REPLAY_PAIRS
+    assert 1 << log_entries == solvers._REPLAY_ENTRIES
+    assert mib << 20 == pairs * solvers._REPLAY_ENTRIES * np.dtype(np.intp).itemsize
 
 
 def test_bad_seed_environment_fails_only_seeded_commands(monkeypatch, capsys):

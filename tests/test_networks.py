@@ -28,7 +28,7 @@ from gromon import (
 from gromon.euclidean import EuclideanCloud, Isometry
 from gromon.networks import _BLOCK, _exact_sum, pseudometric_violation
 from gromon.randgen import random_coupling, random_metric_network
-from gromon.solvers import enumerate_monge_maps, gm_over_split
+from gromon.solvers import enumerate_monge_maps, gm_infinity, gm_over_split
 
 from conftest import networks, relabeled
 
@@ -113,9 +113,11 @@ def test_exponent_validation():
 
 
 @pytest.mark.parametrize("p", [True, False, np.bool_(True), "2", "inf", b"3", np.str_("2"),
-                               np.array(True), np.array("2"), np.array([2.0])],
+                               np.array(True), np.array("2"), np.array([2.0]),
+                               np.complex128(2 + 1j), 2 + 0j, np.array(2 + 0j)],
                          ids=["true", "false", "np-bool", "str", "str-inf", "bytes", "np-str",
-                              "0d-bool-array", "0d-str-array", "1d-array"])
+                              "0d-bool-array", "0d-str-array", "1d-array",
+                              "np-complex", "complex", "0d-complex-array"])
 def test_exponent_rejects_bools_and_text(p):
     with pytest.raises(TypeError, match="exponent must be a number"):
         check_exponent(p)
@@ -220,6 +222,22 @@ def test_distortion_map_weak_iso_both_maps():
     for a in ([2, 0, 1], [2, 1, 0]):
         val = distortion_map(net_x, net_y, MongeMap(a), 2)
         assert val == pytest.approx(math.sqrt(0.5), abs=1e-12)
+
+
+def test_distortion_map_sup_reads_the_coupling_support():
+    # the light point weighs 1e-13 <= EPS_SUPP: at p = inf neither the map
+    # nor its induced coupling reads its mismatch 5 - 1 = 4, and the p-size
+    # skips it too
+    w = [1 - 1e-13, 1e-13]
+    x = MeasureNetwork(w, [[0, 1], [1, 0]])
+    y = MeasureNetwork(w, [[0, 5], [5, 0]])
+    phi = MongeMap([0, 1])
+    pi = coupling_from_map(phi, w, w)
+    assert distortion_map(x, y, phi, math.inf) == distortion_p(x, y, pi, math.inf) == 0.0
+    assert gm_infinity(x, y).value == 0.0
+    assert size_p(x, math.inf) == gm_infinity(x, one_point_network()).value == 0.0
+    for p in (1, 2):
+        assert distortion_map(x, y, phi, p) == distortion_p(x, y, pi, p)
 
 
 def test_distortion_map_identity_zero():
@@ -715,6 +733,9 @@ BAD_NUMERIC = [
     pytest.param("12", TypeError, id="string-field"),
     pytest.param(np.array([True, False]), TypeError, id="bool-array"),
     pytest.param(np.array(["1", "0"]), TypeError, id="string-array"),
+    pytest.param([0.5 + 0j, 0.5], TypeError, id="complex"),
+    pytest.param([np.complex128(0.5 + 1j), 0.5], TypeError, id="np-complex"),
+    pytest.param(np.array([0.5 + 0j, 0.5]), TypeError, id="complex-array"),
     pytest.param([math.nan, 1.0], ValueError, id="nan"),
     pytest.param([0.5, math.inf], ValueError, id="inf"),
     pytest.param(np.array([-math.inf, 0.5]), ValueError, id="minus-inf-array"),
@@ -736,6 +757,8 @@ def test_numeric_fields_reject_non_numbers(bad, error):
         lambda: EuclideanCloud(eye, bad),
         lambda: Isometry(table, [0.0, 0.0]),
         lambda: Isometry(eye, bad),
+        lambda: Isometry(eye, [0.0, 0.0]).apply(table),
+        lambda: pseudometric_violation(table),
     ]
     for make in cases:
         with pytest.raises(error, match=BAD_NUMERIC_TEXT[error]):

@@ -273,7 +273,8 @@ def test_gm_unchanged_by_block_size(block, monkeypatch, empty_store):
     monkeypatch.setattr(solvers, "_BLOCK_MAPS", block)
     assert solve_all() == expected
     assert len(cold) == 3
-    assert all(len(b) <= block for pair in cold for b in empty_store(*pair))
+    assert all(len(b) <= block and cells.shape[1] == len(b)
+               for pair in cold for b, cells in empty_store(*pair))
 
 
 # (source weights, target weights) of the gm_enum benchmark shapes: uniform
@@ -336,22 +337,34 @@ def test_cap_exceeded_cold_and_on_replay(monkeypatch, empty_store):
 
 
 def test_replay_stores_only_whole_streams_within_budget(monkeypatch, empty_store):
-    w, half = np.full(6, 1 / 6), np.full(3, 1 / 3)  # 90 maps of 6 entries
+    # 90 maps of 6 entries, each with 21 cells
+    w, half = np.full(6, 1 / 6), np.full(3, 1 / 3)
     x, y = MeasureNetwork(w, np.zeros((6, 6))), MeasureNetwork(half, np.zeros((3, 3)))
     maps = [m.assignment.tolist() for m in enumerate_monge_maps(w, half)]
-    monkeypatch.setattr(solvers, "_REPLAY_ENTRIES", 90 * 6)
+    monkeypatch.setattr(solvers, "_REPLAY_ENTRIES", 90 * (6 + 21))
     assert gm_exact(x, y, 2).iterations == 90
     blocks = empty_store(w.tobytes(), half.tobytes())
     assert empty_store.cache_info().hits == 1
-    assert [row.tolist() for b in blocks for row in b] == maps
-    for b in blocks:
-        assert not b.flags.writeable
-        with pytest.raises(ValueError, match="read-only"):
-            b[0, 0] = 1
+    assert [row.tolist() for b, _ in blocks for row in b] == maps
+    for b, cells in blocks:
+        assert cells.tobytes() == solvers._map_cells(np.array(b), 3).tobytes()
+        for stored in (b, cells):
+            assert not stored.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                stored[0, 0] = 1
     empty_store.cache_clear()
-    monkeypatch.setattr(solvers, "_REPLAY_ENTRIES", 90 * 6 - 1)  # one entry over the budget
+    # one entry over the budget
+    monkeypatch.setattr(solvers, "_REPLAY_ENTRIES", 90 * (6 + 21) - 1)
     assert gm_exact(x, y, 2).iterations == 90
     assert empty_store(w.tobytes(), half.tobytes()) is None
+
+
+def test_replay_budget_holds_the_uniform_seven_point_pair(empty_store):
+    # 5040 * (7 + 28) = 176 400 entries, within one pair's budget
+    u = np.full(7, 1 / 7)
+    blocks = empty_store(u.tobytes(), u.tobytes())
+    assert sum(b.size + cells.size for b, cells in blocks) == 176_400
+    assert solvers._REPLAY_ENTRIES * 8 * solvers._REPLAY_PAIRS == 8 << 20
 
 
 def test_replay_evicts_least_recently_used(empty_store):
@@ -428,21 +441,27 @@ def test_replay_store_shared_by_threads(empty_store):
 
 
 @pytest.mark.parametrize("p", [1, 1.5, 2, 3, math.inf])
-def test_batch_distortion_in_place_matches_out_of_place(p):
+def test_folded_scores_within_slack_of_unfolded_terms(p):
+    """A map's float score from the folded term table is within the screen's
+    slack of math.fsum over its n*n unfolded terms, formed as in
+    ``networks._distortion``; at p = inf it is their largest mismatch."""
     rng = np.random.default_rng([80, int(min(p, 9) * 2)])
-    for n, m, batch in ((7, 5, 300), (6, 6, 1), (4, 2, 50)):
+    for n, m, batch in ((7, 5, 300), (6, 6, 1), (4, 2, 50), (1, 3, 3)):
         omx = rng.uniform(-3, 3, (n, n))
         omy = rng.uniform(-3, 3, (m, m))
         w = rng.uniform(0.1, 1, n)
         assigns = rng.integers(0, m, (batch, n)).astype(np.intp)
-        diff = np.abs(omx[None, :, :] - omy[assigns[:, :, None], assigns[:, None, :]])
-        if math.isinf(p):
-            expected = diff.max(axis=(1, 2))
-        else:
-            diff = diff * diff if p == 2 else diff if p == 1 else diff ** p
-            expected = np.einsum("bik,i,k->b", diff, w, w)
-        got = solvers._map_distortion_batch(omx, omy, w, assigns, float(p))
-        assert got.tobytes() == expected.tobytes()
+        got = solvers._map_distortion_batch(solvers._term_table(omx, omy, w, float(p)),
+                                            solvers._map_cells(assigns, m), float(p))
+        assert got.shape == (batch,)
+        for a, score in zip(assigns, got.tolist()):
+            mismatch = np.abs(omx - omy[np.ix_(a, a)])
+            if math.isinf(p):
+                assert score == mismatch.max()
+                continue
+            terms = mismatch ** p * w[:, None] * w[None, :]
+            exact = math.fsum(terms.ravel().tolist())
+            assert abs(score - exact) <= solvers._screen_slack(n, p) * exact
 
 
 def test_gm_near_equal_small_weights_is_finite():
@@ -479,9 +498,9 @@ def test_gm_value_is_its_witness_coupling_distortion(source, target):
         assert report.value == distortion_p(net_x, net_y, pi, p)
 
 
-@pytest.mark.xfail(strict=True, reason="gm_exact ranks maps by float64 sums; the map "
-                   "[5 2 0 1 3 4] is 1 ulp below its witness [4 2 0 1 3 5]")
 def test_gm_value_is_the_exact_minimum():
+    # the map [5 2 0 1 3 4] is 1 ulp below [4 2 0 1 3 5] exactly, but not in
+    # a plain float64 sum
     u = np.full(6, 1 / 6)
     net_x = MeasureNetwork(u, random_metric_network(6, [16, 38, 0]).omega)
     net_y = MeasureNetwork(u, random_metric_network(6, [16, 38, 1]).omega)
@@ -489,6 +508,26 @@ def test_gm_value_is_the_exact_minimum():
                 for phi in enumerate_monge_maps(net_x.weights, net_y.weights))
     assert exact == 0.1432643190626279
     assert gm_exact(net_x, net_y, 1).value == exact
+
+
+@pytest.mark.parametrize("p", [1, 1.5, 2, math.inf])
+@pytest.mark.parametrize("target", [np.full(6, 1 / 6), np.array([2, 2, 1, 1]) / 6],
+                         ids=["uniform", "rational"])
+def test_gm_witness_is_the_first_exact_minimizer_on_ties(target, p):
+    """Integer tables tie many maps; the witness is the lexicographically
+    first minimizer of distortion_map over every map, with its value."""
+    source = np.full(6, 1 / 6)
+    maps = list(enumerate_monge_maps(source, target))
+    for k in range(6):
+        net_x = MeasureNetwork(source, np.round(random_metric_network(6, [17, k, 0]).omega * 2))
+        net_y = MeasureNetwork(target, np.round(
+            random_metric_network(target.size, [17, k, 1]).omega * 2))
+        values = [distortion_map(net_x, net_y, phi, p) for phi in maps]
+        first = values.index(min(values))
+        report = gm_exact(net_x, net_y, p)
+        assert report.witness.assignment.tolist() == maps[first].assignment.tolist()
+        assert report.value.hex() == values[first].hex()
+        assert report.iterations == len(maps)
 
 
 def test_gm_infinity_values():
