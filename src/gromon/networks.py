@@ -184,49 +184,75 @@ def _exact_sum(terms) -> float:
 
 def _distortion(omx: np.ndarray, omy: np.ndarray, ix: np.ndarray, iy: np.ndarray,
                 w: np.ndarray, p: float) -> float:
-    """Distortion over ordered pairs of points a = (ix[a], iy[a]), by row blocks.
+    """Distortion over ordered pairs of points a = (ix[a], iy[a]).
 
     The mismatch of a pair (a, b) is |omx[ix[a], ix[b]] - omy[iy[a], iy[b]]|.
-    For p = inf the result is its max (``w`` unused); for finite p it is the
-    p-th root of the exactly rounded sum of the terms mismatch**p * w[a] * w[b],
-    multiplied left to right.  Every finite-p distortion (of a coupling, a
-    map, a split or a p-size) forms its terms by this one rule, so a map's
-    distortion equals its induced coupling's bit for bit.  Each block of
-    about _BLOCK terms is formed in place, and only one exists at a time;
-    ``_exact_sum`` sums each block as it comes, and calls ``terms`` once,
-    or twice when it falls back to ``math.fsum``.
+    For finite p the result is the p-th root of the exactly rounded sum of
+    the terms mismatch**p * w[a] * w[b], multiplied left to right.  Every
+    finite-p distortion (of a coupling, a map, a split or a p-size) forms its
+    terms by this one rule, so a map's distortion equals its induced
+    coupling's bit for bit.  The terms are formed by row blocks of about
+    _BLOCK, in place, and only one block exists at a time; ``_exact_sum``
+    sums each block as it comes, and calls ``terms`` once, or twice when it
+    falls back to ``math.fsum``.
+
+    For p = inf the result is the max mismatch (``w`` unused), taken without
+    forming the N x N pairs.  ``ix`` must then be nondecreasing (every caller
+    lists its points by source row); a ``ValueError`` says when it is not.
+    With S_i the targets of source point i, the pairs of a source pair
+    (i, k) reach |omx[i, k] - y| for y over omy[S_i x S_k], and since
+    rounded subtraction is monotone and fl(y - x) = -fl(x - y), their max is
+    max(|fl(x - lo)|, |fl(hi - x)|) with lo and hi the min and max of that
+    rectangle: the same float as the pairwise max.  lo and hi come from two
+    ``reduceat`` passes over the runs of ``ix``, in O(N * (n + m)) time and
+    memory.
     On finite tables the result is infinite only when a term overflowed,
     which raises ``ValueError``.
     """
-    x_cols = omx[:, ix]
-    y_cols = omy[:, iy]
-    step = max(1, _BLOCK // max(ix.size, 1))
+    if math.isinf(p):
+        value = _sup_distortion(omx, omy, ix, iy)
+    else:
+        x_cols = omx[:, ix]
+        y_cols = omy[:, iy]
+        step = max(1, _BLOCK // max(ix.size, 1))
 
-    def mismatch():
-        for start in range(0, ix.size, step):
-            s = slice(start, start + step)
-            d = x_cols[ix[s]]
-            d -= y_cols[iy[s]]
-            yield s, np.abs(d, out=d)
+        def terms():
+            for start in range(0, ix.size, step):
+                s = slice(start, start + step)
+                d = x_cols[ix[s]]
+                d -= y_cols[iy[s]]
+                np.abs(d, out=d)
+                if p == 2.0:
+                    d *= d
+                elif p != 1.0:
+                    d **= p
+                d *= w[s, None]
+                d *= w
+                yield d
 
-    def terms():
-        for s, d in mismatch():
-            if p == 2.0:
-                d *= d
-            elif p != 1.0:
-                d **= p
-            d *= w[s, None]
-            d *= w
-            yield d
-
-    with np.errstate(over="ignore"):
-        if math.isinf(p):
-            value = max(float(d.max()) for _, d in mismatch())
-        else:
+        with np.errstate(over="ignore"):
             value = _exact_sum(terms)
     if not math.isfinite(value):
         raise ValueError("the order-p distortion overflows float64 on these tables")
     return value if math.isinf(p) else value ** (1.0 / p)
+
+
+def _sup_distortion(omx: np.ndarray, omy: np.ndarray, ix: np.ndarray,
+                    iy: np.ndarray) -> float:
+    """The p = inf case of ``_distortion``, from the extremes of omy over
+    each support rectangle S_i x S_k."""
+    if (ix[1:] < ix[:-1]).any():
+        raise ValueError("the points of a sup distortion must be sorted by source")
+    starts = np.flatnonzero(np.concatenate(([True], ix[1:] != ix[:-1])))
+    src = ix[starts]
+    x = omx[src][:, src]
+    y_cols = omy[:, iy]  # (m, N): the row of omy at each point's target
+    lo = np.minimum.reduceat(np.minimum.reduceat(y_cols, starts, axis=1)[iy], starts, axis=0)
+    hi = np.maximum.reduceat(np.maximum.reduceat(y_cols, starts, axis=1)[iy], starts, axis=0)
+    with np.errstate(over="ignore"):
+        np.subtract(x, lo, out=lo)
+        np.subtract(hi, x, out=hi)
+    return float(max(np.abs(lo).max(), np.abs(hi).max()))
 
 
 def _weights(a, what: str = "weights") -> np.ndarray:
@@ -418,8 +444,10 @@ def distortion_p(netX: MeasureNetwork, netY: MeasureNetwork, pi: Coupling, p) ->
     The sum runs over ordered pairs of nonzero cells only, since a term with
     a zero cell is exactly 0; it is exactly rounded, so whenever none of the
     n*m*n*m terms overflows it equals ``math.fsum`` over all of them, bit for
-    bit.  It is formed in blocks of rows, so memory stays O(n*m*(n+m)); the
-    sup is likewise taken block by block.
+    bit.  It is formed in blocks of rows, so memory stays O(n*m*(n+m)).  The
+    sup compares each pair of source points with the least and greatest
+    entry of omega_Y over their support rectangle, which gives the pairwise
+    max bit for bit in O(n*m*(n+m)) time and memory (see ``_distortion``).
     """
     p = check_exponent(p)
     _check_couples(pi, netX, netY)
@@ -443,7 +471,8 @@ def distortion_map(netX: MeasureNetwork, netY: MeasureNetwork, phi: MongeMap, p)
     double-sum form skips building the coupling table.  The n*n terms are
     summed exactly rounded, block by block, as in ``distortion_p``.  At
     p = inf the sup runs over the source points that weigh more than
-    ``EPS_SUPP``, the support of the induced coupling.
+    ``EPS_SUPP``, the support of the induced coupling, one comparison per
+    pair of them.
     """
     p = check_exponent(p)
     check_measure_preserving(phi, netX.weights, netY.weights)

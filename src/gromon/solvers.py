@@ -472,19 +472,28 @@ class _TransportBasis:
         the smallest perturbed flow on the cycle's decreasing cells leaves.
         Raises ``RuntimeError`` when ``_PIVOTS_PER_CELL`` * n * m pivots do
         not reach optimality.
+
+        The potentials u_i + v_j = c_ij hang from u_0 = 0: each node's is
+        its tree cell's cost minus its parent's.  The whole tree is walked
+        once per call; after a pivot only the subtree that the leaving cell
+        cut off is walked again, hung from the entering cell's other end
+        (the standard update of Ahuja, Magnanti & Orlin).  Every potential
+        is still formed along the node's unique tree path, so it is the same
+        float as a full walk would give.
         """
         n, m = self.n, self.m
         rows, cols, flow, adj = self.rows, self.cols, self.flow, self.adj
         max_pivots = _PIVOTS_PER_CELL * n * m
         c = cost.tolist()
         tol = _PRICE_ULPS * (n + m) * np.finfo(float).eps * float(np.abs(cost).max())
-        for pivots in range(max_pivots + 1):
-            # potentials u_i + v_j = c_ij on the tree, from u_0 = 0
-            pot = [0.0] * (n + m)
-            up = [-1] * (n + m)  # the cell joining a node to its parent
-            parent = [-1] * (n + m)
-            depth = [0] * (n + m)
-            stack = [0]
+        pot = [0.0] * (n + m)
+        up = [-1] * (n + m)  # the cell joining a node to its parent
+        parent = [-1] * (n + m)
+        depth = [0] * (n + m)
+
+        def hang(root: int) -> None:
+            # (re)set every node below root from root's own entries
+            stack = [root]
             while stack:
                 a = stack.pop()
                 for s in adj[a]:
@@ -493,6 +502,9 @@ class _TransportBasis:
                         up[b], parent[b], depth[b] = s, a, depth[a] + 1
                         pot[b] = c[rows[s]][cols[s]] - pot[a]
                         stack.append(b)
+
+        hang(0)
+        for pivots in range(max_pivots + 1):
             pot_arr = np.array(pot)
             reduced = cost - pot_arr[:n, None] - pot_arr[None, n:]
             enter = int(reduced.argmin())
@@ -526,6 +538,13 @@ class _TransportBasis:
             rows[leave], cols[leave], flow[leave] = ie, je, theta
             adj[ie].append(leave)
             adj[n + je].append(leave)
+            # the leaving cell lies on the root path of the end it cuts off;
+            # that end now hangs from the other by the entering cell, which
+            # took the leaving cell's slot
+            cut, other = (ie, n + je) if leave in from_a else (n + je, ie)
+            up[cut], parent[cut], depth[cut] = leave, other, depth[other] + 1
+            pot[cut] = c[ie][je] - pot[other]
+            hang(cut)
         vertex = np.zeros((n, m))
         # the unperturbed flow x of x * K + k, as the float nearest x / den
         vertex[rows, cols] = [(f + n) // self.K / self.den for f in flow]
@@ -570,26 +589,29 @@ def gw_frank_wolfe(netX: MeasureNetwork, netY: MeasureNetwork,
         _check_couples(init, netX, netY)
     pi = init.table.copy()
 
-    def gradient(t: np.ndarray) -> np.ndarray:
-        return -2.0 * (omx @ t @ omy.T + omx.T @ t @ omy)
+    # omx @ pi @ omy.T is formed once per iterate and serves both the
+    # objective there and the gradient of the next step
+    def gradient(t: np.ndarray, cross: np.ndarray) -> np.ndarray:
+        return -2.0 * (cross + omx.T @ t @ omy)
+
+    def objective(t: np.ndarray, cross: np.ndarray) -> float:
+        return const - 2.0 * float((t * cross).sum())
 
     with np.errstate(over="ignore", invalid="ignore"):
+        cross = omx @ pi @ omy.T
         const = float((omx**2 * np.outer(wx, wx)).sum()
                       + (omy**2 * np.outer(wy, wy)).sum())
-        grad = gradient(pi)
+        grad = gradient(pi, cross)
     if not (math.isfinite(const) and np.all(np.isfinite(grad))):
         raise ValueError("the order-2 objective overflows float64 on these tables")
     basis = _TransportBasis(wx, wy, grad)
 
-    def objective(t: np.ndarray) -> float:
-        return const - 2.0 * float((t * (omx @ t @ omy.T)).sum())
-
-    trace = [math.sqrt(max(objective(pi), 0.0))]
+    trace = [math.sqrt(max(objective(pi, cross), 0.0))]
     converged = False
     it = 0
     for it in range(1, max_iters + 1):
         if it > 1:
-            grad = gradient(pi)
+            grad = gradient(pi, cross)
         vertex = basis.solve(grad)
         direction = vertex - pi
         lin = float((grad * direction).sum())
@@ -609,7 +631,8 @@ def gw_frank_wolfe(netX: MeasureNetwork, netY: MeasureNetwork,
             it -= 1
             break
         pi = pi + gamma * direction
-        trace.append(math.sqrt(max(objective(pi), 0.0)))
+        cross = omx @ pi @ omy.T
+        trace.append(math.sqrt(max(objective(pi, cross), 0.0)))
     witness = Coupling(pi, wx, wy)
     value = distortion_p(netX, netY, witness, 2.0)
     return SolveReport(value, witness, "frank_wolfe", it, converged,
@@ -801,7 +824,9 @@ def gm_over_split(netX: MeasureNetwork, netY: MeasureNetwork,
     Upper-bounds the order-p Gromov-Wasserstein distance for any coupling and
     matches it when the coupling is optimal.  Equals ``distortion_map`` of
     ``mass_split_from_coupling(netX, netY, pi).phi`` bit for bit, but reads
-    the split's table block by block instead of building it.
+    the split's table from X's instead of building it: by row blocks at
+    finite p, and at p = inf one comparison per pair of source points, since
+    the split lists its points by source row (see ``networks._distortion``).
     """
     rho, phi, mass = _split_support(netX, netY, pi)
     p = check_exponent(p)

@@ -447,6 +447,13 @@ def test_miso_unsupported_weighting_is_input_error(workdir):
     assert b"no measure-preserving map" not in proc.stderr
 
 
+def test_miso_infinite_exponent_is_input_error(workdir):
+    serialize.save_cloud(str(workdir / "c.json"), random_cloud(4, 2, 3))
+    proc = run_cli(["miso", "c.json", "c.json", "--p", "inf"], workdir)
+    assert proc.returncode == 1
+    assert b"registration requires a finite exponent" in proc.stderr
+    assert proc.stdout == b""
+
 # flags a subcommand would ignore: --threads everywhere (no solver takes a
 # thread count), --format where no solver report is printed
 @pytest.mark.parametrize("argv", [

@@ -26,7 +26,7 @@ from gromon import (
     validate_network,
 )
 from gromon.euclidean import EuclideanCloud, Isometry
-from gromon.networks import _BLOCK, _exact_sum, pseudometric_violation
+from gromon.networks import _BLOCK, EPS_SUPP, _exact_sum, pseudometric_violation
 from gromon.randgen import random_coupling, random_metric_network
 from gromon.solvers import enumerate_monge_maps, gm_infinity, gm_over_split
 
@@ -663,6 +663,134 @@ def test_metric_check_memory_is_bounded():
     assert flag.is_metric
     # the n^3 triangle tensor alone would be 216 MB
     assert peak < 8 * 2**20
+
+
+# -- the sup distortion: one comparison per source pair -----------------------
+
+def pairwise_sup(omx, omy, ix, iy):
+    """The max over all N x N pairs of points, as the sup was taken before
+    it came from the extremes of each support rectangle."""
+    return float(np.abs(omx[np.ix_(ix, ix)] - omy[np.ix_(iy, iy)]).max())
+
+
+def _signed_pairs():
+    """Seeded asymmetric signed tables at scales 1e-3 to 1e3, rectangular,
+    with small-integer weights and a full-support coupling."""
+    rng = np.random.default_rng(43)
+    for k, (n, m) in enumerate(((1, 1), (1, 5), (4, 1), (3, 5), (7, 4), (9, 12), (26, 22))):
+        cx, cy = rng.integers(1, 5, n), rng.integers(1, 5, m)
+        scale = 10.0 ** (k % 3 * 3 - 3)
+        x = MeasureNetwork(cx / cx.sum(), rng.standard_normal((n, n)) * scale)
+        y = MeasureNetwork(cy / cy.sum(), rng.standard_normal((m, m)) * scale)
+        yield x, y, random_coupling(x.weights, y.weights, [43, k])
+
+
+def _sparse(x, y, pi, keep):
+    """The coupling on the cells where ``keep`` holds, between the networks
+    reweighted by its marginals; None when a row or column is emptied."""
+    t = pi.table * keep
+    t /= t.sum()
+    sx, sy = t.sum(axis=1), t.sum(axis=0)
+    if not (sx.all() and sy.all()):
+        return None
+    return MeasureNetwork(sx, x.omega), MeasureNetwork(sy, y.omega), Coupling(t, sx, sy)
+
+
+@pytest.mark.parametrize("pair", list(_signed_pairs()), ids=lambda pair: f"{pair[0].n}x{pair[1].n}")
+def test_sup_distortion_equals_pairwise_max(pair):
+    x, y, pi = pair
+    cells = np.arange(pi.table.size).reshape(pi.shape)
+    cases = [(x, y, pi)] + [_sparse(x, y, pi, cells % k == 0) for k in (2, 3, 5)]
+    for case in filter(None, cases):
+        a, b, c = case
+        rows, cols = np.nonzero(c.table > EPS_SUPP)
+        want = pairwise_sup(a.omega, b.omega, rows, cols).hex()
+        assert distortion_p(a, b, c, math.inf).hex() == want
+        assert gm_over_split(a, b, c, math.inf).hex() == want
+        assert distortion_p(b, a, Coupling(c.table.T, b.weights, a.weights),
+                            math.inf).hex() == pairwise_sup(b.omega, a.omega, cols, rows).hex()
+    for net in (x, y):
+        support = np.flatnonzero(net.weights > EPS_SUPP)
+        zero = np.zeros(support.size, dtype=np.intp)
+        assert size_p(net, math.inf).hex() == pairwise_sup(
+            net.omega, np.zeros((1, 1)), support, zero).hex()
+
+
+def test_sup_distortion_of_maps_with_repeated_targets():
+    # non-injective maps, some with a source point of weight at most
+    # EPS_SUPP, which the sup does not read
+    for k, (x, y, phi) in enumerate(_induced_pairs()):
+        w = x.weights
+        if k % 2 and x.n > 1:  # the last point goes light
+            w = w.copy()
+            w[0] += w[-1]
+            w[-1] = 1e-13 if k % 4 == 1 else EPS_SUPP
+            w[0] -= w[-1]
+            x = MeasureNetwork(w, x.omega)
+            y = MeasureNetwork(np.bincount(phi.assignment, weights=w, minlength=y.n), y.omega)
+        source = np.flatnonzero(w > EPS_SUPP)
+        a = phi.assignment
+        assert distortion_map(x, y, phi, math.inf).hex() == pairwise_sup(
+            x.omega, y.omega, source, a[source]).hex()
+
+
+def test_sup_distortion_skips_a_cell_at_eps_supp():
+    # the cell at exactly 1e-12 carries the largest mismatch, but it is not
+    # in the support, which holds the cells strictly above EPS_SUPP
+    t = np.array([[0.5 - 1e-12, 1e-12, 0.0], [0.0, 0.25, 0.0], [0.0, 0.0, 0.25]])
+    x = MeasureNetwork(t.sum(axis=1), [[0.0, 1.0, 2.0], [1e3, 0.5, 3.0], [2.0, 0.0, 1.0]])
+    y = MeasureNetwork(t.sum(axis=0), [[0.0, 1.0, 2.0], [1e3, 0.0, 2.0], [1.0, 2.0, 0.0]])
+    pi = Coupling(t, x.weights, y.weights)
+    rows, cols = np.nonzero(t > EPS_SUPP)
+    want = pairwise_sup(x.omega, y.omega, rows, cols)
+    assert want == 2.0 and pairwise_sup(x.omega, y.omega, *np.nonzero(t)) == 1e3
+    assert distortion_p(x, y, pi, math.inf).hex() == want.hex()
+    assert gm_over_split(x, y, pi, math.inf).hex() == want.hex()
+
+
+@pytest.mark.parametrize("a,b", [(0.0, 0.0), (-0.0, 0.0), (0.0, -0.0), (2.5, -1.25),
+                                 (-1e-3, 1e3)])
+def test_sup_distortion_of_one_point_networks(a, b):
+    x, y = MeasureNetwork([1.0], [[a]]), MeasureNetwork([1.0], [[b]])
+    pi = product_coupling(x, y)
+    want = pairwise_sup(x.omega, y.omega, [0], [0]).hex()
+    assert distortion_p(x, y, pi, math.inf).hex() == want
+    assert distortion_map(x, y, MongeMap([0]), math.inf).hex() == want
+    assert gm_over_split(x, y, pi, math.inf).hex() == want
+    assert size_p(x, math.inf).hex() == abs(a).hex()
+
+
+def test_sup_distortion_of_signed_zeros_is_positive_zero():
+    x = MeasureNetwork([0.5, 0.5], [[-0.0, -0.0], [-0.0, -0.0]])
+    y = MeasureNetwork([0.5, 0.5], np.zeros((2, 2)))
+    for c in (product_coupling(x, y), Coupling(np.diag(x.weights), x.weights, y.weights)):
+        assert distortion_p(x, y, c, math.inf).hex() == "0x0.0p+0"
+        assert distortion_p(y, x, c, math.inf).hex() == "0x0.0p+0"
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_sup_distortion_near_float_max_overflows(sign):
+    om = np.array([[0.0, 1e308, -1e308], [1e308, 0.0, 1e308], [-1e308, 1e308, 0.0]]) * sign
+    x, y = MeasureNetwork(np.full(3, 1 / 3), om), MeasureNetwork(np.full(3, 1 / 3), -om)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="distortion overflows"):
+            distortion_p(x, y, product_coupling(x, y), math.inf)
+        with pytest.raises(ValueError, match="distortion overflows"):
+            gm_over_split(x, y, product_coupling(x, y), math.inf)
+        with pytest.raises(ValueError, match="distortion overflows"):
+            distortion_map(x, y, MongeMap([0, 1, 2]), math.inf)
+
+
+def test_sup_distortion_requires_points_sorted_by_source():
+    import gromon.networks as networks_module
+
+    om = random_metric_network(3, [44, 0]).omega
+    ix, iy = np.array([0, 2, 1]), np.array([1, 0, 2])
+    with pytest.raises(ValueError, match="sorted by source"):
+        networks_module._distortion(om, om, ix, iy, np.full(3, 1 / 3), math.inf)
+    # finite p reads the pairs in any order
+    networks_module._distortion(om, om, ix, iy, np.full(3, 1 / 3), 2.0)
 
 
 # -- certified sums: one extraction per block, else math.fsum over every term ---

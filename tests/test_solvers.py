@@ -762,6 +762,91 @@ def test_fw_matrix_minimum_start_matches_north_west(monkeypatch):
             assert got.witness.table.tobytes() == ref.witness.table.tobytes()
 
 
+
+class _FullWalkBasis(solvers._TransportBasis):
+    """Reference copy of the transport simplex as it was before pivots
+    re-hung only the cut subtree: every pivot walks the whole tree."""
+
+    def solve(self, cost):
+        n, m = self.n, self.m
+        rows, cols, flow, adj = self.rows, self.cols, self.flow, self.adj
+        max_pivots = solvers._PIVOTS_PER_CELL * n * m
+        c = cost.tolist()
+        tol = solvers._PRICE_ULPS * (n + m) * np.finfo(float).eps * float(np.abs(cost).max())
+        for pivots in range(max_pivots + 1):
+            pot = [0.0] * (n + m)
+            up = [-1] * (n + m)
+            parent = [-1] * (n + m)
+            depth = [0] * (n + m)
+            stack = [0]
+            while stack:
+                a = stack.pop()
+                for s in adj[a]:
+                    if s != up[a]:
+                        b = n + cols[s] if a < n else rows[s]
+                        up[b], parent[b], depth[b] = s, a, depth[a] + 1
+                        pot[b] = c[rows[s]][cols[s]] - pot[a]
+                        stack.append(b)
+            pot_arr = np.array(pot)
+            reduced = cost - pot_arr[:n, None] - pot_arr[None, n:]
+            enter = int(reduced.argmin())
+            if reduced.flat[enter] >= -tol:
+                break
+            if pivots == max_pivots:
+                raise RuntimeError(f"transport simplex not optimal after {max_pivots} pivots")
+            ie, je = divmod(enter, m)
+            a, b = ie, n + je
+            from_a, from_b = [], []
+            while a != b:
+                if depth[a] >= depth[b]:
+                    from_a.append(up[a])
+                    a = parent[a]
+                else:
+                    from_b.append(up[b])
+                    b = parent[b]
+            losing = from_a[0::2] + from_b[0::2]
+            leave = min(losing, key=flow.__getitem__)
+            theta = flow[leave]
+            for s in losing:
+                flow[s] -= theta
+            for s in from_a[1::2] + from_b[1::2]:
+                flow[s] += theta
+            adj[rows[leave]].remove(leave)
+            adj[n + cols[leave]].remove(leave)
+            rows[leave], cols[leave], flow[leave] = ie, je, theta
+            adj[ie].append(leave)
+            adj[n + je].append(leave)
+        vertex = np.zeros((n, m))
+        vertex[rows, cols] = [(f + n) // self.K / self.den for f in flow]
+        return vertex
+
+
+@pytest.mark.parametrize("shape", TRANSPORT_SHAPES)
+@pytest.mark.parametrize("seed", range(4))
+def test_transport_subtree_pivots_match_full_walk(shape, seed):
+    # every pivot, basis and vertex of a warm sequence is the full walk's
+    first, wx, wy = transport_case(shape, seed)
+    basis = solvers._TransportBasis(wx, wy, first)
+    ref = _FullWalkBasis(wx, wy, first)
+    for k in range(6):
+        cost = transport_case(shape, seed + 2 * k)[0]
+        got, want = basis.solve(cost), ref.solve(cost)
+        assert (basis.rows, basis.cols, basis.flow) == (ref.rows, ref.cols, ref.flow)
+        assert got.tobytes() == want.tobytes()
+
+
+def test_fw_subtree_pivots_match_full_walk(monkeypatch):
+    for x, y in _seeded_certify_pairs():
+        for init in (None, random_coupling(x.weights, y.weights, [42, x.n])):
+            got = gw_frank_wolfe(x, y, init=init)
+            with monkeypatch.context() as mp:
+                mp.setattr(solvers, "_TransportBasis", _FullWalkBasis)
+                ref = gw_frank_wolfe(x, y, init=init)
+            assert float(got.value).hex() == float(ref.value).hex()
+            assert (got.iterations, got.converged) == (ref.iterations, ref.converged)
+            assert got.trace == ref.trace
+            assert got.witness.table.tobytes() == ref.witness.table.tobytes()
+
 def test_transport_simplex_pivot_cap(monkeypatch):
     cost, wx, wy = transport_case((26, 22), 0)
     monkeypatch.setattr(solvers, "_PIVOTS_PER_CELL", 0)
