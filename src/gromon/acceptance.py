@@ -85,7 +85,7 @@ class _Check:
         if not ok:
             self.failures.append(label)
 
-    def result(self, name: str, started: float, extra: str = "") -> CriterionResult:
+    def result(self, name: str, started: float) -> CriterionResult:
         elapsed = time.perf_counter() - started
         if self.failures:
             detail = "; ".join(self.failures[:4])
@@ -93,8 +93,6 @@ class _Check:
                 detail += f"; ... {len(self.failures)} failures total"
         else:
             detail = f"{self.count} checks, worst deviation {self.worst:.2e}"
-            if extra:
-                detail += f", {extra}"
         return CriterionResult(name, not self.failures, detail, elapsed)
 
 

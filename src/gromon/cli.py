@@ -100,8 +100,8 @@ def _build_parser() -> argparse.ArgumentParser:
     rand.add_argument("--kind", choices=("spd", "metric", "cloud", "graph"),
                       required=True)
     rand.add_argument("--n", type=int, required=True)
-    rand.add_argument("--dim", type=int, default=2)
-    rand.add_argument("--edge-prob", type=float, default=0.5)
+    rand.add_argument("--dim", type=int)
+    rand.add_argument("--edge-prob", type=float)
     rand.add_argument("--out", required=True)
 
     subs.add_parser("suite", help="run the acceptance criteria")
@@ -211,6 +211,12 @@ def _cmd_split(args) -> int:
 def _cmd_rand(args) -> int:
     if args.n < 1:
         raise ValueError("--n must be >= 1")
+    # --dim and --edge-prob act on one kind each: a default there, an input error elsewhere
+    for name, kind, default in (("dim", "cloud", 2), ("edge_prob", "graph", 0.5)):
+        if getattr(args, name) is None:
+            setattr(args, name, default)
+        elif args.kind != kind:
+            raise ValueError(f"--{name.replace('_', '-')} applies only to --kind {kind}")
     if args.kind == "spd":
         serialize.save_network(args.out, random_spd_network(args.n, args.seed))
     elif args.kind == "metric":

@@ -182,38 +182,63 @@ def _exact_sum(terms) -> float:
     return math.fsum(itertools.chain.from_iterable(r.ravel().tolist() for r in terms()))
 
 
+def _terms(d: np.ndarray, p: float, wa, wb) -> np.ndarray:
+    """The terms |d|**p * wa * wb of the mismatches ``d``, multiplied left to
+    right in place; the bare |d| at p = inf.  The p = 2 and p = 1 branches
+    give the bits of ``**`` faster."""
+    np.abs(d, out=d)
+    if math.isinf(p):
+        return d
+    if p == 2.0:
+        d *= d
+    elif p != 1.0:
+        d **= p
+    d *= wa
+    d *= wb
+    return d
+
+
 def _distortion(omx: np.ndarray, omy: np.ndarray, ix: np.ndarray, iy: np.ndarray,
                 w: np.ndarray, p: float) -> float:
     """Distortion over ordered pairs of points a = (ix[a], iy[a]).
 
     The mismatch of a pair (a, b) is |omx[ix[a], ix[b]] - omy[iy[a], iy[b]]|.
     For finite p the result is the p-th root of the exactly rounded sum of
-    the terms mismatch**p * w[a] * w[b], multiplied left to right.  Every
-    finite-p distortion (of a coupling, a map, a split or a p-size) forms its
-    terms by this one rule, so a map's distortion equals its induced
-    coupling's bit for bit.  The terms are formed by row blocks of about
-    _BLOCK, in place, and only one block exists at a time; ``_exact_sum``
-    sums each block as it comes, and calls ``terms`` once, or twice when it
-    falls back to ``math.fsum``.
+    the terms that ``_terms`` forms, mismatch**p * w[a] * w[b].  Every
+    distortion (of a coupling, a map, a split or a p-size, and each entry of
+    ``gm_exact``'s term table) forms its terms there, so a map's distortion
+    equals its induced coupling's bit for bit.  The terms are formed by row
+    blocks of about _BLOCK, in place, and only one block exists at a time;
+    ``_exact_sum`` sums each block as it comes, and calls ``terms`` once, or
+    twice when it falls back to ``math.fsum``.
 
     For p = inf the result is the max mismatch (``w`` unused), taken without
     forming the N x N pairs.  ``ix`` must then be nondecreasing (every caller
     lists its points by source row); a ``ValueError`` says when it is not.
-    With S_i the targets of source point i, the pairs of a source pair
-    (i, k) reach |omx[i, k] - y| for y over omy[S_i x S_k], and since
-    rounded subtraction is monotone and fl(y - x) = -fl(x - y), their max is
-    max(|fl(x - lo)|, |fl(hi - x)|) with lo and hi the min and max of that
-    rectangle: the same float as the pairwise max.  lo and hi come from two
-    ``reduceat`` passes over the runs of ``ix``, in O(N * (n + m)) time and
-    memory.
+    With S_k the targets of source point k, the pairs of a point a and the
+    points of source k reach |omx[ix[a], k] - y| for y over omy[iy[a], S_k].
+    Rounded subtraction is monotone and fl(y - x) = -fl(x - y), so their max
+    is max(|fl(x - lo)|, |fl(hi - x)|) with lo and hi the min and max of that
+    row segment: the same float as the pairwise max.  lo and hi come from one
+    ``reduceat`` each over the runs of ``ix``, gathered by ``iy``, in
+    O(N * (n + m)) time and memory.
     On finite tables the result is infinite only when a term overflowed,
     which raises ``ValueError``.
     """
+    y_cols = omy[:, iy]  # (m, N): the row of omy at each point's target
     if math.isinf(p):
-        value = _sup_distortion(omx, omy, ix, iy)
+        if (ix[1:] < ix[:-1]).any():
+            raise ValueError("the points of a sup distortion must be sorted by source")
+        starts = np.flatnonzero(np.concatenate(([True], ix[1:] != ix[:-1])))
+        x = omx[:, ix[starts]][ix]  # (N, R): omx[ix[a], k] for each source k
+        lo = np.minimum.reduceat(y_cols, starts, axis=1)[iy]
+        hi = np.maximum.reduceat(y_cols, starts, axis=1)[iy]
+        with np.errstate(over="ignore"):
+            np.subtract(x, lo, out=lo)
+            np.subtract(hi, x, out=hi)
+        value = float(max(np.abs(lo, out=lo).max(), np.abs(hi, out=hi).max()))
     else:
         x_cols = omx[:, ix]
-        y_cols = omy[:, iy]
         step = max(1, _BLOCK // max(ix.size, 1))
 
         def terms():
@@ -221,38 +246,13 @@ def _distortion(omx: np.ndarray, omy: np.ndarray, ix: np.ndarray, iy: np.ndarray
                 s = slice(start, start + step)
                 d = x_cols[ix[s]]
                 d -= y_cols[iy[s]]
-                np.abs(d, out=d)
-                if p == 2.0:
-                    d *= d
-                elif p != 1.0:
-                    d **= p
-                d *= w[s, None]
-                d *= w
-                yield d
+                yield _terms(d, p, w[s, None], w)
 
         with np.errstate(over="ignore"):
             value = _exact_sum(terms)
     if not math.isfinite(value):
         raise ValueError("the order-p distortion overflows float64 on these tables")
     return value if math.isinf(p) else value ** (1.0 / p)
-
-
-def _sup_distortion(omx: np.ndarray, omy: np.ndarray, ix: np.ndarray,
-                    iy: np.ndarray) -> float:
-    """The p = inf case of ``_distortion``, from the extremes of omy over
-    each support rectangle S_i x S_k."""
-    if (ix[1:] < ix[:-1]).any():
-        raise ValueError("the points of a sup distortion must be sorted by source")
-    starts = np.flatnonzero(np.concatenate(([True], ix[1:] != ix[:-1])))
-    src = ix[starts]
-    x = omx[src][:, src]
-    y_cols = omy[:, iy]  # (m, N): the row of omy at each point's target
-    lo = np.minimum.reduceat(np.minimum.reduceat(y_cols, starts, axis=1)[iy], starts, axis=0)
-    hi = np.maximum.reduceat(np.maximum.reduceat(y_cols, starts, axis=1)[iy], starts, axis=0)
-    with np.errstate(over="ignore"):
-        np.subtract(x, lo, out=lo)
-        np.subtract(hi, x, out=hi)
-    return float(max(np.abs(lo).max(), np.abs(hi).max()))
 
 
 def _weights(a, what: str = "weights") -> np.ndarray:
@@ -301,7 +301,9 @@ class MeasureNetwork:
                 raise TypeError(f"labels must be a list, got {self.labels!r}")
             if len(self.labels) != w.size:
                 raise ValueError("labels length does not match weights")
-            object.__setattr__(self, "labels", tuple(self.labels))
+            # an ndarray's entries are numpy scalars, which JSON cannot write
+            labels = self.labels.tolist() if isinstance(self.labels, np.ndarray) else self.labels
+            object.__setattr__(self, "labels", tuple(labels))
         object.__setattr__(self, "weights", _frozen(w))
         object.__setattr__(self, "omega", _frozen(om))
 
@@ -445,9 +447,9 @@ def distortion_p(netX: MeasureNetwork, netY: MeasureNetwork, pi: Coupling, p) ->
     a zero cell is exactly 0; it is exactly rounded, so whenever none of the
     n*m*n*m terms overflows it equals ``math.fsum`` over all of them, bit for
     bit.  It is formed in blocks of rows, so memory stays O(n*m*(n+m)).  The
-    sup compares each pair of source points with the least and greatest
-    entry of omega_Y over their support rectangle, which gives the pairwise
-    max bit for bit in O(n*m*(n+m)) time and memory (see ``_distortion``).
+    sup compares each support cell (i, j) and source point k with the least
+    and greatest omega_Y from j to k's targets: the pairwise max bit for bit
+    in O(n*m*(n+m)) time and memory (see ``_distortion``).
     """
     p = check_exponent(p)
     _check_couples(pi, netX, netY)

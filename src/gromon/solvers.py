@@ -38,6 +38,7 @@ from .networks import (
     _check_couples,
     _distortion,
     _map_distortion,
+    _terms,
     _weights,
     check_exponent,
     check_measure_preserving,
@@ -232,7 +233,7 @@ def _term_table(omx: np.ndarray, omy: np.ndarray, w: np.ndarray, p: float) -> np
 
     Slab s of the source pair (i, k) of ``_source_pairs`` holds at (j, l)
     what a map with a[i] = j and a[k] = l adds to its distortion.  Each term
-    is formed by the rule of ``networks._distortion``,
+    is formed by ``networks._terms``, the former of every distortion term:
     |omx[i, k] - omy[j, l]|**p * w[i] * w[k] multiplied left to right, and
     for i < k the terms of (i, k) and (k, i) are folded into one entry: a
     sum at finite p.  At p = inf an entry is the larger mismatch, or 0 when
@@ -245,17 +246,8 @@ def _term_table(omx: np.ndarray, omy: np.ndarray, w: np.ndarray, p: float) -> np
 
     def terms(a, b, om):
         # ordered source pairs (a, b) against om[j, l]
-        d = omx[a, b][:, None, None] - om
-        np.abs(d, out=d)
-        if math.isinf(p):
-            return d
-        if p == 2.0:
-            d *= d
-        elif p != 1.0:
-            d **= p
-        d *= w[a][:, None, None]
-        d *= w[b][:, None, None]
-        return d
+        return _terms(omx[a, b][:, None, None] - om, p,
+                      w[a][:, None, None], w[b][:, None, None])
 
     table = terms(i, k, omy)
     back = terms(k[n:], i[n:], omy.T)
@@ -825,8 +817,8 @@ def gm_over_split(netX: MeasureNetwork, netY: MeasureNetwork,
     matches it when the coupling is optimal.  Equals ``distortion_map`` of
     ``mass_split_from_coupling(netX, netY, pi).phi`` bit for bit, but reads
     the split's table from X's instead of building it: by row blocks at
-    finite p, and at p = inf one comparison per pair of source points, since
-    the split lists its points by source row (see ``networks._distortion``).
+    finite p, and at p = inf one comparison per split point and source of X,
+    as the split lists its points by source row (see ``networks._distortion``).
     """
     rho, phi, mass = _split_support(netX, netY, pi)
     p = check_exponent(p)

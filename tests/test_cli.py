@@ -337,6 +337,30 @@ def test_rand_graph_bad_edge_prob_exit_one(workdir, edge_prob):
     assert not (workdir / "g.json").exists()
 
 
+@pytest.mark.parametrize("kind,flag,value", [
+    ("spd", "--dim", "5"), ("metric", "--dim", "2"), ("graph", "--dim", "3"),
+    ("spd", "--edge-prob", "0.9"), ("metric", "--edge-prob", "0.5"),
+    ("cloud", "--edge-prob", "0.2"),
+])
+def test_rand_flag_of_another_kind_is_input_error(workdir, kind, flag, value):
+    # --dim acts only on clouds and --edge-prob only on graphs
+    proc = run_cli(["rand", "--kind", kind, "--n", "3", flag, value, "--out", "s.json"], workdir)
+    assert proc.returncode == 1
+    assert proc.stdout == b""
+    assert proc.stderr.decode().splitlines() == [
+        f"error: {flag} applies only to --kind {'cloud' if flag == '--dim' else 'graph'}"]
+    assert not (workdir / "s.json").exists()
+
+
+@pytest.mark.parametrize("kind,flag,default", [("cloud", "--dim", "2"),
+                                               ("graph", "--edge-prob", "0.5")])
+def test_rand_kind_flag_defaults(workdir, kind, flag, default):
+    base = ["rand", "--kind", kind, "--n", "5", "--seed", "4"]
+    assert run_cli(base + ["--out", "a.json"], workdir).returncode == 0
+    assert run_cli(base + [flag, default, "--out", "b.json"], workdir).returncode == 0
+    assert (workdir / "a.json").read_bytes() == (workdir / "b.json").read_bytes()
+
+
 def test_out_of_memory_is_one_line_input_error(workdir, monkeypatch, capsys):
     def too_large(n, seed):
         raise MemoryError("Unable to allocate 7.28 TiB for an array with shape (1000000, 1000000)")
@@ -490,6 +514,14 @@ def test_readme_lists_the_flags_of_each_subcommand():
         assert row, f"no README flag row for {name}"
         flags = {f for a in sub._actions for f in a.option_strings if f.startswith("--")}
         assert set(re.findall(r"--[a-z][a-z-]*", row[1])) == flags - {"--help"}, name
+
+
+def test_readme_quick_start_runs(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"^```python\n(.*?)^```", readme, re.M | re.S)
+    assert block, "no python block in the README"
+    exec(compile(block[1], "README.md", "exec"), {})
+    assert capsys.readouterr().out.splitlines()[0] == "0.25"
 
 
 def test_readme_states_the_replay_store_bounds():

@@ -28,7 +28,13 @@ from gromon import (
 from gromon.euclidean import EuclideanCloud, Isometry
 from gromon.networks import _BLOCK, EPS_SUPP, _exact_sum, pseudometric_violation
 from gromon.randgen import random_coupling, random_metric_network
-from gromon.solvers import enumerate_monge_maps, gm_infinity, gm_over_split
+from gromon.solvers import (
+    _TransportBasis,
+    enumerate_monge_maps,
+    gm_infinity,
+    gm_over_split,
+    gw_frank_wolfe,
+)
 
 from conftest import networks, relabeled
 
@@ -714,6 +720,35 @@ def test_sup_distortion_equals_pairwise_max(pair):
         zero = np.zeros(support.size, dtype=np.intp)
         assert size_p(net, math.inf).hex() == pairwise_sup(
             net.omega, np.zeros((1, 1)), support, zero).hex()
+
+
+def _sparse_couplings():
+    """Transport vertices (at most n + m - 1 cells) on signed asymmetric
+    tables, and Frank-Wolfe witnesses on metric tables, with small-integer
+    weights; 1 x m and n x 1 shapes included."""
+    rng = np.random.default_rng(47)
+    for k, (n, m) in enumerate(((1, 6), (5, 1), (2, 7), (6, 3), (13, 11), (26, 22))):
+        cx, cy = rng.integers(1, 5, n), rng.integers(1, 5, m)
+        wx, wy = cx / cx.sum(), cy / cy.sum()
+        scale = 10.0 ** (k % 3 * 3 - 3)
+        x = MeasureNetwork(wx, rng.standard_normal((n, n)) * scale)
+        y = MeasureNetwork(wy, rng.standard_normal((m, m)) * scale)
+        for _ in range(3):
+            cost = rng.standard_normal((n, m))
+            yield x, y, Coupling(_TransportBasis(wx, wy, cost).solve(cost), wx, wy)
+        x = MeasureNetwork(wx, random_metric_network(n, [47, k, 0]).omega)
+        y = MeasureNetwork(wy, random_metric_network(m, [47, k, 1]).omega)
+        yield x, y, gw_frank_wolfe(x, y).witness
+
+
+@pytest.mark.parametrize("case", list(_sparse_couplings()),
+                         ids=lambda case: f"{case[0].n}x{case[1].n}")
+def test_sup_distortion_of_sparse_supports(case):
+    x, y, pi = case
+    rows, cols = np.nonzero(pi.table > EPS_SUPP)
+    want = pairwise_sup(x.omega, y.omega, rows, cols).hex()
+    assert distortion_p(x, y, pi, math.inf).hex() == want
+    assert gm_over_split(x, y, pi, math.inf).hex() == want
 
 
 def test_sup_distortion_of_maps_with_repeated_targets():

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from gromon import MongeMap, simplex_network
+from gromon import MeasureNetwork, MongeMap, simplex_network
 from gromon.randgen import random_cloud, random_coupling, random_graph, random_metric_network
 from gromon import serialize
 from gromon.serialize import FormatError
@@ -17,6 +17,17 @@ def test_network_round_trip(tmp_path):
     back = serialize.load_network(str(path))
     assert np.array_equal(back.weights, net.weights)
     assert np.array_equal(back.omega, net.omega)
+
+
+@pytest.mark.parametrize("labels", [np.array([1, 2]), np.array(["a", "b"])],
+                         ids=["int", "str"])
+def test_ndarray_labels_round_trip(tmp_path, labels):
+    # numpy scalars are not JSON numbers or strings: labels are read as plain values
+    net = MeasureNetwork([0.5, 0.5], [[0, 1], [1, 0]], labels=labels)
+    assert net.labels == tuple(labels.tolist())
+    path = tmp_path / "net.json"
+    serialize.save_network(str(path), net)
+    assert serialize.load_network(str(path)).labels == tuple(labels.tolist())
 
 
 def test_network_missing_field(tmp_path):

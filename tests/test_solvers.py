@@ -464,6 +464,39 @@ def test_folded_scores_within_slack_of_unfolded_terms(p):
             assert abs(score - exact) <= solvers._screen_slack(n, p) * exact
 
 
+@pytest.mark.parametrize("p", [1, 1.5, 2, 3])
+def test_term_table_holds_the_distortion_terms(p, monkeypatch):
+    """The folded term table and ``distortion_map`` form each term by one
+    rule: slab (i, i) holds the map's term t[i, i] bit for bit, and slab
+    (i, k), i < k, the rounded sum of t[i, k] and t[k, i]."""
+    import gromon.networks as networks_module
+
+    seen = []
+
+    def recording_sum(terms):
+        seen.append(np.concatenate([b.ravel() for b in terms()]))
+        return math.fsum(seen[-1].tolist())
+
+    monkeypatch.setattr(networks_module, "_exact_sum", recording_sum)
+    rng = np.random.default_rng([81, int(p * 2)])
+    for n, m in ((1, 1), (3, 1), (4, 2), (6, 6), (7, 5), (9, 4)):
+        for _ in range(4):  # surjective maps, so every target weight is positive
+            a = rng.permutation(np.concatenate([np.arange(m), rng.integers(0, m, n - m)]))
+            counts = rng.integers(1, 10, n)
+            wx = counts / counts.sum()
+            x = MeasureNetwork(wx, rng.uniform(-3, 3, (n, n)) * 10.0 ** rng.integers(-3, 4))
+            y = MeasureNetwork(np.bincount(a, weights=wx, minlength=m),
+                               rng.uniform(-3, 3, (m, m)))
+            seen.clear()
+            distortion_map(x, y, MongeMap(a), p)
+            t = seen[0].reshape(n, n)
+            table = solvers._term_table(x.omega, y.omega, x.weights, float(p)).reshape(-1, m, m)
+            i, k = solvers._source_pairs(n)
+            for s, (u, v) in enumerate(zip(i.tolist(), k.tolist())):
+                want = t[u, u] if u == v else t[u, v] + t[v, u]
+                assert table[s, a[u], a[v]].hex() == float(want).hex()
+
+
 def test_gm_near_equal_small_weights_is_finite():
     # 1/999999 and 1e-6 differ by about 1e-12, within the mass tolerance
     net_x, net_y = near_equal_small_pair()
