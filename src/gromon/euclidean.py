@@ -31,10 +31,10 @@ from .networks import (
 from .solvers import (
     DEFAULT_CAP,
     SolveReport,
+    _assignment_blocks,
     _best_restart,
     _count_uniform_maps,
     _uniform,
-    enumerate_monge_maps,
     gm_exact,
     gm_infinity,
 )
@@ -115,6 +115,21 @@ def cloud_to_network(cloud: EuclideanCloud) -> MeasureNetwork:
     return MeasureNetwork(cloud.weights, _distances(cloud.points, cloud.points))
 
 
+def _fit(points: np.ndarray, w: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The rotation and translation of ``procrustes_align`` with targets[i]
+    = y_{phi(i)}, on plain arrays and without its input checks."""
+    cx = w @ points
+    cy = w @ targets
+    xc = points - cx
+    yc = targets - cy
+    cross = xc.T @ (w[:, None] * yc)
+    if not np.isfinite(cross).all():
+        raise ValueError(_OVERFLOW)
+    u, _, vt = np.linalg.svd(cross)
+    rot = vt.T @ u.T
+    return rot, cy - rot @ cx
+
+
 def procrustes_align(x: EuclideanCloud, y: EuclideanCloud, phi: MongeMap) -> Isometry:
     """Weighted least-squares rigid alignment of x onto y along a map.
 
@@ -122,23 +137,13 @@ def procrustes_align(x: EuclideanCloud, y: EuclideanCloud, phi: MongeMap) -> Iso
     translations t: weighted centroids, cross-covariance, and the orthogonal
     polar factor from an SVD.  R ranges over the full orthogonal group;
     reflections are always allowed.  Raises ``ValueError`` when the
-    cross-covariance overflows float64.
+    cross-covariance overflows float64.  The checked public form of
+    ``_fit``, the step that ``m_iso`` runs on its own arrays.
     """
     if x.dim != y.dim:
         raise ValueError(f"dimension mismatch: {x.dim} vs {y.dim}")
     check_measure_preserving(phi, x.weights, y.weights)
-    targets = y.points[phi.assignment]
-    w = x.weights
-    cx = w @ x.points
-    cy = w @ targets
-    xc = x.points - cx
-    yc = targets - cy
-    cross = xc.T @ (w[:, None] * yc)
-    if not np.isfinite(cross).all():
-        raise ValueError(_OVERFLOW)
-    u, _, vt = np.linalg.svd(cross)
-    rot = vt.T @ u.T
-    return Isometry(rot, cy - rot @ cx)
+    return Isometry(*_fit(x.points, x.weights, y.points[phi.assignment]))
 
 
 def _haar_orthogonal(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -161,7 +166,7 @@ def _has_monge_map(x: EuclideanCloud, y: EuclideanCloud) -> bool:
     if _uniform(x.weights) and _uniform(y.weights):
         # decided without enumeration, whose search tree can be huge here
         return _count_uniform_maps(x.n, y.n) > 0
-    return next(enumerate_monge_maps(x.weights, y.weights), None) is not None
+    return next(_assignment_blocks(x.weights, y.weights), None) is not None
 
 
 def m_iso(x: EuclideanCloud, y: EuclideanCloud, p=2, restarts: int = 20,
@@ -184,7 +189,9 @@ def m_iso(x: EuclideanCloud, y: EuclideanCloud, p=2, restarts: int = 20,
     drop by more than 1e-14.  The lowest value wins, ties going to the
     earliest restart.  Transforms range over all isometries: reflections
     are always allowed.  Each cost table is built coordinate by coordinate
-    (``_distances``), never as an (n, n, dim) tensor.
+    (``_distances``), never as an (n, n, dim) tensor.  Restarts hold their
+    transforms as arrays (rot, t) fitted by ``_fit``: each assignment is a
+    permutation of uniform clouds, measure preserving by construction.
 
     Only uniform equal-cardinality clouds are searched.  Any other pair
     reports ``math.inf`` when no measure-preserving map exists and raises
@@ -212,7 +219,7 @@ def m_iso(x: EuclideanCloud, y: EuclideanCloud, p=2, restarts: int = 20,
 
     def run(r: int, rng: np.random.Generator | None) -> tuple[float, int, tuple]:
         if rng is None:
-            iso = procrustes_align(x, y, MongeMap(np.arange(x.n)))
+            rot, t = _fit(x.points, x.weights, y.points)
         else:
             if r <= 2 ** x.dim:
                 # bit k of r - 1 flips the sign of principal axis k
@@ -220,9 +227,9 @@ def m_iso(x: EuclideanCloud, y: EuclideanCloud, p=2, restarts: int = 20,
                 rot = (vy * signs) @ vx.T
             else:
                 rot = _haar_orthogonal(x.dim, rng)
-            iso = Isometry(rot, cy - rot @ cx)
-        moved = iso.apply(x.points)
-        best = (math.inf, None, iso)
+            t = cy - rot @ cx
+        moved = x.points @ rot.T + t
+        best = (math.inf, None, (rot, t))
         trace: list[float] = []
         for it in range(1, max_alternations + 1):
             cost = _distances(moved, y.points) ** p
@@ -233,8 +240,8 @@ def m_iso(x: EuclideanCloud, y: EuclideanCloud, p=2, restarts: int = 20,
                 # the fit and the value depend on phi alone: they would repeat
                 trace.append(trace[-1])
                 return best[0], it, (*best, True, trace)
-            iso = procrustes_align(x, y, MongeMap(phi))
-            moved = iso.apply(x.points)
+            rot, t = _fit(x.points, x.weights, y.points[phi])
+            moved = x.points @ rot.T + t
             res = np.linalg.norm(moved - y.points[phi], axis=1)
             val = math.fsum((res**p * x.weights).tolist()) ** (1.0 / p)
             if not math.isfinite(val):
@@ -242,14 +249,14 @@ def m_iso(x: EuclideanCloud, y: EuclideanCloud, p=2, restarts: int = 20,
             trace.append(val)
             if not val < best[0] - 1e-14:
                 return best[0], it, (*best, True, trace)
-            best = (val, phi, iso)
+            best = (val, phi, (rot, t))
         return best[0], max_alternations, (*best, False, trace)
 
     with np.errstate(over="ignore", invalid="ignore"):
         vx, vy = _principal_axes(x, cx), _principal_axes(y, cy)
-        (val, phi, iso, done, trace), total_iters = _best_restart(restarts, seed, run)
+        (val, phi, fit, done, trace), total_iters = _best_restart(restarts, seed, run)
     return SolveReport(val, MongeMap(phi), "alternating", total_iters, done,
-                       trace=tuple(trace), transform=iso)
+                       trace=tuple(trace), transform=Isometry(*fit))
 
 
 def gm_em_infinity(netX: MeasureNetwork, netY: MeasureNetwork,

@@ -42,7 +42,6 @@ from .networks import (
     _weights,
     check_exponent,
     check_measure_preserving,
-    distortion_map,
     distortion_p,
     product_coupling,
 )
@@ -553,7 +552,8 @@ def gw_frank_wolfe(netX: MeasureNetwork, netY: MeasureNetwork,
     moves by exact line search; the restriction of the objective to a
     segment is a quadratic, so the step is closed form and the objective
     never increases.
-    Stops when the Frank-Wolfe gap drops below ``tol_fw``.
+    Stops at the first step that does not descend: a Frank-Wolfe gap of at
+    most ``tol_fw`` (no curvature formed), or no step from the line search.
 
     One oracle serves every pair of marginals, uniform or not, square or
     not: the transport problems of one run share their marginals, so one
@@ -607,17 +607,14 @@ def gw_frank_wolfe(netX: MeasureNetwork, netY: MeasureNetwork,
         vertex = basis.solve(grad)
         direction = vertex - pi
         lin = float((grad * direction).sum())
-        gap = -lin
-        if gap <= tol_fw:
-            converged = True
-            it -= 1
-            break
-        # objective along the segment: f(gamma) = f(0) + lin*gamma + curv*gamma^2
-        curv = -2.0 * float((direction * (omx @ direction @ omy.T)).sum())
-        if curv > 0.0:
-            gamma = min(1.0, max(0.0, -lin / (2.0 * curv)))
-        else:
-            gamma = 1.0 if lin + curv <= 0.0 else 0.0
+        gamma = 0.0
+        if -lin > tol_fw:  # the gap: a descent step exists
+            # objective along the segment: f(gamma) = f(0) + lin*gamma + curv*gamma^2
+            curv = -2.0 * float((direction * (omx @ direction @ omy.T)).sum())
+            if curv > 0.0:
+                gamma = min(1.0, max(0.0, -lin / (2.0 * curv)))
+            elif lin + curv <= 0.0:
+                gamma = 1.0
         if gamma <= 0.0:
             converged = True
             it -= 1
@@ -691,7 +688,8 @@ def _ascend(omx: np.ndarray, omy: np.ndarray, sigma: np.ndarray) -> tuple[np.nda
     ``MOVE_TOL``.  The screen's slack bounds the rounding of the delta and of
     the two exact sums it stands for, so it never drops a pair the exact
     rule would take, and the chosen move is the one the exact rule picks
-    when it scores every pair.
+    when it scores every pair.  The ascent ends at the first swap scan that
+    finds no move: the jumps stopped there, and they are deterministic.
     """
     n = sigma.size
     eps = np.finfo(float).eps
@@ -705,7 +703,6 @@ def _ascend(omx: np.ndarray, omy: np.ndarray, sigma: np.ndarray) -> tuple[np.nda
     val = _qap_value(omx, omy, sigma)
     moves = 0
     while True:
-        improved = False
         while True:
             # gradient of <omega_X P, P omega_Y> at the current permutation matrix
             grad = omx @ omy[:, sigma].T + omx.T @ omy[sigma, :]
@@ -716,7 +713,6 @@ def _ascend(omx: np.ndarray, omy: np.ndarray, sigma: np.ndarray) -> tuple[np.nda
             if new_val > val + MOVE_TOL:
                 sigma, val = cols.astype(np.intp), new_val
                 moves += 1
-                improved = True
             else:
                 break
         gains = _swap_gains(omx, _permuted_table(omy, sigma))
@@ -729,12 +725,10 @@ def _ascend(omx: np.ndarray, omy: np.ndarray, sigma: np.ndarray) -> tuple[np.nda
             cand_val = _qap_value(omx, omy, cand)
             if cand_val > best_val + MOVE_TOL:
                 best_val, best_sigma = cand_val, cand
-        if best_sigma is not None:
-            sigma, val = best_sigma, best_val
-            moves += 1
-            improved = True
-        if not improved:
+        if best_sigma is None:
             return sigma, val, moves
+        sigma, val = best_sigma, best_val
+        moves += 1
 
 
 def gw_spd_vertex_ascent(netX: MeasureNetwork, netY: MeasureNetwork,
@@ -769,9 +763,8 @@ def gw_spd_vertex_ascent(netX: MeasureNetwork, netY: MeasureNetwork,
         return -val, moves, sigma  # maximize the cross term
 
     best_sigma, total_moves = _best_restart(restarts, seed, run)
-    witness = MongeMap(best_sigma)
-    value = distortion_map(netX, netY, witness, 2.0)
-    return SolveReport(value, witness, "vertex_ascent", total_moves, True)
+    value = _map_distortion(omx, omy, netX.weights, best_sigma, 2.0)
+    return SolveReport(value, MongeMap(best_sigma), "vertex_ascent", total_moves, True)
 
 
 # ---------------------------------------------------------------------------

@@ -286,6 +286,26 @@ def test_m_iso_restart_driver_matches_own_loop(p):
             assert got.transform.translation.tobytes() == iso.translation.tobytes()
 
 
+def test_m_iso_builds_one_isometry_and_checks_no_map(monkeypatch):
+    calls = {"Isometry": 0, "MongeMap": 0, "apply": 0, "check": 0}
+
+    def counted(name, f):
+        def wrapper(*args):
+            calls[name] += 1
+            return f(*args)
+        return wrapper
+
+    monkeypatch.setattr(euclidean, "Isometry", counted("Isometry", Isometry))
+    monkeypatch.setattr(euclidean, "MongeMap", counted("MongeMap", MongeMap))
+    monkeypatch.setattr(Isometry, "apply", counted("apply", Isometry.apply))
+    monkeypatch.setattr(euclidean, "check_measure_preserving",
+                        counted("check", euclidean.check_measure_preserving))
+    for x, y in _registration_pairs():
+        calls.update(dict.fromkeys(calls, 0))
+        m_iso(x, y, p=2, restarts=6, seed=9)
+        assert calls == {"Isometry": 1, "MongeMap": 1, "apply": 0, "check": 0}
+
+
 @pytest.mark.parametrize("k", range(8))
 def test_m_iso_axis_starts_find_planted_match(k):
     x, y, perm = _planted_pair([73, k])

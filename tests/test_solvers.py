@@ -1099,6 +1099,29 @@ def _ascend_reference(omx, omy, sigma):
             return sigma, val, moves
 
 
+def test_ascent_scans_each_permutation_once(monkeypatch):
+    scanned = []
+    swap_gains = solvers._swap_gains
+
+    def recording(omx, c):
+        scanned.append(c.copy())
+        return swap_gains(omx, c)
+
+    monkeypatch.setattr(solvers, "_swap_gains", recording)
+    # from the identity this pair makes one move, a jump: a swap would need
+    # a second scan to end the ascent
+    x, y = random_spd_network(5, [35, 5, 2, 0]), random_spd_network(5, [35, 5, 2, 1])
+    sigma0 = np.arange(5, dtype=np.intp)
+    sigma, val, moves = solvers._ascend(x.omega, y.omega, sigma0)
+    assert (moves, len(scanned)) == (1, 1)
+    want = _ascend_reference(x.omega, y.omega, sigma0)
+    assert np.array_equal(sigma, want[0]) and (val, moves) == want[1:]
+    for x, y in _spd_pairs():
+        scanned.clear()
+        solvers._ascend(x.omega, y.omega, np.arange(x.n, dtype=np.intp))
+        assert not any(np.array_equal(a, b) for a, b in zip(scanned, scanned[1:]))
+
+
 def _tie_heavy_pairs():
     def cycle(n):
         return Graph(n, tuple((i, (i + 1) % n) for i in range(n)))
