@@ -18,7 +18,7 @@ import sys
 from . import serialize
 from .euclidean import m_iso
 from .graphs import heat_kernel_network
-from .networks import distortion_map, parse_exponent
+from .networks import parse_exponent
 from .randgen import (
     random_cloud,
     random_graph,
@@ -28,6 +28,7 @@ from .randgen import (
 from .solvers import (
     DEFAULT_CAP,
     gm_exact,
+    gm_over_split,
     gw_frank_wolfe,
     gw_spd_vertex_ascent,
     mass_split_from_coupling,
@@ -202,7 +203,7 @@ def _cmd_split(args) -> int:
     net_y = serialize.load_network(args.target)
     pi = serialize.load_coupling(args.coupling, net_x.weights, net_y.weights)
     split = mass_split_from_coupling(net_x, net_y, pi)
-    value = distortion_map(split.Z, net_y, split.phi, p)
+    value = gm_over_split(net_x, net_y, pi, p)
     sys.stdout.write(serialize.dumps_canonical(
         serialize.mass_split_to_dict(split, value)))
     return 0

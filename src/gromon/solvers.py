@@ -117,42 +117,39 @@ _BLOCK_MAPS = 4096
 
 
 def _assignment_blocks(source: np.ndarray, target: np.ndarray) -> Iterator[np.ndarray]:
-    """Every assignment whose fiber sums of the float64 ``source`` weights
-    are within ``TOL_MASS`` of the ``target`` weights, as (B, n) intp blocks
-    in lexicographic order.
+    """Every assignment that ``check_measure_preserving`` accepts for the
+    float64 ``source`` and ``target`` weights, as (B, n) intp blocks in
+    lexicographic order.
 
-    Partial assignments grow one source point at a time, at most
-    ``_BLOCK_MAPS`` rows at once: point i may go to every target whose
-    remaining capacity holds it within ``TOL_MASS``, and row-major
-    ``nonzero`` lists the children of each row in order.  Each row's
-    remaining capacities are its own, formed afresh along its path, so
-    rounding never carries over from one branch to the next.  A complete row
-    is kept when every remaining capacity is within ``TOL_MASS`` of zero.
+    Blocks of at most ``_BLOCK_MAPS`` rows grow one source point at a time,
+    depth first, children listed row by row.  Each row carries its fiber
+    sums, added in index order from 0.0 as ``np.bincount`` adds them, and
+    is judged by the checker's own expressions: point i may go to target j
+    unless fl(fiber + w_i) - target > ``TOL_MASS`` (more points only raise
+    that sum), and a complete row is kept when every |fiber - target| is
+    within ``TOL_MASS``.  A level recurses into all its blocks but the last,
+    which the same call carries on with, so one-block levels add no depth.
     """
     n = source.size
 
-    def children(assign, left, i):
-        rows, cols = np.nonzero(left >= source[i] - TOL_MASS)
-        for s in range(0, rows.size, _BLOCK_MAPS):
-            r, c = rows[s:s + _BLOCK_MAPS], cols[s:s + _BLOCK_MAPS]
-            child, child_left = assign[r], left[r]
-            child[:, i] = c
-            child_left[np.arange(r.size), c] -= source[i]
-            yield child, child_left
+    def grow(assign, fibers, i):
+        for i in range(i, n):
+            rows, cols = np.nonzero(fibers + source[i] - target <= TOL_MASS)
+            if not rows.size:
+                return
+            above_assign, above_fibers = assign, fibers
+            for s in range(0, rows.size, _BLOCK_MAPS):
+                if s:  # the block built last round comes first
+                    yield from grow(assign, fibers, i + 1)
+                r, c = rows[s:s + _BLOCK_MAPS], cols[s:s + _BLOCK_MAPS]
+                assign, fibers = above_assign[r], above_fibers[r]
+                assign[:, i] = c
+                fibers[np.arange(r.size), c] += source[i]
+        done = assign[(np.abs(fibers - target) <= TOL_MASS).all(axis=1)]
+        if len(done):
+            yield done
 
-    # levels[i] yields the blocks of assignments of points 0, ..., i - 1
-    levels = [iter([(np.zeros((1, n), dtype=np.intp), target[None, :])])]
-    while levels:
-        block = next(levels[-1], None)
-        if block is None:
-            levels.pop()
-        elif len(levels) <= n:
-            levels.append(children(*block, len(levels) - 1))
-        else:
-            assign, left = block
-            done = assign[(np.abs(left) <= TOL_MASS).all(axis=1)]
-            if len(done):
-                yield done
+    yield from grow(np.zeros((1, n), dtype=np.intp), np.zeros((1, target.size)), 0)
 
 
 @functools.lru_cache(maxsize=16)
@@ -206,9 +203,9 @@ def _stored_blocks(source: bytes,
 def enumerate_monge_maps(source_weights, target_weights) -> Iterator[MongeMap]:
     """Yield every measure-preserving assignment, in lexicographic order.
 
-    The maps are the rows of the blocks that ``gm_exact`` scans: those whose
-    every fiber sum is within ``TOL_MASS`` of its target weight, the rule of
-    ``check_measure_preserving``.  An empty stream is a valid result and
+    The maps are the rows of the blocks that ``gm_exact`` scans: exactly
+    those that ``check_measure_preserving`` accepts, their fiber sums formed
+    and compared as it forms them.  An empty stream is a valid result and
     signals that the Gromov-Monge distance is infinite.  The maps are
     enumerated as the caller pulls them; only ``gm_exact`` replays them.
     """
@@ -289,11 +286,11 @@ def gm_exact(netX: MeasureNetwork, netY: MeasureNetwork, p,
              cap: int = DEFAULT_CAP) -> SolveReport:
     """Gromov-Monge p-distance by exhaustive enumeration.
 
-    Scans every measure-preserving map (each fiber sum within ``TOL_MASS``
-    of its target weight), block by block from the enumerator behind
-    ``enumerate_monge_maps``, and returns the first exact minimizer in
-    lexicographic order: the first map whose ``distortion_map`` value is
-    least, with that value.  ``iterations`` is the number of maps scanned.
+    Scans every map that ``check_measure_preserving`` accepts, block by
+    block from the enumerator behind ``enumerate_monge_maps``, and returns
+    the first exact minimizer in lexicographic order: the first map whose
+    ``distortion_map`` value is least, with that value.  ``iterations`` is
+    the number of maps scanned.
 
     Each map is scored from one folded term table (``_term_table``) by a
     float64 sum of its n(n+1)/2 entries, which only screens: every map whose
@@ -308,7 +305,8 @@ def gm_exact(netX: MeasureNetwork, netY: MeasureNetwork, p,
 
     Raises ``CapExceededError`` when the instance admits more than ``cap``
     maps, and ``ValueError`` when ``cap`` is below 1.  Uniform weights count
-    their maps in closed form, before any scan.
+    their maps in closed form, before any scan; weights uniform only within
+    ``TOL_MASS`` can admit fewer, so that test errs toward raising.
 
     The maps depend on the weights alone, and only this function replays
     them: the blocks of a pair of weight vectors and their cells, keyed on
@@ -772,18 +770,13 @@ def gw_spd_vertex_ascent(netX: MeasureNetwork, netY: MeasureNetwork,
 # ---------------------------------------------------------------------------
 
 def _split_support(netX: MeasureNetwork, netY: MeasureNetwork,
-                   pi: Coupling) -> tuple[MongeMap, MongeMap, np.ndarray]:
-    """The split's projections rho and phi (row and column of each support
-    cell above ``EPS_SUPP``) and its renormalized mass, checked to be
-    measure preserving."""
+                   pi: Coupling) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The split's support cells above ``EPS_SUPP`` as row and column index
+    arrays, in row-major order, and their renormalized mass."""
     _check_couples(pi, netX, netY)
     rows, cols = np.nonzero(pi.table > EPS_SUPP)
     mass = pi.table[rows, cols]
-    mass = mass / math.fsum(mass.tolist())
-    rho, phi = MongeMap(rows), MongeMap(cols)
-    check_measure_preserving(rho, mass, netX.weights)
-    check_measure_preserving(phi, mass, netY.weights)
-    return rho, phi, mass
+    return rows, cols, mass / math.fsum(mass.tolist())
 
 
 def mass_split_from_coupling(netX: MeasureNetwork, netY: MeasureNetwork,
@@ -795,10 +788,13 @@ def mass_split_from_coupling(netX: MeasureNetwork, netY: MeasureNetwork,
     pulls the source table back along the first projection.  The second
     projection is then a measure-preserving map Z -> Y whose p-distortion
     equals the p-distortion of the coupling, for every p.  When the source
-    table is a metric, Z's table is a pseudometric.
+    table is a metric, Z's table is a pseudometric.  Both projections are
+    checked to be measure preserving.
     """
-    rho, phi, mass = _split_support(netX, netY, pi)
-    rows = rho.assignment
+    rows, cols, mass = _split_support(netX, netY, pi)
+    rho, phi = MongeMap(rows), MongeMap(cols)
+    check_measure_preserving(rho, mass, netX.weights)
+    check_measure_preserving(phi, mass, netY.weights)
     return MassSplit(Z=MeasureNetwork(mass, netX.omega[np.ix_(rows, rows)]), rho=rho, phi=phi)
 
 
@@ -808,11 +804,12 @@ def gm_over_split(netX: MeasureNetwork, netY: MeasureNetwork,
 
     Upper-bounds the order-p Gromov-Wasserstein distance for any coupling and
     matches it when the coupling is optimal.  Equals ``distortion_map`` of
-    ``mass_split_from_coupling(netX, netY, pi).phi`` bit for bit, but reads
-    the split's table from X's instead of building it: by row blocks at
-    finite p, and at p = inf one comparison per split point and source of X,
-    as the split lists its points by source row (see ``networks._distortion``).
+    ``mass_split_from_coupling(netX, netY, pi).phi`` bit for bit when that
+    split passes its checks, but needs only a valid coupling: it builds no
+    map and reads the split's table from X's, by row blocks at finite p, and
+    at p = inf one comparison per split point and source of X, as the split
+    lists its points by source row (see ``networks._distortion``).
     """
-    rho, phi, mass = _split_support(netX, netY, pi)
+    rows, cols, mass = _split_support(netX, netY, pi)
     p = check_exponent(p)
-    return _distortion(netX.omega, netY.omega, rho.assignment, phi.assignment, mass, p)
+    return _distortion(netX.omega, netY.omega, rows, cols, mass, p)

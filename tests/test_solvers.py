@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 import hypothesis.strategies as st
 from scipy.optimize import linear_sum_assignment, linprog
 
@@ -110,6 +110,17 @@ def test_assignment_blocks_match_brute_force(source_counts, target_counts, block
     assert [row.tolist() for b in blocks for row in b] == expected
 
 
+def test_gm_onto_a_point_deeper_than_the_recursion_limit():
+    # one block per level: the enumerator descends without recursing
+    n = sys.getrecursionlimit() + 10
+    line = np.arange(n) / n
+    x = MeasureNetwork(np.full(n, 1 / n), np.abs(line[:, None] - line[None, :]))
+    assert [m.assignment.tolist() for m in enumerate_monge_maps(x.weights, [1.0])] == [[0] * n]
+    report = gm_exact(x, one_point_network(), 2)
+    assert report.iterations == 1
+    assert report.value == distortion_map(x, one_point_network(), MongeMap([0] * n), 2)
+
+
 def test_enumerate_exact_weights_beyond_int64():
     # three 3-cycles of weights a_i / (3 p_i p_{i+1}) over distinct primes:
     # each cycle sums to 1/3, so the common denominator is 3 times the
@@ -139,11 +150,44 @@ def perturbed_counts(draw, max_size):
     return np.array(counts) / sum(counts) + np.array(shifts) * 3e-10
 
 
-@settings(max_examples=150, deadline=None)
-@given(perturbed_counts(6), perturbed_counts(4))
-def test_enumerate_is_the_measure_preserving_rule(ws, wt):
+@st.composite
+def edge_weights(draw, max_size):
+    """Weights whose fiber sums under one drawn map each miss their target
+    weight by ``TOL_MASS`` give or take a few ulps, on either side."""
+    counts = draw(st.lists(st.integers(1, 2**20), min_size=1, max_size=max_size))
+    ws = np.array(counts) / sum(counts)
+    m = draw(st.integers(1, min(4, ws.size)))
+    rest = draw(st.lists(st.integers(0, m - 1), min_size=ws.size - m, max_size=ws.size - m))
+    phi = draw(st.permutations(list(range(m)) + rest))
+    signs = draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=m, max_size=m))
+    ulps = draw(st.lists(st.integers(-3, 3), min_size=m, max_size=m))
+    wt = np.bincount(phi, weights=ws, minlength=m) + np.array(signs) * solvers.TOL_MASS
+    wt += np.array(ulps) * np.spacing(wt)
+    assume(abs(math.fsum(wt.tolist()) - 1.0) <= solvers.TOL_MASS)
+    return ws, wt
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.tuples(perturbed_counts(6), perturbed_counts(4)), edge_weights(6)))
+# gm used to exit 2 on the first pair, and return a witness that
+# distortion_map rejects on the second
+@example((np.array([0.5434152018497173, 0.20282204219951488, 0.2537627559507679]),
+          np.array([0.999999999])))
+@example((np.array([0.5988218249512666, 0.18956272046167433, 0.21161545458705924]),
+          np.array([0.9999999990000001])))
+# the first fiber misses its target by exactly TOL_MASS, which passes
+@example((np.array([2.0**-31 + 1e-9, 0.5, float.fromhex("0x1.ffffffe6d1f43p-2")]),
+          np.array([2.0**-31, 0.5, 0.5 - 2.0**-31])))
+# uniform within TOL_MASS, but 4 of the closed form's 6 maps
+@example((np.array([0.25 + 6e-10, 0.25 + 6e-10, 0.25 - 6e-10, 0.25 - 6e-10]),
+          np.array([0.5, 0.5])))
+def test_enumerate_is_the_measure_preserving_rule(weights):
     """The enumerator lists exactly the maps that ``check_measure_preserving``
-    accepts, in lexicographic order."""
+    accepts, in lexicographic order, also at the tolerance edge; ``gm_exact``
+    scans them all, its witness passes ``distortion_map``, and its value is
+    inf only when the checker accepts no map."""
+    ws, wt = weights
+
     def accepted(phi):
         try:
             check_measure_preserving(MongeMap(phi), ws, wt)
@@ -154,6 +198,14 @@ def test_enumerate_is_the_measure_preserving_rule(ws, wt):
     expected = [list(phi) for phi in itertools.product(range(wt.size), repeat=ws.size)
                 if accepted(phi)]
     assert [m.assignment.tolist() for m in enumerate_monge_maps(ws, wt)] == expected
+    x = MeasureNetwork(ws, random_metric_network(ws.size, [25, 0]).omega)
+    y = MeasureNetwork(wt, random_metric_network(wt.size, [25, 1]).omega)
+    report = gm_exact(x, y, 2)
+    if expected:
+        assert report.iterations == len(expected)
+        assert report.value == distortion_map(x, y, report.witness, 2)
+    else:
+        assert report.value == math.inf and report.witness is None
 
 
 # -- gm by enumeration -----------------------------------------------------------
