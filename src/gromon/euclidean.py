@@ -31,10 +31,10 @@ from .networks import (
 from .solvers import (
     DEFAULT_CAP,
     SolveReport,
-    _assignment_blocks,
     _best_restart,
-    _count_uniform_maps,
-    _uniform,
+    _permutation_pair,
+    _uniform_maps,
+    enumerate_monge_maps,
     gm_exact,
     gm_infinity,
 )
@@ -162,11 +162,11 @@ def _principal_axes(cloud: EuclideanCloud, centroid: np.ndarray) -> np.ndarray:
     return np.linalg.eigh(cov)[1]
 
 
-def _has_monge_map(x: EuclideanCloud, y: EuclideanCloud) -> bool:
-    if _uniform(x.weights) and _uniform(y.weights):
-        # decided without enumeration, whose search tree can be huge here
-        return _count_uniform_maps(x.n, y.n) > 0
-    return next(_assignment_blocks(x.weights, y.weights), None) is not None
+def _may_have_monge_map(x: EuclideanCloud, y: EuclideanCloud) -> bool:
+    total = _uniform_maps(x.weights, y.weights)  # enumeration's tree can be huge here
+    if total is not None:
+        return total > 0
+    return next(enumerate_monge_maps(x.weights, y.weights), None) is not None
 
 
 def m_iso(x: EuclideanCloud, y: EuclideanCloud, p=2, restarts: int = 20,
@@ -191,13 +191,14 @@ def m_iso(x: EuclideanCloud, y: EuclideanCloud, p=2, restarts: int = 20,
     are always allowed.  Each cost table is built coordinate by coordinate
     (``_distances``), never as an (n, n, dim) tensor.  Restarts hold their
     transforms as arrays (rot, t) fitted by ``_fit``: each assignment is a
-    permutation of uniform clouds, measure preserving by construction.
+    bijection, searched only on pairs where every bijection is measure
+    preserving (``solvers._permutation_pair``; uniform clouds of equal size).
 
-    Only uniform equal-cardinality clouds are searched.  Any other pair
-    reports ``math.inf`` when no measure-preserving map exists and raises
-    ``ValueError`` ("unsupported weighting") when one does.  Clouds whose
-    covariances, fit, costs or values overflow float64 raise ``ValueError``;
-    the covariances are checked first, before any restart runs.
+    Any other pair reports ``math.inf`` when it has no measure-preserving
+    map and raises ``ValueError`` ("unsupported weighting") when it may have
+    one, bounded in closed form for uniform weights and enumerated for the
+    rest.  Clouds whose covariances, fit, costs or values overflow float64
+    raise ``ValueError``; the covariances are checked first.
     """
     p = check_exponent(p)
     if math.isinf(p):
@@ -208,12 +209,12 @@ def m_iso(x: EuclideanCloud, y: EuclideanCloud, p=2, restarts: int = 20,
         raise ValueError("max_alternations must be >= 1")
     if x.dim != y.dim:
         raise ValueError(f"dimension mismatch: {x.dim} vs {y.dim}")
-    if not (x.n == y.n and _uniform(x.weights) and _uniform(y.weights)):
-        if not _has_monge_map(x, y):
+    if not _permutation_pair(x.weights, y.weights):
+        if not _may_have_monge_map(x, y):
             return SolveReport(math.inf, None, "alternating", 0, True)
         raise ValueError(
-            f"unsupported weighting: registration searches only uniform clouds "
-            f"of equal size (got {x.n} and {y.n} points)"
+            f"unsupported weighting: registration searches only uniform clouds of "
+            f"equal size, every bijection measure preserving (got {x.n} and {y.n} points)"
         )
     cx, cy = x.weights @ x.points, y.weights @ y.points
 

@@ -56,7 +56,7 @@ DEFAULT_CAP = 10_000_000
 
 
 class CapExceededError(RuntimeError):
-    """The instance has more measure-preserving maps than the enumeration cap."""
+    """The instance has more measure-preserving maps than the cap, or a bound above it."""
 
 
 class NotSPDError(ValueError):
@@ -92,9 +92,23 @@ class MassSplit:
     phi: MongeMap
 
 
-def _uniform(w: np.ndarray) -> bool:
-    """Whether every weight is within ``TOL_MASS`` of 1/n."""
-    return bool(np.abs(w - 1.0 / w.size).max() <= TOL_MASS)
+def _permutation_pair(wx: np.ndarray, wy: np.ndarray) -> bool:
+    """Whether ``check_measure_preserving`` accepts every bijection, each
+    fiber one weight added to 0.0: equal sizes and every |w_i - v_j| within
+    ``TOL_MASS``, which the extremes decide as rounded subtraction is monotone."""
+    return bool(wx.size == wy.size and max(wx.max() - wy.min(), wy.max() - wx.min()) <= TOL_MASS)
+
+
+def _uniform_maps(wx: np.ndarray, wy: np.ndarray) -> int | None:
+    """The n!/(k!)^m maps with fibers of k = n/m points (0 unless m divides
+    n) when every source weight is within ``TOL_MASS`` of 1/n and every
+    target weight of 1/m, else None.  While n * m * (n + 3) <= 1e9 fibers of
+    other sizes miss by more than ``TOL_MASS``, so this bounds the accepted
+    maps from above, exactly at 0 and for a ``_permutation_pair``."""
+    n, m = wx.size, wy.size
+    if max(np.abs(wx - 1.0 / n).max(), np.abs(wy - 1.0 / m).max()) > TOL_MASS:
+        return None
+    return 0 if n % m else math.factorial(n) // math.factorial(n // m) ** m
 
 
 def _best_restart(restarts: int, seed: int, run) -> tuple[Any, int]:
@@ -186,10 +200,13 @@ def _stored_blocks(source: bytes,
                    target: bytes) -> tuple[tuple[np.ndarray, np.ndarray], ...] | None:
     """The read-only blocks of ``_assignment_blocks`` for these float64
     weight bytes, each with its ``_map_cells``, or None once maps and cells
-    pass ``_REPLAY_ENTRIES`` entries."""
-    target_weights = np.frombuffer(target)
+    pass ``_REPLAY_ENTRIES`` entries, or ``_uniform_maps`` bounds them past it."""
+    source_weights, target_weights = np.frombuffer(source), np.frombuffer(target)
+    n, bound = source_weights.size, _uniform_maps(source_weights, target_weights)
+    if bound and bound * (n + n * (n + 1) // 2) > _REPLAY_ENTRIES:
+        return None
     blocks, entries = [], 0
-    for block in _assignment_blocks(np.frombuffer(source), target_weights):
+    for block in _assignment_blocks(source_weights, target_weights):
         cells = _map_cells(block, target_weights.size)
         entries += block.size + cells.size
         if entries > _REPLAY_ENTRIES:
@@ -214,14 +231,6 @@ def enumerate_monge_maps(source_weights, target_weights) -> Iterator[MongeMap]:
     for block in _assignment_blocks(sw, tw):
         for row in block:
             yield MongeMap(row)
-
-
-def _count_uniform_maps(n: int, m: int) -> int:
-    # Uniform weights: maps exist iff m divides n, each fiber of size n // m.
-    if n % m:
-        return 0
-    k = n // m
-    return math.factorial(n) // (math.factorial(k) ** m)
 
 
 def _term_table(omx: np.ndarray, omy: np.ndarray, w: np.ndarray, p: float) -> np.ndarray:
@@ -304,9 +313,11 @@ def gm_exact(netX: MeasureNetwork, netY: MeasureNetwork, p,
     ``ValueError``.
 
     Raises ``CapExceededError`` when the instance admits more than ``cap``
-    maps, and ``ValueError`` when ``cap`` is below 1.  Uniform weights count
-    their maps in closed form, before any scan; weights uniform only within
-    ``TOL_MASS`` can admit fewer, so that test errs toward raising.
+    maps, and ``ValueError`` when ``cap`` is below 1.  Weights uniform
+    within ``TOL_MASS`` count their maps from the point counts before any
+    scan (``_uniform_maps``); that count is exact at 0 and on a
+    ``_permutation_pair``, and otherwise an upper bound, so the cap test
+    errs toward raising.
 
     The maps depend on the weights alone, and only this function replays
     them: the blocks of a pair of weight vectors and their cells, keyed on
@@ -319,14 +330,12 @@ def gm_exact(netX: MeasureNetwork, netY: MeasureNetwork, p,
     if cap < 1:
         raise ValueError(f"cap must be >= 1, got {cap}")
     wx, wy = netX.weights, netY.weights
-    if _uniform(wx) and _uniform(wy):
-        total = _count_uniform_maps(netX.n, netY.n)
-        if total == 0:
-            return SolveReport(math.inf, None, "enumeration", 0, True)
-        if total > cap:
-            raise CapExceededError(
-                f"too large for exact enumeration: {total} maps exceed cap {cap}"
-            )
+    total = _uniform_maps(wx, wy)
+    if total == 0:
+        return SolveReport(math.inf, None, "enumeration", 0, True)
+    if total is not None and total > cap:
+        raise CapExceededError(f"too large for exact enumeration: the point counts "
+                               f"bound the maps by {total}, above cap {cap}")
     omx, omy = netX.omega, netY.omega
     n, m = netX.n, netY.n
     slack, tiny = _screen_slack(n, p), n * n * 2.0**-1066
@@ -741,14 +750,14 @@ def gw_spd_vertex_ascent(netX: MeasureNetwork, netY: MeasureNetwork,
     strict improvement; the returned witness is therefore always a
     permutation map.  Restart 0, the canonical start, is the identity; the
     rest start from seeded random permutations.  The highest cross term
-    wins, ties going to the earliest restart.
+    wins, ties going to the earliest restart.  Only a ``_permutation_pair``,
+    on which every bijection is measure preserving (as on exactly uniform
+    weights of equal size), is searched; any other raises ``ValueError``.
     """
     n = netX.n
-    if netY.n != n:
-        raise ValueError(f"cardinality mismatch: {n} vs {netY.n}")
-    for net, name in ((netX, "source"), (netY, "target")):
-        if not _uniform(net.weights):
-            raise ValueError(f"{name} weights must be uniform")
+    if not _permutation_pair(netX.weights, netY.weights):
+        raise ValueError(f"weights must be uniform, every bijection measure preserving "
+                         f"(got {n} and {netY.n} points)")
     omx, omy = netX.omega, netY.omega
     _check_spd(omx, "source omega")
     _check_spd(omy, "target omega")

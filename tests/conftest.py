@@ -70,3 +70,21 @@ def skewed_pair(seed):
         nets.append(MeasureNetwork(w / w.sum() * scale,
                                    random_metric_network(n, [40, seed, n]).omega))
     return nets
+
+
+def split_miss_pair():
+    """Two networks and a valid coupling of them, hex-pinned: weights
+    rescaled by 1 +- 0.9e-9 and cells moved by +-0.2e-9, so the coupling is
+    valid but its renormalized split misses the source weights by 1.26e-9
+    > TOL_MASS."""
+    h = float.fromhex
+    wx = [h(v) for v in ("0x1.1fc031dfaf686p-2", "0x1.95195673bda4dp-4",
+                         "0x1.60ae1175a03d9p-3", "0x1.caa26fcc3972bp-2")]
+    wy = [h("0x1.2843bd70556cfp-3"), h("0x1.b5ef109d112cbp-1")]
+    table = [[h("0x1.4d025dca6f30cp-5"), h("0x1.ec3fcc3c6adabp-3")],
+             [h("0x1.d4d07d0316c25p-7"), h("0x1.5a7f46be1310ep-4")],
+             [h("0x1.98269689273cap-6"), h("0x1.2da93e990b097p-3")],
+             [h("0x1.0962968819e44p-4"), h("0x1.8849ca1c56cd5p-2")]]
+    x = MeasureNetwork(wx, random_metric_network(4, [12, 0]).omega)
+    y = MeasureNetwork(wy, random_metric_network(2, [12, 1]).omega)
+    return x, y, table

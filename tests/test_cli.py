@@ -13,7 +13,7 @@ from gromon.randgen import random_cloud, random_isometry
 from gromon import cli, serialize, solvers
 from gromon.euclidean import EuclideanCloud
 
-from conftest import child_env, near_equal_small_pair, skewed_pair
+from conftest import child_env, near_equal_small_pair, skewed_pair, split_miss_pair
 
 
 def run_cli(args, cwd, env=None):
@@ -437,6 +437,20 @@ def test_split_command(workdir):
     assert out["value"] == pytest.approx(2 ** -0.5, abs=1e-12)
     assert out["phi"] == {"assignment": [0, 1]}
     assert out["z"]["weights"] == [0.5, 0.5]
+
+
+def test_split_of_a_coupling_whose_split_misses_its_weights_exits_one(workdir):
+    # gm_over_split values this valid coupling, but split prints the split,
+    # which mass_split_from_coupling checks and rejects
+    x, y, table = split_miss_pair()
+    serialize.save_network(str(workdir / "x.json"), x)
+    serialize.save_network(str(workdir / "y.json"), y)
+    (workdir / "pi.json").write_text(json.dumps({"table": table}))
+    proc = run_cli(["split", "x.json", "y.json", "pi.json"], workdir)
+    assert proc.returncode == 1
+    assert proc.stderr.decode().splitlines() == [
+        "error: pushforward misses target weights by 1.25802e-09"]
+    assert proc.stdout == b""
 
 
 def test_miso_command(workdir):

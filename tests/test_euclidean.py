@@ -152,6 +152,15 @@ def test_m_iso_unsupported_weighting_is_not_infinite():
         m_iso(four, two)
 
 
+def test_m_iso_refuses_near_uniform_weights_some_bijection_fails():
+    # every weight within 1e-9 of 1/3, but the identity misses by 1.8e-9
+    line = [[0.0], [1.0], [3.0]]
+    x = EuclideanCloud(line, [1 / 3 + 0.9e-9, 1 / 3 - 0.9e-9, 1 / 3])
+    y = EuclideanCloud(line, [1 / 3 - 0.9e-9, 1 / 3 + 0.9e-9, 1 / 3])
+    with pytest.raises(ValueError, match="unsupported weighting"):
+        m_iso(x, y)
+
+
 def test_m_iso_isometry_invariance():
     x = random_cloud(6, 2, 7)
     y = random_cloud(6, 2, 8)

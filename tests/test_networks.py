@@ -37,7 +37,7 @@ from gromon.solvers import (
     mass_split_from_coupling,
 )
 
-from conftest import networks, relabeled
+from conftest import networks, relabeled, split_miss_pair
 
 
 def weak_iso_pair():
@@ -539,19 +539,9 @@ def test_coupling_evaluators_bit_identical_to_full_tensor(pair):
 
 
 def test_split_value_needs_only_a_valid_coupling():
-    # weights rescaled by 1 +- 0.9e-9 and cells moved by +-0.2e-9: the coupling
-    # is valid, but its renormalized split misses wx by 1.26e-9 > TOL_MASS
-    h = float.fromhex
-    wx = [h(v) for v in ("0x1.1fc031dfaf686p-2", "0x1.95195673bda4dp-4",
-                         "0x1.60ae1175a03d9p-3", "0x1.caa26fcc3972bp-2")]
-    wy = [h("0x1.2843bd70556cfp-3"), h("0x1.b5ef109d112cbp-1")]
-    table = [[h("0x1.4d025dca6f30cp-5"), h("0x1.ec3fcc3c6adabp-3")],
-             [h("0x1.d4d07d0316c25p-7"), h("0x1.5a7f46be1310ep-4")],
-             [h("0x1.98269689273cap-6"), h("0x1.2da93e990b097p-3")],
-             [h("0x1.0962968819e44p-4"), h("0x1.8849ca1c56cd5p-2")]]
-    x = MeasureNetwork(wx, random_metric_network(4, [12, 0]).omega)
-    y = MeasureNetwork(wy, random_metric_network(2, [12, 1]).omega)
-    pi = Coupling(table, wx, wy)
+    # the coupling is valid, but its renormalized split misses wx by 1.26e-9
+    x, y, table = split_miss_pair()
+    pi = Coupling(table, x.weights, y.weights)
     gw_frank_wolfe(x, y, init=pi)  # accepted as a start, as by distortion_p below
     for p in EXPONENTS:
         distortion_p(x, y, pi, p)

@@ -36,6 +36,7 @@ from gromon import (
     simplex_network,
 )
 from gromon import solvers
+from gromon.euclidean import EuclideanCloud, m_iso
 from gromon.randgen import (
     random_coupling,
     random_metric_network,
@@ -273,6 +274,19 @@ def test_gm_cap_exceeded():
                  MeasureNetwork(w, np.zeros((5, 5))), 1, cap=2)
 
 
+def test_gm_cap_test_on_near_uniform_weights_states_a_bound():
+    # 4 maps pass the 1e-9 fiber rule; the point counts allow 6
+    q = 0.25
+    x = MeasureNetwork([q + 6e-10, q + 6e-10, q - 6e-10, q - 6e-10], np.zeros((4, 4)))
+    y = simplex_network(2)
+    assert len(list(enumerate_monge_maps(x.weights, y.weights))) == 4
+    with pytest.raises(CapExceededError) as err:
+        gm_exact(x, y, 2, cap=5)
+    assert str(err.value) == ("too large for exact enumeration: the point counts "
+                              "bound the maps by 6, above cap 5")
+    assert gm_exact(x, y, 2, cap=6).iterations == 4  # the maps actually scanned
+
+
 @pytest.mark.parametrize("cap", [0, -5])
 def test_gm_rejects_non_positive_cap(cap):
     for w in ([0.5, 0.5], [0.25, 0.75]):  # the uniform count and the streaming scan
@@ -417,6 +431,23 @@ def test_replay_budget_holds_the_uniform_seven_point_pair(empty_store):
     blocks = empty_store(u.tobytes(), u.tobytes())
     assert sum(b.size + cells.size for b, cells in blocks) == 176_400
     assert solvers._REPLAY_ENTRIES * 8 * solvers._REPLAY_PAIRS == 8 << 20
+
+
+def test_replay_refuses_a_uniform_pair_over_budget_before_enumerating(monkeypatch,
+                                                                      empty_store):
+    # 8! * (8 + 36) entries pass the budget: the first call enumerates only to scan
+    x, y = random_metric_network(8, [93, 0]), random_metric_network(8, [93, 1])
+    cold, enumerate_blocks = [], solvers._assignment_blocks
+
+    def counted(source, target):
+        cold.append(1)
+        return enumerate_blocks(source, target)
+
+    monkeypatch.setattr(solvers, "_assignment_blocks", counted)
+    report = gm_exact(x, y, 2)
+    assert len(cold) == 1
+    assert report_bits(report) == ("0x1.c72ff5ee75d59p-3", [1, 7, 6, 5, 2, 3, 0, 4], 40320)
+    assert empty_store(x.weights.tobytes(), y.weights.tobytes()) is None
 
 
 def test_replay_evicts_least_recently_used(empty_store):
@@ -1096,6 +1127,99 @@ def test_ascent_rejects_nonuniform():
     b = MeasureNetwork([0.5, 0.5], om)
     with pytest.raises(ValueError, match="uniform"):
         gw_spd_vertex_ascent(a, b)
+
+
+# -- the permutation rule of spd and m_iso -------------------------------------
+
+# weights uniform within 1e-9, each 1.8e-9 from one of the other side's
+EDGE_SOURCE = [1 / 3 + 0.9e-9, 1 / 3 - 0.9e-9, 1 / 3]
+EDGE_TARGET = [1 / 3 - 0.9e-9, 1 / 3 + 0.9e-9, 1 / 3]
+
+
+def test_ascent_rejects_near_uniform_weights_some_bijection_fails():
+    table = [[2, 0.5, 0.1], [0.5, 2, 0.3], [0.1, 0.3, 2]]
+    x, y = MeasureNetwork(EDGE_SOURCE, table), MeasureNetwork(EDGE_TARGET, table)
+    with pytest.raises(NotMeasurePreservingError):
+        check_measure_preserving(MongeMap([0, 1, 2]), x.weights, y.weights)
+    assert gm_exact(x, y, 2).witness.assignment.tolist() == [1, 0, 2]
+    with pytest.raises(ValueError, match="uniform"):
+        gw_spd_vertex_ascent(x, y, restarts=3)
+
+
+def edge_weight_pair(rng, n, m):
+    """Weights 1/n and 1/m moved by k * 1e-10, k drawn from [-8, 8] but the
+    last balancing the sum: uniform within, at or past the 1e-9 edge."""
+    pair = []
+    for size in (n, m):
+        k = rng.integers(-8, 9, size)
+        k[-1] -= k.sum()
+        pair.append(np.full(size, 1.0 / size) + k * 1e-10)
+    return pair
+
+
+def every_bijection_measure_preserving(wx, wy):
+    for sigma in itertools.permutations(range(wx.size)):
+        try:
+            check_measure_preserving(MongeMap(sigma), wx, wy)
+        except NotMeasurePreservingError:
+            return False
+    return True
+
+
+def test_permutation_pair_is_every_bijection_passing_the_checker():
+    rng = np.random.default_rng(90)
+    outcomes = []
+    for _ in range(600):
+        n = int(rng.integers(1, 6))
+        wx, wy = edge_weight_pair(rng, n, n)
+        outcomes.append(every_bijection_measure_preserving(wx, wy))
+        assert solvers._permutation_pair(wx, wy) == outcomes[-1]
+    assert 100 < sum(outcomes) < 500
+    assert not solvers._permutation_pair(np.full(2, 0.5), np.full(3, 1 / 3))
+
+
+def test_uniform_maps_bound_the_accepted_maps():
+    rng = np.random.default_rng(91)
+    strict = 0
+    for _ in range(400):
+        n, m = (int(k) for k in rng.integers(1, 6, 2))
+        wx, wy = edge_weight_pair(rng, n, m)
+        total = solvers._uniform_maps(wx, wy)
+        if total is None:
+            continue
+        count = sum(1 for _ in enumerate_monge_maps(wx, wy))
+        assert count <= total
+        if total == 0 or solvers._permutation_pair(wx, wy):
+            assert count == total
+        strict += count < total
+    assert strict > 0
+
+
+def test_permutation_solvers_return_only_measure_preserving_witnesses():
+    rng = np.random.default_rng(92)
+    points = np.array([[0.0], [1.0], [3.0], [7.0], [15.0]])
+    refused = witnesses = 0
+    for _ in range(200):
+        n = int(rng.integers(1, 6))
+        wx, wy = edge_weight_pair(rng, n, n)
+        table = random_spd_network(n, [92, n]).omega
+        try:
+            report = gw_spd_vertex_ascent(MeasureNetwork(wx, table),
+                                          MeasureNetwork(wy, table), restarts=2)
+            check_measure_preserving(report.witness, wx, wy)
+            witnesses += 1
+        except ValueError as err:
+            assert "weights must be uniform" in str(err)
+            refused += 1
+        try:
+            report = m_iso(EuclideanCloud(points[:n], wx), EuclideanCloud(points[:n], wy),
+                           restarts=2)
+        except ValueError as err:
+            assert "unsupported weighting" in str(err)
+            continue
+        if report.witness is not None:
+            check_measure_preserving(report.witness, wx, wy)
+    assert refused and witnesses
 
 
 @pytest.mark.parametrize("symmetric", [True, False])
