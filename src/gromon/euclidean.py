@@ -196,9 +196,10 @@ def m_iso(x: EuclideanCloud, y: EuclideanCloud, p=2, restarts: int = 20,
 
     Any other pair reports ``math.inf`` when it has no measure-preserving
     map and raises ``ValueError`` ("unsupported weighting") when it may have
-    one, bounded in closed form for uniform weights and enumerated for the
-    rest.  Clouds whose covariances, fit, costs or values overflow float64
-    raise ``ValueError``; the covariances are checked first.
+    one, bounded in closed form for uniform weights (exactly for clouds of
+    equal size) and enumerated for the rest.  Clouds whose covariances,
+    fit, costs or values overflow float64 raise ``ValueError``; the
+    covariances are checked first.
     """
     p = check_exponent(p)
     if math.isinf(p):

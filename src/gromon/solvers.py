@@ -104,11 +104,22 @@ def _uniform_maps(wx: np.ndarray, wy: np.ndarray) -> int | None:
     n) when every source weight is within ``TOL_MASS`` of 1/n and every
     target weight of 1/m, else None.  While n * m * (n + 3) <= 1e9 fibers of
     other sizes miss by more than ``TOL_MASS``, so this bounds the accepted
-    maps from above, exactly at 0 and for a ``_permutation_pair``."""
+    maps from above, exactly at 0 and for a ``_permutation_pair``.
+
+    At n = m only bijections can pass, and one does iff the sorted weights
+    pair off within ``TOL_MASS`` (sorted pairing minimizes the largest
+    rounded difference), so 0 is returned when they do not: a positive
+    count at n = m means some map exists.  The pairing is skipped when the
+    two largest deviations from 1/n sum below ``TOL_MASS``: every weight
+    difference is then exact (Sterbenz) and within it."""
     n, m = wx.size, wy.size
-    if max(np.abs(wx - 1.0 / n).max(), np.abs(wy - 1.0 / m).max()) > TOL_MASS:
+    dx, dy = np.abs(wx - 1.0 / n).max(), np.abs(wy - 1.0 / m).max()
+    if max(dx, dy) > TOL_MASS:
         return None
-    return 0 if n % m else math.factorial(n) // math.factorial(n // m) ** m
+    if n % m or (n == m and dx + dy >= TOL_MASS
+                 and np.abs(np.sort(wx) - np.sort(wy)).max() > TOL_MASS):
+        return 0
+    return math.factorial(n) // math.factorial(n // m) ** m
 
 
 def _best_restart(restarts: int, seed: int, run) -> tuple[Any, int]:
@@ -661,21 +672,29 @@ def _qap_value(omx: np.ndarray, omy: np.ndarray, sigma: np.ndarray) -> float:
     return float((omx * _permuted_table(omy, sigma)).sum())
 
 
-def _swap_gains(omx: np.ndarray, c: np.ndarray) -> np.ndarray:
+def _swap_h(t: np.ndarray) -> np.ndarray:
+    """h(t)[a, b] = t[a, a] + t[b, b] - t[a, b] - t[b, a]."""
+    d = t.diagonal()
+    return d[:, None] + d[None, :] - t - t.T
+
+
+def _swap_gains(hx: np.ndarray, c: np.ndarray, cross: np.ndarray) -> np.ndarray:
     """gains[a, b]: change of sum(omx * c) when rows a, b and columns a, b of
-    ``c`` are swapped (the QAP 2-swap delta; zero on the diagonal).
+    ``c`` are swapped (the QAP 2-swap delta; zero on the diagonal), given
+    hx = h(omx) (``_swap_h``) and cross = omx c^T + omx^T c.
 
-    Neither table is assumed symmetric.  With h(t)[a, b] = t[a, a] + t[b, b]
-    - t[a, b] - t[b, a], the change is h(omx) * h(c) - h(omx c^T + omx^T c).
-    The second term sums the change over rows a, b and over columns a, b as
+    Neither table is assumed symmetric.  The change is hx * h(c) - h(cross):
+    the second term sums the change over rows a, b and over columns a, b as
     if they did not meet; the first corrects the four entries where they do.
-    The whole table costs two n x n products plus O(n^2).
-    """
-    def h(t: np.ndarray) -> np.ndarray:
-        d = np.diag(t)
-        return d[:, None] + d[None, :] - t - t.T
 
-    return h(omx) * h(c) - h(omx @ c.T + omx.T @ c)
+    ``_ascend`` reads cross off the gradient G = omx omy[:, s]^T + omx^T
+    omy[s, :] at the current permutation s: with c = omy[s][:, s], G[:, s]
+    is cross, the same products summed over the same k.  BLAS may still
+    block the sums another way, but only within an n-term product's
+    rounding, which the screen's slack covers, and ``_qap_value`` confirms
+    every move, so the moves are the exact rule's either way.
+    """
+    return hx * _swap_h(c) - _swap_h(cross)
 
 
 def _ascend(omx: np.ndarray, omy: np.ndarray, sigma: np.ndarray) -> tuple[np.ndarray, float, int]:
@@ -697,6 +716,10 @@ def _ascend(omx: np.ndarray, omy: np.ndarray, sigma: np.ndarray) -> tuple[np.nda
     rule would take, and the chosen move is the one the exact rule picks
     when it scores every pair.  The ascent ends at the first swap scan that
     finds no move: the jumps stopped there, and they are deterministic.
+
+    Each permutation's gradient is formed once: the jump loop leaves it at
+    the current permutation on both of its exits, and the swap scan that
+    follows reads its cross term from it.  h(omx) is formed once per ascent.
     """
     n = sigma.size
     eps = np.finfo(float).eps
@@ -707,14 +730,16 @@ def _ascend(omx: np.ndarray, omy: np.ndarray, sigma: np.ndarray) -> tuple[np.nda
     # three with a factor of four to spare.
     slack = 4.0 * (n + 2) ** 4 * eps * float(np.abs(omx).max() * np.abs(omy).max())
     upper = np.triu(np.ones((n, n), dtype=bool), 1)
+    hx = _swap_h(omx)
     val = _qap_value(omx, omy, sigma)
     moves = 0
     while True:
         while True:
-            # gradient of <omega_X P, P omega_Y> at the current permutation matrix
-            grad = omx @ omy[:, sigma].T + omx.T @ omy[sigma, :]
+            # gradient of <omega_X P, P omega_Y> at the current permutation
+            # matrix; omy.T.take(sigma, 0) is omy[:, sigma].T, C-ordered alike
+            grad = omx @ omy.T.take(sigma, axis=0) + omx.T @ omy.take(sigma, axis=0)
             _, cols = linear_sum_assignment(grad, maximize=True)
-            if np.array_equal(cols, sigma):
+            if (cols == sigma).all():
                 break  # re-scoring the same permutation cannot improve
             new_val = _qap_value(omx, omy, cols)
             if new_val > val + MOVE_TOL:
@@ -722,7 +747,7 @@ def _ascend(omx: np.ndarray, omy: np.ndarray, sigma: np.ndarray) -> tuple[np.nda
                 moves += 1
             else:
                 break
-        gains = _swap_gains(omx, _permuted_table(omy, sigma))
+        gains = _swap_gains(hx, _permuted_table(omy, sigma), grad.take(sigma, axis=1))
         best_val, best_sigma = val, None
         for a, b in zip(*np.nonzero(upper & (gains > MOVE_TOL - slack))):
             if gains[a, b] <= best_val - val + MOVE_TOL - slack:

@@ -8,8 +8,10 @@ from scipy.optimize import linear_sum_assignment
 from gromon import (
     EuclideanCloud,
     Isometry,
+    MeasureNetwork,
     MongeMap,
     cloud_to_network,
+    enumerate_monge_maps,
     gm_em_infinity,
     gm_em_lower,
     gm_exact,
@@ -159,6 +161,20 @@ def test_m_iso_refuses_near_uniform_weights_some_bijection_fails():
     y = EuclideanCloud(line, [1 / 3 - 0.9e-9, 1 / 3 + 0.9e-9, 1 / 3])
     with pytest.raises(ValueError, match="unsupported weighting"):
         m_iso(x, y)
+
+
+def test_m_iso_near_uniform_equal_sizes_without_a_map_is_infinite():
+    # every weight within 1e-9 of 1/4, but sorted, the third pair misses by
+    # 1.2e-9: no bijection, and so no map, is measure preserving
+    line = [[0.0], [1.0], [3.0], [7.0]]
+    wx = [0.25 + 0.9e-9] * 2 + [0.25 - 0.9e-9] * 2
+    wy = [0.25 + 0.3e-9] * 3 + [0.25 - 0.9e-9]
+    report = m_iso(EuclideanCloud(line, wx), EuclideanCloud(line, wy))
+    assert report.value == math.inf and report.witness is None
+    assert next(enumerate_monge_maps(wx, wy), None) is None
+    om = np.abs(np.subtract.outer(np.ravel(line), np.ravel(line)))
+    exact = gm_exact(MeasureNetwork(wx, om), MeasureNetwork(wy, om), 2)
+    assert (exact.value, exact.witness, exact.iterations) == (math.inf, None, 0)
 
 
 def test_m_iso_isometry_invariance():

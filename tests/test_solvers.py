@@ -37,8 +37,10 @@ from gromon import (
 )
 from gromon import solvers
 from gromon.euclidean import EuclideanCloud, m_iso
+from gromon.networks import TOL_MASS
 from gromon.randgen import (
     random_coupling,
+    random_graph,
     random_metric_network,
     random_spd_network,
     random_uniform_network,
@@ -1178,6 +1180,27 @@ def test_permutation_pair_is_every_bijection_passing_the_checker():
     assert not solvers._permutation_pair(np.full(2, 0.5), np.full(3, 1 / 3))
 
 
+def test_uniform_maps_at_equal_sizes_is_zero_iff_no_map_passes_the_checker():
+    # every one of the n^n maps, its fibers summed in source order from 0.0
+    # as check_measure_preserving's bincount sums them; weights 1/n moved by
+    # k * 1e-10, k in [-10, 10], unbalanced so that pairs without a map are common
+    rng = np.random.default_rng(93)
+    outcomes = []
+    for _ in range(1500):
+        n = int(rng.integers(1, 6))
+        wx, wy = (np.full(n, 1.0 / n) + rng.integers(-10, 11, n) * 1e-10 for _ in range(2))
+        total = solvers._uniform_maps(wx, wy)
+        if total is None:
+            continue
+        maps = np.array(list(itertools.product(range(n), repeat=n)))
+        pushed = np.zeros((len(maps), n))
+        for i in range(n):
+            pushed[np.arange(len(maps)), maps[:, i]] += wx[i]
+        outcomes.append(bool((np.abs(pushed - wy).max(axis=1) <= TOL_MASS).any()))
+        assert (total > 0) == outcomes[-1]
+    assert len(outcomes) > 1000 and 100 < outcomes.count(False) < len(outcomes) - 100
+
+
 def test_uniform_maps_bound_the_accepted_maps():
     rng = np.random.default_rng(91)
     strict = 0
@@ -1230,7 +1253,7 @@ def test_swap_gains_match_brute_force(n, symmetric):
     c = rng.normal(size=(n, n)) * 3.0
     if symmetric:
         omx, c = omx + omx.T, c + c.T
-    gains = solvers._swap_gains(omx, c)
+    gains = solvers._swap_gains(solvers._swap_h(omx), c, omx @ c.T + omx.T @ c)
     base = float((omx * c).sum())
     brute = np.zeros((n, n))
     for a in range(n):
@@ -1279,9 +1302,9 @@ def test_ascent_scans_each_permutation_once(monkeypatch):
     scanned = []
     swap_gains = solvers._swap_gains
 
-    def recording(omx, c):
+    def recording(hx, c, cross):
         scanned.append(c.copy())
-        return swap_gains(omx, c)
+        return swap_gains(hx, c, cross)
 
     monkeypatch.setattr(solvers, "_swap_gains", recording)
     # from the identity this pair makes one move, a jump: a swap would need
@@ -1322,8 +1345,53 @@ def _spd_pairs():
             yield random_spd_network(n, [35, n, k, 0]), random_spd_network(n, [35, n, k, 1])
 
 
+def _graph_match_pairs():
+    """Heat kernels of G(24, 0.3) graphs and of a hidden relabeling."""
+    for k in range(3):
+        g = random_graph(24, [37, k], edge_prob=0.3)
+        perm = np.random.default_rng([37, k]).permutation(24)
+        h = Graph(24, tuple((int(perm[a]), int(perm[b])) for a, b in g.edges))
+        yield heat_kernel_network(g, 1.0), heat_kernel_network(h, 1.0)
+
+
+def _asymmetric_pairs():
+    for n in (3, 8, 17):
+        for k in range(3):
+            rng = np.random.default_rng([38, n, k])
+            yield (MeasureNetwork(np.full(n, 1 / n), rng.normal(size=(n, n))),
+                   MeasureNetwork(np.full(n, 1 / n), rng.normal(size=(n, n)) * 5.0))
+
+
 @pytest.mark.filterwarnings("ignore:.*near-singular")
-@pytest.mark.parametrize("pairs", [_spd_pairs, _tie_heavy_pairs])
+@pytest.mark.parametrize("pairs", [_spd_pairs, _tie_heavy_pairs, _asymmetric_pairs])
+def test_ascent_cross_term_from_gradient_is_within_slack(pairs, monkeypatch):
+    # the scan reads omx c^T + omx^T c off the jump loop's last gradient;
+    # it may differ from the two products formed on c only by rounding that
+    # the screen's slack covers
+    scans, swap_gains = [], solvers._swap_gains
+    monkeypatch.setattr(solvers, "_swap_gains",
+                        lambda hx, c, cross: scans.append((hx, c, cross)) or swap_gains(hx, c, cross))
+    eps = np.finfo(float).eps
+    bit_equal = 0
+    for x, y in pairs():
+        omx, omy, n = x.omega, y.omega, x.n
+        slack = 4.0 * (n + 2) ** 4 * eps * float(np.abs(omx).max() * np.abs(omy).max())
+        scans.clear()
+        for r in range(3):
+            sigma0 = np.random.default_rng([39, r]).permutation(n).astype(np.intp)
+            solvers._ascend(omx, omy, sigma0)
+        assert len(scans) >= 3
+        for hx, c, cross in scans:
+            assert np.array_equal(hx, solvers._swap_h(omx))
+            want = omx @ c.T + omx.T @ c
+            bit_equal += np.array_equal(cross, want)
+            delta = solvers._swap_h(cross) - solvers._swap_h(want)
+            assert np.abs(delta).max() <= slack
+    assert bit_equal > 0
+
+
+@pytest.mark.filterwarnings("ignore:.*near-singular")
+@pytest.mark.parametrize("pairs", [_spd_pairs, _tie_heavy_pairs, _graph_match_pairs])
 def test_ascent_scan_matches_full_rescoring(pairs, monkeypatch):
     cases = list(pairs())
     fast = [gw_spd_vertex_ascent(x, y, restarts=4, seed=5) for x, y in cases]
