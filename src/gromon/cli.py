@@ -2,17 +2,16 @@
 
 Exit codes: 0 on success, 1 on input errors (with a diagnostic on stderr),
 2 when a requested Monge distance is infinite (no measure-preserving map).
-Output is deterministic for fixed inputs, flags and seed; the seed defaults
-to the GROMON_SEED environment variable, then 0.  ``--format`` exists only on
-the commands that print a solver report (gm, gw, spd, miso), ``--seed`` only
-on the seeded ones (spd, miso, rand).
+The commands that run a solver (gm, gw, spd, miso) print its report as one
+canonical JSON object.  Output is deterministic for fixed inputs and flags;
+``--seed`` exists only on the seeded commands (spd, miso, rand) and
+defaults to 0.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 
 from . import serialize
@@ -70,8 +69,6 @@ def _build_parser() -> argparse.ArgumentParser:
     gw.add_argument("source")
     gw.add_argument("target")
     gw.add_argument("--init", help="optional coupling JSON used as the start")
-    gw.add_argument("--max-iters", type=int, default=1000)
-    gw.add_argument("--tol", type=float, default=1e-12)
 
     spd = subs.add_parser("spd", help="vertex ascent for SPD uniform networks")
     spd.add_argument("source")
@@ -83,7 +80,6 @@ def _build_parser() -> argparse.ArgumentParser:
     miso.add_argument("target")
     miso.add_argument("--p", default="2")
     miso.add_argument("--restarts", type=int, default=20)
-    miso.add_argument("--max-alternations", type=int, default=100)
 
     heat = subs.add_parser("heat", help="heat-kernel network of a graph")
     heat.add_argument("graph")
@@ -107,30 +103,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     subs.add_parser("suite", help="run the acceptance criteria")
 
-    for sub in (gm, gw, spd, miso):
-        sub.add_argument("--format", choices=("json", "csv", "plain"), default="json")
     for sub in (spd, miso, rand):
-        # a string default goes through _u64 too, so a bad GROMON_SEED is a
-        # usage error of the seeded commands only
-        sub.add_argument("--seed", type=_u64, default=os.environ.get("GROMON_SEED", "0"),
-                         help="64-bit seed (default: GROMON_SEED or 0)")
+        sub.add_argument("--seed", type=_u64, default=0, help="64-bit seed (default: 0)")
     return parser
 
 
 def _emit_report(report, args, p=None, seed=None) -> None:
-    if args.format == "csv":
-        p_txt = "" if p is None else ("inf" if math.isinf(p) else repr(p))
-        seed_txt = "" if seed is None else str(seed)
-        value = "inf" if math.isinf(report.value) else repr(report.value)
-        print("command,p,value,converged,iterations,seed")
-        print(f"{args.command},{p_txt},{value},{report.converged},"
-              f"{report.iterations},{seed_txt}")
-        return
-    if args.format == "plain":
-        value = "inf" if math.isinf(report.value) else repr(report.value)
-        print(f"value {value} method={report.method} iterations={report.iterations} "
-              f"converged={report.converged}")
-        return
     meta = {"command": args.command}
     if p is not None:
         meta["p"] = "inf" if math.isinf(p) else p
@@ -160,8 +138,7 @@ def _cmd_gw(args) -> int:
     init = None
     if args.init:
         init = serialize.load_coupling(args.init, net_x.weights, net_y.weights)
-    report = gw_frank_wolfe(net_x, net_y, init=init, max_iters=args.max_iters,
-                            tol_fw=args.tol)
+    report = gw_frank_wolfe(net_x, net_y, init=init)
     _emit_report(report, args, p=2.0)
     return 0
 
@@ -179,8 +156,7 @@ def _cmd_miso(args) -> int:
     p = parse_exponent(args.p)
     x = serialize.load_cloud(args.source)
     y = serialize.load_cloud(args.target)
-    report = m_iso(x, y, p=p, restarts=args.restarts, seed=args.seed,
-                   max_alternations=args.max_alternations)
+    report = m_iso(x, y, p=p, restarts=args.restarts, seed=args.seed)
     _emit_report(report, args, p=p, seed=args.seed)
     return _infeasible() if math.isinf(report.value) else 0
 

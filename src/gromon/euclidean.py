@@ -32,6 +32,7 @@ from .solvers import (
     DEFAULT_CAP,
     SolveReport,
     _best_restart,
+    _bijections_pair,
     _permutation_pair,
     _uniform_maps,
     enumerate_monge_maps,
@@ -40,6 +41,8 @@ from .solvers import (
 )
 
 TOL_ORTHO = 1e-10
+# Alternations allowed per restart before it stops unconverged.
+_MAX_ALTERNATIONS = 100
 _OVERFLOW = "the registration cost overflows float64 on these clouds"
 
 
@@ -163,14 +166,18 @@ def _principal_axes(cloud: EuclideanCloud, centroid: np.ndarray) -> np.ndarray:
 
 
 def _may_have_monge_map(x: EuclideanCloud, y: EuclideanCloud) -> bool:
-    total = _uniform_maps(x.weights, y.weights)  # enumeration's tree can be huge here
+    # decide uniform and equal-size pairs first: enumeration can be huge there
+    total = _uniform_maps(x.weights, y.weights)
     if total is not None:
         return total > 0
+    paired = _bijections_pair(x.weights, y.weights)
+    if paired is not None:
+        return paired
     return next(enumerate_monge_maps(x.weights, y.weights), None) is not None
 
 
 def m_iso(x: EuclideanCloud, y: EuclideanCloud, p=2, restarts: int = 20,
-          seed: int = 0, max_alternations: int = 100) -> SolveReport:
+          seed: int = 0) -> SolveReport:
     """Isometry-invariant Monge distance by alternating minimization.
 
     Alternates between a min-cost assignment with costs ||T(x_i) - y_j||^p
@@ -183,12 +190,13 @@ def m_iso(x: EuclideanCloud, y: EuclideanCloud, p=2, restarts: int = 20,
     centred covariances, computed once per call), restart r flipping the
     sign of axis k when bit k of r - 1 is set, so reflections are included;
     the rest start from seeded Haar-random orthogonal transforms.  Every
-    start aligns the centroids.  A restart stops when the assignment
-    repeats the previous one (the transform and the value depend on the
-    assignment alone, so they would repeat too) or when the value fails to
-    drop by more than 1e-14.  The lowest value wins, ties going to the
-    earliest restart.  Transforms range over all isometries: reflections
-    are always allowed.  Each cost table is built coordinate by coordinate
+    start aligns the centroids.  A restart stops, converged, when the
+    assignment repeats the previous one (the transform and the value depend
+    on the assignment alone, so they would repeat too) or when the value
+    fails to drop by more than 1e-14; it stops unconverged after 100
+    alternations.  The lowest value wins, ties going to the earliest
+    restart.  Transforms range over all isometries: reflections are always
+    allowed.  Each cost table is built coordinate by coordinate
     (``_distances``), never as an (n, n, dim) tensor.  Restarts hold their
     transforms as arrays (rot, t) fitted by ``_fit``: each assignment is a
     bijection, searched only on pairs where every bijection is measure
@@ -196,18 +204,17 @@ def m_iso(x: EuclideanCloud, y: EuclideanCloud, p=2, restarts: int = 20,
 
     Any other pair reports ``math.inf`` when it has no measure-preserving
     map and raises ``ValueError`` ("unsupported weighting") when it may have
-    one, bounded in closed form for uniform weights (exactly for clouds of
-    equal size) and enumerated for the rest.  Clouds whose covariances,
-    fit, costs or values overflow float64 raise ``ValueError``; the
-    covariances are checked first.
+    one.  That is bounded in closed form for uniform weights, decided by
+    sorted pairing for clouds of equal size whose target weights all exceed
+    ``TOL_MASS`` (``solvers._bijections_pair``), and enumerated for the
+    rest.  Clouds whose covariances, fit, costs or values overflow float64
+    raise ``ValueError``; the covariances are checked first.
     """
     p = check_exponent(p)
     if math.isinf(p):
         raise ValueError("registration requires a finite exponent")
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
-    if max_alternations < 1:
-        raise ValueError("max_alternations must be >= 1")
     if x.dim != y.dim:
         raise ValueError(f"dimension mismatch: {x.dim} vs {y.dim}")
     if not _permutation_pair(x.weights, y.weights):
@@ -233,7 +240,7 @@ def m_iso(x: EuclideanCloud, y: EuclideanCloud, p=2, restarts: int = 20,
         moved = x.points @ rot.T + t
         best = (math.inf, None, (rot, t))
         trace: list[float] = []
-        for it in range(1, max_alternations + 1):
+        for it in range(1, _MAX_ALTERNATIONS + 1):
             cost = _distances(moved, y.points) ** p
             if not np.isfinite(cost).all():
                 raise ValueError(_OVERFLOW)
@@ -252,7 +259,7 @@ def m_iso(x: EuclideanCloud, y: EuclideanCloud, p=2, restarts: int = 20,
             if not val < best[0] - 1e-14:
                 return best[0], it, (*best, True, trace)
             best = (val, phi, (rot, t))
-        return best[0], max_alternations, (*best, False, trace)
+        return best[0], _MAX_ALTERNATIONS, (*best, False, trace)
 
     with np.errstate(over="ignore", invalid="ignore"):
         vx, vy = _principal_axes(x, cx), _principal_axes(y, cy)

@@ -99,6 +99,20 @@ def _permutation_pair(wx: np.ndarray, wy: np.ndarray) -> bool:
     return bool(wx.size == wy.size and max(wx.max() - wy.min(), wy.max() - wx.min()) <= TOL_MASS)
 
 
+def _bijections_pair(wx: np.ndarray, wy: np.ndarray) -> bool | None:
+    """Whether any map passes ``check_measure_preserving`` when n = m and
+    every target weight exceeds ``TOL_MASS``, else None (empty fibers may
+    pass there).
+
+    An empty fiber is 0.0, more than ``TOL_MASS`` below its target, so only
+    bijections can pass, each fiber one weight added to 0.0.  One does iff
+    the sorted weights pair off within ``TOL_MASS``: rounded subtraction is
+    monotone, so sorted pairing minimizes the largest rounded difference."""
+    if wx.size != wy.size or wy.min() <= TOL_MASS:
+        return None
+    return bool(np.abs(np.sort(wx) - np.sort(wy)).max() <= TOL_MASS)
+
+
 def _uniform_maps(wx: np.ndarray, wy: np.ndarray) -> int | None:
     """The n!/(k!)^m maps with fibers of k = n/m points (0 unless m divides
     n) when every source weight is within ``TOL_MASS`` of 1/n and every
@@ -106,18 +120,16 @@ def _uniform_maps(wx: np.ndarray, wy: np.ndarray) -> int | None:
     other sizes miss by more than ``TOL_MASS``, so this bounds the accepted
     maps from above, exactly at 0 and for a ``_permutation_pair``.
 
-    At n = m only bijections can pass, and one does iff the sorted weights
-    pair off within ``TOL_MASS`` (sorted pairing minimizes the largest
-    rounded difference), so 0 is returned when they do not: a positive
-    count at n = m means some map exists.  The pairing is skipped when the
-    two largest deviations from 1/n sum below ``TOL_MASS``: every weight
-    difference is then exact (Sterbenz) and within it."""
+    At n = m 0 is returned when no bijection passes (``_bijections_pair``):
+    a positive count at n = m means some map exists.  The pairing is
+    skipped when the two largest deviations from 1/n sum below
+    ``TOL_MASS``: every weight difference is then exact (Sterbenz) and
+    within it."""
     n, m = wx.size, wy.size
     dx, dy = np.abs(wx - 1.0 / n).max(), np.abs(wy - 1.0 / m).max()
     if max(dx, dy) > TOL_MASS:
         return None
-    if n % m or (n == m and dx + dy >= TOL_MASS
-                 and np.abs(np.sort(wx) - np.sort(wy)).max() > TOL_MASS):
+    if n % m or (dx + dy >= TOL_MASS and _bijections_pair(wx, wy) is False):
         return 0
     return math.factorial(n) // math.factorial(n // m) ** m
 
@@ -328,7 +340,9 @@ def gm_exact(netX: MeasureNetwork, netY: MeasureNetwork, p,
     within ``TOL_MASS`` count their maps from the point counts before any
     scan (``_uniform_maps``); that count is exact at 0 and on a
     ``_permutation_pair``, and otherwise an upper bound, so the cap test
-    errs toward raising.
+    errs toward raising.  Other pairs of equal size whose target weights
+    all exceed ``TOL_MASS`` report no map without a scan when their sorted
+    weights do not pair off (``_bijections_pair``).
 
     The maps depend on the weights alone, and only this function replays
     them: the blocks of a pair of weight vectors and their cells, keyed on
@@ -342,7 +356,7 @@ def gm_exact(netX: MeasureNetwork, netY: MeasureNetwork, p,
         raise ValueError(f"cap must be >= 1, got {cap}")
     wx, wy = netX.weights, netY.weights
     total = _uniform_maps(wx, wy)
-    if total == 0:
+    if total == 0 or (total is None and _bijections_pair(wx, wy) is False):
         return SolveReport(math.inf, None, "enumeration", 0, True)
     if total is not None and total > cap:
         raise CapExceededError(f"too large for exact enumeration: the point counts "
@@ -403,6 +417,9 @@ def gm_infinity(netX: MeasureNetwork, netY: MeasureNetwork,
 _PRICE_ULPS = 16
 # Pivots allowed per cell of the table before a solve gives up.
 _PIVOTS_PER_CELL = 20
+# Frank-Wolfe stops after _FW_MAX_ITERS steps, or at a gap of at most _FW_GAP_TOL.
+_FW_MAX_ITERS = 1000
+_FW_GAP_TOL = 1e-12
 
 
 def _integer_marginals(wx: np.ndarray, wy: np.ndarray) -> tuple[list[int], list[int], int]:
@@ -561,8 +578,7 @@ class _TransportBasis:
 
 
 def gw_frank_wolfe(netX: MeasureNetwork, netY: MeasureNetwork,
-                   init: Coupling | None = None, max_iters: int = 1000,
-                   tol_fw: float = 1e-12) -> SolveReport:
+                   init: Coupling | None = None) -> SolveReport:
     """Conditional gradient descent on the squared order-2 distortion.
 
     Writing the squared distortion as const - 2 <pi, omega_X pi omega_Y^T>,
@@ -570,8 +586,9 @@ def gw_frank_wolfe(netX: MeasureNetwork, netY: MeasureNetwork,
     moves by exact line search; the restriction of the objective to a
     segment is a quadratic, so the step is closed form and the objective
     never increases.
-    Stops at the first step that does not descend: a Frank-Wolfe gap of at
-    most ``tol_fw`` (no curvature formed), or no step from the line search.
+    Stops, converged, at the first step that does not descend: a
+    Frank-Wolfe gap of at most 1e-12 (no curvature formed), or no step from
+    the line search.  Stops unconverged after 1000 steps.
 
     One oracle serves every pair of marginals, uniform or not, square or
     not: the transport problems of one run share their marginals, so one
@@ -579,18 +596,13 @@ def gw_frank_wolfe(netX: MeasureNetwork, netY: MeasureNetwork,
     previous step's optimal basis and returns a vertex that is optimal up to
     its pricing tolerance, so the gap is not underestimated beyond that.
     The first step's gradient also picks the simplex's first tree.
-    Raises ``ValueError`` for a negative ``max_iters``, a ``tol_fw`` that
-    is negative or nan, or tables on which the objective or its gradient
+    Raises ``ValueError`` for tables on which the objective or its gradient
     overflows float64.
 
     Returns a coupling whose distortion certifies an upper bound on the
     order-2 Gromov-Wasserstein distance and is first-order stationary when
     ``converged`` is set.  ``trace`` records the distortion at each iterate.
     """
-    if max_iters < 0:
-        raise ValueError(f"max_iters must be >= 0, got {max_iters}")
-    if not tol_fw >= 0.0:
-        raise ValueError(f"tol_fw must be a nonnegative number, got {tol_fw}")
     wx, wy = netX.weights, netY.weights
     omx, omy = netX.omega, netY.omega
     if init is None:
@@ -619,14 +631,14 @@ def gw_frank_wolfe(netX: MeasureNetwork, netY: MeasureNetwork,
     trace = [math.sqrt(max(objective(pi, cross), 0.0))]
     converged = False
     it = 0
-    for it in range(1, max_iters + 1):
+    for it in range(1, _FW_MAX_ITERS + 1):
         if it > 1:
             grad = gradient(pi, cross)
         vertex = basis.solve(grad)
         direction = vertex - pi
         lin = float((grad * direction).sum())
         gamma = 0.0
-        if -lin > tol_fw:  # the gap: a descent step exists
+        if -lin > _FW_GAP_TOL:  # the gap: a descent step exists
             # objective along the segment: f(gamma) = f(0) + lin*gamma + curv*gamma^2
             curv = -2.0 * float((direction * (omx @ direction @ omy.T)).sum())
             if curv > 0.0:

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from gromon import MeasureNetwork, simplex_network
-from gromon.randgen import random_cloud, random_isometry
+from gromon.randgen import random_cloud, random_isometry, random_spd_network
 from gromon import cli, serialize, solvers
 from gromon.euclidean import EuclideanCloud
 
@@ -66,19 +66,6 @@ def test_gm_inf_exponent_report_has_no_eps(workdir):
     assert "eps_supp" not in out["meta"]
 
 
-def test_gm_csv_and_plain_formats(workdir):
-    proc = run_cli(["gm", "delta4.json", "delta2.json", "--p", "1",
-                    "--format", "csv"], workdir)
-    assert proc.returncode == 0, proc.stderr
-    lines = proc.stdout.decode().strip().splitlines()
-    assert lines[0] == "command,p,value,converged,iterations,seed"
-    assert lines[1].startswith("gm,1.0,0.25,True,6,")
-    proc = run_cli(["gm", "delta4.json", "delta2.json", "--p", "1",
-                    "--format", "plain"], workdir)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.decode().startswith("value 0.25 ")
-
-
 def test_missing_file_exit_one(workdir):
     proc = run_cli(["gm", "nope.json", "delta2.json"], workdir)
     assert proc.returncode == 1
@@ -93,6 +80,17 @@ def test_bad_flag_exit_one(workdir):
     proc = run_cli(["gm", "delta2.json", "delta2.json", "--p", "0.5"], workdir)
     assert proc.returncode == 1
     assert b"p >= 1" in proc.stderr
+    # every report is JSON, and the stopping rules of gw and miso are fixed
+    for argv in (["gm", "delta2.json", "delta2.json", "--format", "csv"],
+                 ["gw", "delta2.json", "delta2.json", "--max-iters", "5"],
+                 ["gw", "delta2.json", "delta2.json", "--tol", "0.1"],
+                 ["miso", "c.json", "c.json", "--max-alternations", "5"]):
+        proc = run_cli(argv, workdir)
+        assert proc.returncode == 1
+        assert proc.stdout == b""
+        usage, error = proc.stderr.decode().splitlines()
+        assert usage.startswith("usage: gromon ")
+        assert error == f"error: unrecognized arguments: {argv[-2]} {argv[-1]}"
 
 
 def test_malformed_file_diagnostics(workdir):
@@ -268,17 +266,6 @@ def test_gm_sup_distance_of_overflow_input_is_finite(workdir):
     assert proc.stderr == b""
 
 
-@pytest.mark.parametrize("flags,message", [(["--max-iters", "-3"], b"max_iters"),
-                                           (["--tol", "nan"], b"tol_fw"),
-                                           (["--tol", "-1"], b"tol_fw")])
-def test_gw_bad_iteration_settings_exit_one(workdir, flags, message):
-    proc = run_cli(["gw", "delta4.json", "delta2.json", *flags], workdir)
-    assert proc.returncode == 1
-    assert message in proc.stderr
-    assert b"Traceback" not in proc.stderr
-    assert proc.stdout == b""
-
-
 def test_gm_indivisible_uniform_pair_exit_code(workdir):
     serialize.save_network(str(workdir / "delta23.json"), simplex_network(23))
     proc = run_cli(["gm", "delta23.json", "delta2.json", "--p", "2"], workdir)
@@ -317,14 +304,33 @@ def test_rand_round_trip_and_determinism(workdir):
         assert (workdir / "a.json").read_bytes() == (workdir / "b.json").read_bytes()
 
 
-def test_rand_seed_from_environment(workdir):
-    proc = run_cli(["rand", "--kind", "metric", "--n", "4", "--out", "env.json"],
-                   workdir, env={"GROMON_SEED": "77"})
-    assert proc.returncode == 0, proc.stderr
-    proc = run_cli(["rand", "--kind", "metric", "--n", "4", "--seed", "77",
-                    "--out", "flag.json"], workdir)
-    assert proc.returncode == 0, proc.stderr
-    assert (workdir / "env.json").read_bytes() == (workdir / "flag.json").read_bytes()
+def test_seed_environment_is_ignored(workdir, monkeypatch, capsys):
+    # --seed is the one seed source: setting GROMON_SEED changes no output
+    serialize.save_network(str(workdir / "s.json"), random_spd_network(4, 1))
+    serialize.save_network(str(workdir / "t.json"), random_spd_network(4, 2))
+    serialize.save_cloud(str(workdir / "c.json"), random_cloud(4, 2, 3))
+    serialize.save_cloud(str(workdir / "d.json"), random_cloud(4, 2, 4))
+    monkeypatch.chdir(workdir)
+    runs = (["spd", "s.json", "t.json", "--restarts", "3"],
+            ["miso", "c.json", "d.json", "--restarts", "3"],
+            ["rand", "--kind", "metric", "--n", "4", "--out", "r.json"])
+
+    def outputs():
+        out = []
+        for argv in runs:
+            assert cli.main(argv) == 0
+            out.append(capsys.readouterr().out)
+        return out, (workdir / "r.json").read_bytes()
+
+    monkeypatch.delenv("GROMON_SEED", raising=False)
+    default = outputs()
+    assert json.loads(default[0][0])["meta"]["seed"] == 0
+    assert cli.main([*runs[2], "--seed", "77"]) == 0
+    capsys.readouterr()
+    assert (workdir / "r.json").read_bytes() != default[1]
+    for value in ("77", "abc"):
+        monkeypatch.setenv("GROMON_SEED", value)
+        assert outputs() == default
 
 
 @pytest.mark.parametrize("edge_prob", ["1.5", "nan"])
@@ -492,8 +498,8 @@ def test_miso_infinite_exponent_is_input_error(workdir):
     assert b"registration requires a finite exponent" in proc.stderr
     assert proc.stdout == b""
 
-# flags a subcommand would ignore: --threads everywhere (no solver takes a
-# thread count), --format where no solver report is printed
+# flags no subcommand takes: --threads (no solver takes a thread count) and
+# --format (every solver report is JSON)
 @pytest.mark.parametrize("argv", [
     *([*argv, "--threads", "2"] for argv in (
         ["gm", "a", "b"], ["gw", "a", "b"], ["spd", "a", "b"], ["miso", "a", "b"],
@@ -513,21 +519,28 @@ def test_threads_flag_is_rejected(argv, capsys):
 
 @pytest.mark.parametrize("argv", [["gm", "a", "b"], ["gw", "a", "b"],
                                   ["spd", "a", "b"], ["miso", "a", "b"]])
-def test_format_flag_on_report_commands(argv):
-    assert cli._build_parser().parse_args([*argv, "--format", "csv"]).format == "csv"
+def test_format_flag_on_report_commands(argv, capsys):
+    # the commands that print a solver report print it as JSON only
+    with pytest.raises(SystemExit) as exc:
+        cli._build_parser().parse_args([*argv, "--format", "json"])
+    assert exc.value.code == 1
+    assert "unrecognized arguments: --format json" in capsys.readouterr().err
 
 
 def test_readme_lists_the_flags_of_each_subcommand():
     # the README's flag table has one row per subcommand, naming exactly the
-    # flags that subcommand's parser takes
+    # option strings that subcommand's parser takes besides -h/--help
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = re.search(r"^\| command \| flags \|\n\|[-|]+\|\n((?:\|.*\n)+)", readme, re.M)
+    assert table, "no README flag table"
+    rows = dict(re.findall(r"^\| `([a-z]+)` +\|(.*)\|$", table[1], re.M))
     subparsers = next(a for a in cli._build_parser()._actions
                       if isinstance(a, argparse._SubParsersAction))
+    assert rows.keys() == subparsers.choices.keys()
     for name, sub in subparsers.choices.items():
-        row = re.search(rf"^\| `{name}` +\|(.*)$", readme, re.M)
-        assert row, f"no README flag row for {name}"
-        flags = {f for a in sub._actions for f in a.option_strings if f.startswith("--")}
-        assert set(re.findall(r"--[a-z][a-z-]*", row[1])) == flags - {"--help"}, name
+        flags = {f for a in sub._actions for f in a.option_strings}
+        named = set(re.findall(r"(?<![\w-])--?[a-z][a-z-]*", rows[name]))
+        assert named == flags - {"-h", "--help"}, name
 
 
 def test_readme_quick_start_runs(capsys):
@@ -548,16 +561,6 @@ def test_readme_states_the_replay_store_bounds():
     assert pairs == solvers._REPLAY_PAIRS
     assert 1 << log_entries == solvers._REPLAY_ENTRIES
     assert mib << 20 == pairs * solvers._REPLAY_ENTRIES * np.dtype(np.intp).itemsize
-
-
-def test_bad_seed_environment_fails_only_seeded_commands(monkeypatch, capsys):
-    monkeypatch.setenv("GROMON_SEED", "abc")
-    parser = cli._build_parser()
-    assert parser.parse_args(["gm", "a", "b"]).command == "gm"
-    with pytest.raises(SystemExit) as exc:
-        parser.parse_args(["rand", "--kind", "spd", "--n", "3", "--out", "o"])
-    assert exc.value.code == 1
-    assert "argument --seed" in capsys.readouterr().err
 
 
 def test_deterministic_solver_output(workdir):

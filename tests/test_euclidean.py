@@ -296,10 +296,11 @@ def _planted_pair(key):
 
 
 @pytest.mark.parametrize("p", [1, 1.5, 2, 3])
-def test_m_iso_restart_driver_matches_own_loop(p):
+def test_m_iso_restart_driver_matches_own_loop(p, monkeypatch):
     for x, y in _registration_pairs():
         for max_alternations in (1, 2, 3, 100):
-            got = m_iso(x, y, p=p, restarts=6, seed=9, max_alternations=max_alternations)
+            monkeypatch.setattr(euclidean, "_MAX_ALTERNATIONS", max_alternations)
+            got = m_iso(x, y, p=p, restarts=6, seed=9)
             val, phi, iters, done, trace, iso = _m_iso_restarts_reference(
                 x, y, p, 6, 9, max_alternations)
             assert float(got.value).hex() == float(val).hex()
@@ -372,15 +373,16 @@ def test_m_iso_axis_starts_return_permutation_and_value(pair, restarts, p):
     assert got.value == pytest.approx(_recomputed_value(x, y, got, p), rel=1e-12, abs=1e-12)
 
 
-def test_m_iso_cost_memory_is_bounded():
+def test_m_iso_cost_memory_is_bounded(monkeypatch):
     import tracemalloc
 
     n, dim = 300, 3
     x, y = random_cloud(n, dim, [74, 0]), random_cloud(n, dim, [74, 1])
+    monkeypatch.setattr(euclidean, "_MAX_ALTERNATIONS", 1)
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
-        m_iso(x, y, restarts=1, max_alternations=1)
+        m_iso(x, y, restarts=1)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -689,11 +689,12 @@ def test_fw_trace_monotone_nonincreasing():
             assert after <= before + 1e-10
 
 
-def test_fw_general_marginals_oracle():
+def test_fw_general_marginals_oracle(monkeypatch):
     # non-uniform, non-square: exercises the transportation simplex oracle
     net_x, net_y = weak_iso_pair()
     net_y2 = MeasureNetwork([0.5, 0.5], [[0, 1], [1, 0]])
-    report = gw_frank_wolfe(net_x, net_y2, max_iters=50)
+    monkeypatch.setattr(solvers, "_FW_MAX_ITERS", 50)
+    report = gw_frank_wolfe(net_x, net_y2)
     assert report.value <= distortion_p(net_x, net_y2,
                                         product_coupling(net_x, net_y2), 2) + 1e-12
 
@@ -1024,14 +1025,10 @@ def test_fw_uniform_square_matches_assignment_oracle(monkeypatch):
             assert got.witness.table.tobytes() == ref.witness.table.tobytes()
 
 
-def test_fw_rejects_bad_arguments():
+def test_fw_without_steps_reports_the_start(monkeypatch):
     net = simplex_network(3)
-    with pytest.raises(ValueError, match="max_iters"):
-        gw_frank_wolfe(net, net, max_iters=-3)
-    for tol in (math.nan, -1e-12):
-        with pytest.raises(ValueError, match="tol_fw"):
-            gw_frank_wolfe(net, net, tol_fw=tol)
-    report = gw_frank_wolfe(net, net, max_iters=0)
+    monkeypatch.setattr(solvers, "_FW_MAX_ITERS", 0)
+    report = gw_frank_wolfe(net, net)
     assert report.iterations == 0
     assert len(report.trace) == 1
 
@@ -1180,10 +1177,19 @@ def test_permutation_pair_is_every_bijection_passing_the_checker():
     assert not solvers._permutation_pair(np.full(2, 0.5), np.full(3, 1 / 3))
 
 
+def any_map_passes_the_checker(wx, wy):
+    # every one of the n^m maps, its fibers summed in source order from 0.0
+    # as check_measure_preserving's bincount sums them
+    maps = np.array(list(itertools.product(range(wy.size), repeat=wx.size)))
+    pushed = np.zeros((len(maps), wy.size))
+    for i in range(wx.size):
+        pushed[np.arange(len(maps)), maps[:, i]] += wx[i]
+    return bool((np.abs(pushed - wy).max(axis=1) <= TOL_MASS).any())
+
+
 def test_uniform_maps_at_equal_sizes_is_zero_iff_no_map_passes_the_checker():
-    # every one of the n^n maps, its fibers summed in source order from 0.0
-    # as check_measure_preserving's bincount sums them; weights 1/n moved by
-    # k * 1e-10, k in [-10, 10], unbalanced so that pairs without a map are common
+    # weights 1/n moved by k * 1e-10, k in [-10, 10], unbalanced so that
+    # pairs without a map are common
     rng = np.random.default_rng(93)
     outcomes = []
     for _ in range(1500):
@@ -1192,13 +1198,65 @@ def test_uniform_maps_at_equal_sizes_is_zero_iff_no_map_passes_the_checker():
         total = solvers._uniform_maps(wx, wy)
         if total is None:
             continue
-        maps = np.array(list(itertools.product(range(n), repeat=n)))
-        pushed = np.zeros((len(maps), n))
-        for i in range(n):
-            pushed[np.arange(len(maps)), maps[:, i]] += wx[i]
-        outcomes.append(bool((np.abs(pushed - wy).max(axis=1) <= TOL_MASS).any()))
+        outcomes.append(any_map_passes_the_checker(wx, wy))
         assert (total > 0) == outcomes[-1]
     assert len(outcomes) > 1000 and 100 < outcomes.count(False) < len(outcomes) - 100
+
+
+def test_bijections_pair_is_whether_any_map_passes_the_checker():
+    # weights of 1 to 4 counts, the target a shuffled copy moved by
+    # k * 1e-10 (the last k balancing the sum), at or past the 1e-9 edge; in
+    # a quarter of the draws one target weight shrinks to at most 2e-9 and
+    # gives the rest to its neighbour, and there empty fibers may pass
+    rng = np.random.default_rng(94)
+    decided, missed = [], 0
+    for _ in range(1500):
+        n = int(rng.integers(1, 6))
+        counts = rng.integers(1, 5, n)
+        wx = counts / counts.sum()
+        k = rng.integers(-8, 9, n)
+        k[-1] -= k.sum()
+        wy = rng.permutation(wx) + k * 1e-10
+        if n > 1 and rng.random() < 0.25:
+            j = int(rng.integers(n))
+            tiny = float(rng.choice([1e-10, 5e-10, 1e-9, 2e-9]))
+            wy[(j + 1) % n] += wy[j] - tiny
+            wy[j] = tiny
+        paired = solvers._bijections_pair(wx, wy)
+        if wy.min() <= TOL_MASS:
+            assert paired is None
+            # a map sorted pairing would deny, one fiber empty
+            missed += (any_map_passes_the_checker(wx, wy)
+                       and np.abs(np.sort(wx) - np.sort(wy)).max() > TOL_MASS)
+        else:
+            decided.append(any_map_passes_the_checker(wx, wy))
+            assert paired == decided[-1]
+    assert len(decided) > 1000 and 100 < decided.count(False) < len(decided) - 100
+    assert missed > 50
+    assert solvers._bijections_pair(np.full(2, 0.5), np.full(3, 1 / 3)) is None
+
+
+def test_equal_sizes_decide_existence_without_enumerating(monkeypatch):
+    # 500 non-uniform weights against a shuffled copy: the enumerator's
+    # first map took seconds at 16 points and all memory here
+    def refuse(*args):
+        raise AssertionError("enumerated a pair of equal size")
+
+    monkeypatch.setattr(solvers, "_assignment_blocks", refuse)
+    rng = np.random.default_rng(95)
+    wx = rng.random(500) + 0.5
+    wx /= wx.sum()
+    wy = rng.permutation(wx)
+    points = rng.standard_normal((500, 2))
+    with pytest.raises(ValueError, match="unsupported weighting"):
+        m_iso(EuclideanCloud(points, wx), EuclideanCloud(points, wy))
+    wy[:2] += [2e-9, -2e-9]  # now no bijection, and so no map, passes
+    report = m_iso(EuclideanCloud(points, wx), EuclideanCloud(points, wy))
+    assert (report.value, report.witness, report.iterations) == (math.inf, None, 0)
+    zeros = np.zeros((500, 500))
+    report = gm_exact(MeasureNetwork(wx, zeros), MeasureNetwork(wy, zeros), 2)
+    assert (report.value, report.witness, report.iterations, report.converged) == \
+        (math.inf, None, 0, True)
 
 
 def test_uniform_maps_bound_the_accepted_maps():
