@@ -31,10 +31,9 @@ from .networks import (
 from .solvers import (
     DEFAULT_CAP,
     SolveReport,
+    _admission,
     _best_restart,
-    _bijections_pair,
     _permutation_pair,
-    _uniform_maps,
     enumerate_monge_maps,
     gm_exact,
     gm_infinity,
@@ -165,17 +164,6 @@ def _principal_axes(cloud: EuclideanCloud, centroid: np.ndarray) -> np.ndarray:
     return np.linalg.eigh(cov)[1]
 
 
-def _may_have_monge_map(x: EuclideanCloud, y: EuclideanCloud) -> bool:
-    # decide uniform and equal-size pairs first: enumeration can be huge there
-    total = _uniform_maps(x.weights, y.weights)
-    if total is not None:
-        return total > 0
-    paired = _bijections_pair(x.weights, y.weights)
-    if paired is not None:
-        return paired
-    return next(enumerate_monge_maps(x.weights, y.weights), None) is not None
-
-
 def m_iso(x: EuclideanCloud, y: EuclideanCloud, p=2, restarts: int = 20,
           seed: int = 0) -> SolveReport:
     """Isometry-invariant Monge distance by alternating minimization.
@@ -204,11 +192,10 @@ def m_iso(x: EuclideanCloud, y: EuclideanCloud, p=2, restarts: int = 20,
 
     Any other pair reports ``math.inf`` when it has no measure-preserving
     map and raises ``ValueError`` ("unsupported weighting") when it may have
-    one.  That is bounded in closed form for uniform weights, decided by
-    sorted pairing for clouds of equal size whose target weights all exceed
-    ``TOL_MASS`` (``solvers._bijections_pair``), and enumerated for the
-    rest.  Clouds whose covariances, fit, costs or values overflow float64
-    raise ``ValueError``; the covariances are checked first.
+    one.  The weights alone decide that where ``solvers._admission`` can,
+    and the first map of the enumerator decides the rest.  Clouds whose
+    covariances, fit, costs or values overflow float64 raise
+    ``ValueError``; the covariances are checked first.
     """
     p = check_exponent(p)
     if math.isinf(p):
@@ -218,7 +205,10 @@ def m_iso(x: EuclideanCloud, y: EuclideanCloud, p=2, restarts: int = 20,
     if x.dim != y.dim:
         raise ValueError(f"dimension mismatch: {x.dim} vs {y.dim}")
     if not _permutation_pair(x.weights, y.weights):
-        if not _may_have_monge_map(x, y):
+        may_exist = _admission(x.weights, y.weights)[0]
+        if may_exist is None:
+            may_exist = next(enumerate_monge_maps(x.weights, y.weights), None) is not None
+        if not may_exist:
             return SolveReport(math.inf, None, "alternating", 0, True)
         raise ValueError(
             f"unsupported weighting: registration searches only uniform clouds of "

@@ -99,39 +99,43 @@ def _permutation_pair(wx: np.ndarray, wy: np.ndarray) -> bool:
     return bool(wx.size == wy.size and max(wx.max() - wy.min(), wy.max() - wx.min()) <= TOL_MASS)
 
 
-def _bijections_pair(wx: np.ndarray, wy: np.ndarray) -> bool | None:
-    """Whether any map passes ``check_measure_preserving`` when n = m and
-    every target weight exceeds ``TOL_MASS``, else None (empty fibers may
-    pass there).
+def _admission(wx: np.ndarray, wy: np.ndarray) -> tuple[bool | None, int | None]:
+    """What the weights alone tell of the maps that ``check_measure_preserving``
+    accepts, as (may_exist, bound): ``may_exist`` is False when none is, None
+    when only enumeration can tell, and True otherwise; ``bound`` is an upper
+    bound on their number (0 when none is), or None.  The one closed-form
+    existence rule of every map reader.
 
-    An empty fiber is 0.0, more than ``TOL_MASS`` below its target, so only
-    bijections can pass, each fiber one weight added to 0.0.  One does iff
-    the sorted weights pair off within ``TOL_MASS``: rounded subtraction is
-    monotone, so sorted pairing minimizes the largest rounded difference."""
-    if wx.size != wy.size or wy.min() <= TOL_MASS:
-        return None
-    return bool(np.abs(np.sort(wx) - np.sort(wy)).max() <= TOL_MASS)
+    At n = m with every target weight above ``TOL_MASS`` an empty fiber is
+    0.0, more than ``TOL_MASS`` below its target, so only bijections pass,
+    each fiber one weight added to 0.0.  One does, and a map exists, iff the
+    sorted weights pair off within ``TOL_MASS``: rounded subtraction is
+    monotone, so sorted pairing minimizes the largest rounded difference.
 
-
-def _uniform_maps(wx: np.ndarray, wy: np.ndarray) -> int | None:
-    """The n!/(k!)^m maps with fibers of k = n/m points (0 unless m divides
-    n) when every source weight is within ``TOL_MASS`` of 1/n and every
-    target weight of 1/m, else None.  While n * m * (n + 3) <= 1e9 fibers of
-    other sizes miss by more than ``TOL_MASS``, so this bounds the accepted
-    maps from above, exactly at 0 and for a ``_permutation_pair``.
-
-    At n = m 0 is returned when no bijection passes (``_bijections_pair``):
-    a positive count at n = m means some map exists.  The pairing is
-    skipped when the two largest deviations from 1/n sum below
+    Weights uniform within ``TOL_MASS`` (every source weight within it of
+    1/n, every target weight of 1/m) bound the maps by n! at n = m.  Else,
+    while n * m * (n + 3) <= 1e9, fibers of other sizes than k = n/m miss by
+    more than ``TOL_MASS``, so the bound is the n!/(k!)^m maps with fibers
+    of k points, 0 unless m divides n; past that size it is all m^n maps.
+    The bound is exact at 0 and for a ``_permutation_pair``.  The pairing
+    is skipped when the two largest deviations from 1/n sum below
     ``TOL_MASS``: every weight difference is then exact (Sterbenz) and
     within it."""
     n, m = wx.size, wy.size
     dx, dy = np.abs(wx - 1.0 / n).max(), np.abs(wy - 1.0 / m).max()
-    if max(dx, dy) > TOL_MASS:
-        return None
-    if n % m or (dx + dy >= TOL_MASS and _bijections_pair(wx, wy) is False):
-        return 0
-    return math.factorial(n) // math.factorial(n // m) ** m
+    uniform = max(dx, dy) <= TOL_MASS
+    if n == m and wy.min() > TOL_MASS:
+        if not (uniform and dx + dy < TOL_MASS
+                or np.abs(np.sort(wx) - np.sort(wy)).max() <= TOL_MASS):
+            return False, 0
+        return True, math.factorial(n) if uniform else None
+    if not uniform:
+        return None, None
+    if n * m * (n + 3) > 10**9:
+        return True, m**n
+    if n % m:
+        return False, 0
+    return True, math.factorial(n) // math.factorial(n // m) ** m
 
 
 def _best_restart(restarts: int, seed: int, run) -> tuple[Any, int]:
@@ -149,8 +153,12 @@ def _best_restart(restarts: int, seed: int, run) -> tuple[Any, int]:
 # Enumeration of measure-preserving maps
 # ---------------------------------------------------------------------------
 
-# Largest block of (partial) assignments held at once by the enumerator.
-_BLOCK_MAPS = 4096
+# One entry budget.  The enumerator sizes its blocks from it.  Callers score
+# one pair of weights against many tables and exponents: keep the maps and
+# their cells of _REPLAY_PAIRS pairs, each of at most _REPLAY_ENTRIES intp
+# entries in all (8 MiB).  The uniform 7-7 pair takes 5040 * (7 + 28) = 176 400.
+_REPLAY_PAIRS = 4
+_REPLAY_ENTRIES = 1 << 18
 
 
 def _assignment_blocks(source: np.ndarray, target: np.ndarray) -> Iterator[np.ndarray]:
@@ -158,16 +166,20 @@ def _assignment_blocks(source: np.ndarray, target: np.ndarray) -> Iterator[np.nd
     float64 ``source`` and ``target`` weights, as (B, n) intp blocks in
     lexicographic order.
 
-    Blocks of at most ``_BLOCK_MAPS`` rows grow one source point at a time,
-    depth first, children listed row by row.  Each row carries its fiber
-    sums, added in index order from 0.0 as ``np.bincount`` adds them, and
-    is judged by the checker's own expressions: point i may go to target j
-    unless fl(fiber + w_i) - target > ``TOL_MASS`` (more points only raise
-    that sum), and a complete row is kept when every |fiber - target| is
-    within ``TOL_MASS``.  A level recurses into all its blocks but the last,
-    which the same call carries on with, so one-block levels add no depth.
+    Blocks of at most max(1, ``_REPLAY_ENTRIES`` // (n(n + m))) rows, the
+    budget read when called, grow one source point at a time, depth first,
+    children listed row by row.  A row holds n + m entries and at most n
+    levels are open, so together they hold a few budgets.  Each row carries
+    its fiber sums, added in index order from 0.0 as ``np.bincount`` adds
+    them, and is judged by the checker's own expressions: point i may go to
+    target j unless fl(fiber + w_i) - target > ``TOL_MASS`` (more points
+    only raise that sum), and a complete row is kept when every
+    |fiber - target| is within ``TOL_MASS``.  A level recurses into all its
+    blocks but the last, which the same call carries on with, so one-block
+    levels add no depth.
     """
     n = source.size
+    block = max(1, _REPLAY_ENTRIES // (n * (n + target.size)))
 
     def grow(assign, fibers, i):
         for i in range(i, n):
@@ -175,10 +187,10 @@ def _assignment_blocks(source: np.ndarray, target: np.ndarray) -> Iterator[np.nd
             if not rows.size:
                 return
             above_assign, above_fibers = assign, fibers
-            for s in range(0, rows.size, _BLOCK_MAPS):
+            for s in range(0, rows.size, block):
                 if s:  # the block built last round comes first
                     yield from grow(assign, fibers, i + 1)
-                r, c = rows[s:s + _BLOCK_MAPS], cols[s:s + _BLOCK_MAPS]
+                r, c = rows[s:s + block], cols[s:s + block]
                 assign, fibers = above_assign[r], above_fibers[r]
                 assign[:, i] = c
                 fibers[np.arange(r.size), c] += source[i]
@@ -186,7 +198,7 @@ def _assignment_blocks(source: np.ndarray, target: np.ndarray) -> Iterator[np.nd
         if len(done):
             yield done
 
-    yield from grow(np.zeros((1, n), dtype=np.intp), np.zeros((1, target.size)), 0)
+    return grow(np.zeros((1, n), dtype=np.intp), np.zeros((1, target.size)), 0)
 
 
 @functools.lru_cache(maxsize=16)
@@ -210,22 +222,14 @@ def _map_cells(assigns: np.ndarray, m: int) -> np.ndarray:
     return (np.arange(i.size) * (m * m))[:, None] + a[i] * m + a[k]
 
 
-# Callers score one pair of weights against many tables and exponents: keep
-# the maps and their cells of _REPLAY_PAIRS pairs, each of at most
-# _REPLAY_ENTRIES intp entries in all (8 MiB).  The uniform 7-7 pair takes
-# 5040 * (7 + 28) = 176 400.
-_REPLAY_PAIRS = 4
-_REPLAY_ENTRIES = 1 << 18
-
-
 @functools.lru_cache(maxsize=_REPLAY_PAIRS)
 def _stored_blocks(source: bytes,
                    target: bytes) -> tuple[tuple[np.ndarray, np.ndarray], ...] | None:
     """The read-only blocks of ``_assignment_blocks`` for these float64
     weight bytes, each with its ``_map_cells``, or None once maps and cells
-    pass ``_REPLAY_ENTRIES`` entries, or ``_uniform_maps`` bounds them past it."""
+    pass ``_REPLAY_ENTRIES`` entries, or ``_admission`` bounds them past it."""
     source_weights, target_weights = np.frombuffer(source), np.frombuffer(target)
-    n, bound = source_weights.size, _uniform_maps(source_weights, target_weights)
+    n, (_, bound) = source_weights.size, _admission(source_weights, target_weights)
     if bound and bound * (n + n * (n + 1) // 2) > _REPLAY_ENTRIES:
         return None
     blocks, entries = [], 0
@@ -246,11 +250,14 @@ def enumerate_monge_maps(source_weights, target_weights) -> Iterator[MongeMap]:
     The maps are the rows of the blocks that ``gm_exact`` scans: exactly
     those that ``check_measure_preserving`` accepts, their fiber sums formed
     and compared as it forms them.  An empty stream is a valid result and
-    signals that the Gromov-Monge distance is infinite.  The maps are
-    enumerated as the caller pulls them; only ``gm_exact`` replays them.
+    signals that the Gromov-Monge distance is infinite; it is empty at once
+    when ``_admission`` rules every map out.  The maps are enumerated as the
+    caller pulls them; only ``gm_exact`` replays them.
     """
     sw = _weights(source_weights, "source weights")
     tw = _weights(target_weights, "target weights")
+    if _admission(sw, tw)[0] is False:
+        return
     for block in _assignment_blocks(sw, tw):
         for row in block:
             yield MongeMap(row)
@@ -336,13 +343,11 @@ def gm_exact(netX: MeasureNetwork, netY: MeasureNetwork, p,
     ``ValueError``.
 
     Raises ``CapExceededError`` when the instance admits more than ``cap``
-    maps, and ``ValueError`` when ``cap`` is below 1.  Weights uniform
-    within ``TOL_MASS`` count their maps from the point counts before any
-    scan (``_uniform_maps``); that count is exact at 0 and on a
-    ``_permutation_pair``, and otherwise an upper bound, so the cap test
-    errs toward raising.  Other pairs of equal size whose target weights
-    all exceed ``TOL_MASS`` report no map without a scan when their sorted
-    weights do not pair off (``_bijections_pair``).
+    maps, and ``ValueError`` when ``cap`` is below 1.  Before any scan the
+    weights alone, through ``_admission``, may rule every map out (value
+    ``math.inf``, 0 iterations) or bound the maps from the point counts;
+    the bound is exact at 0 and on a ``_permutation_pair``, and otherwise an
+    upper bound, so the cap test errs toward raising.
 
     The maps depend on the weights alone, and only this function replays
     them: the blocks of a pair of weight vectors and their cells, keyed on
@@ -355,12 +360,14 @@ def gm_exact(netX: MeasureNetwork, netY: MeasureNetwork, p,
     if cap < 1:
         raise ValueError(f"cap must be >= 1, got {cap}")
     wx, wy = netX.weights, netY.weights
-    total = _uniform_maps(wx, wy)
-    if total == 0 or (total is None and _bijections_pair(wx, wy) is False):
+    may_exist, bound = _admission(wx, wy)
+    if may_exist is False:
         return SolveReport(math.inf, None, "enumeration", 0, True)
-    if total is not None and total > cap:
+    if bound is not None and bound > cap:
+        # Python refuses to print an int of more than 4 300 digits
+        shown = bound if bound.bit_length() <= 14_000 else f"a {bound.bit_length()}-bit number"
         raise CapExceededError(f"too large for exact enumeration: the point counts "
-                               f"bound the maps by {total}, above cap {cap}")
+                               f"bound the maps by {shown}, above cap {cap}")
     omx, omy = netX.omega, netY.omega
     n, m = netX.n, netY.n
     slack, tiny = _screen_slack(n, p), n * n * 2.0**-1066

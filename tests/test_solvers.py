@@ -1,5 +1,7 @@
+import hashlib
 import itertools
 import math
+import subprocess
 import sys
 import threading
 import warnings
@@ -46,7 +48,13 @@ from gromon.randgen import (
     random_uniform_network,
 )
 
-from conftest import near_equal_small_pair, relabeled, skewed_pair, uniform_network_pairs
+from conftest import (
+    child_env,
+    near_equal_small_pair,
+    relabeled,
+    skewed_pair,
+    uniform_network_pairs,
+)
 
 
 def weak_iso_pair():
@@ -96,10 +104,11 @@ def test_enumerate_float_checks_every_fiber_at_the_end():
 @settings(max_examples=150, deadline=None)
 @given(st.lists(st.integers(1, 4), min_size=1, max_size=6),
        st.lists(st.integers(1, 4), min_size=1, max_size=4),
-       st.sampled_from([1, 2, 3, solvers._BLOCK_MAPS]))
+       st.sampled_from([1, 2, 3, 4096]))
 def test_assignment_blocks_match_brute_force(source_counts, target_counts, block):
     """Feasible or not, the blocks list exactly the maps whose fiber sums
-    equal the targets in exact arithmetic, in lexicographic order."""
+    equal the targets in exact arithmetic, in lexicographic order, in
+    blocks of the rows that the entry budget allows."""
     n, m = len(source_counts), len(target_counts)
     ws = [Fraction(c, sum(source_counts)) for c in source_counts]
     wt = [Fraction(c, sum(target_counts)) for c in target_counts]
@@ -107,10 +116,49 @@ def test_assignment_blocks_match_brute_force(source_counts, target_counts, block
                 if all(sum(w for w, j in zip(ws, phi) if j == k) == wt[k] for k in range(m))]
     source, target = np.array(ws, dtype=float), np.array(wt, dtype=float)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(solvers, "_BLOCK_MAPS", block)
+        mp.setattr(solvers, "_REPLAY_ENTRIES", block * n * (n + m))
         blocks = list(solvers._assignment_blocks(source, target))
     assert all(b.dtype == np.intp and 1 <= len(b) <= block for b in blocks)
     assert [row.tolist() for b in blocks for row in b] == expected
+
+
+# sha256 of the int64 rows of _assignment_blocks, in order, for uniform 7-7,
+# 7 onto (2, 2, 1, 1, 1)/7, 10-digit decimals 7 onto (2, 1, 1, 1, 1, 1)/7,
+# uniform 8-8, 9 onto 3 and 10 onto 5
+ROW_DIGESTS = (
+    "1fe3320c2c2d1a4c8f27b2102505ff739414e6f478f74eb7ba52e86ca65e77c0",
+    "0844b4763ffe0d448c46e2830ec5c69dab400c5215cbafeca6ac13cb287bd946",
+    "4b405f970d429ef71258e25a304e6192eee00383121b34edfea33c2f357ad681",
+    "420e1fa907707ad373a551928e43b8a8dc101f5517e2993386c6268a79201247",
+    "6de1c4adb14ccdcf41903781c9129d509c63850389708ab07d7559a3fb3e32bf",
+    "216da5162ac8a8999c810e5d36e35a7eac6a6cacf0dc1a220ebe23facc1bf49b",
+)
+
+
+def test_assignment_rows_pinned_in_blocks_of_the_entry_budget():
+    pairs = [*REPLAY_SHAPES, (np.full(8, 1 / 8), np.full(8, 1 / 8)),
+             (np.full(9, 1 / 9), np.full(3, 1 / 3)), (np.full(10, 1 / 10), np.full(5, 1 / 5))]
+    for (wx, wy), digest in zip(pairs, ROW_DIGESTS, strict=True):
+        n, m = wx.size, wy.size
+        blocks = list(solvers._assignment_blocks(wx, wy))
+        rows = np.concatenate(blocks).astype(np.int64)
+        assert hashlib.sha256(rows.tobytes()).hexdigest() == digest
+        assert max(map(len, blocks)) <= max(1, solvers._REPLAY_ENTRIES // (n * (n + m)))
+
+
+def test_first_map_of_a_large_uniform_pair_within_a_memory_limit():
+    # the open levels hold a few entry budgets together; 200 levels of
+    # 4096-row blocks once took 3.8 GB
+    code = ("import resource\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+            "import numpy as np\n"
+            "from gromon import solvers\n"
+            "u = np.full(200, 1 / 200)\n"
+            "print(next(solvers._assignment_blocks(u, u))[0].tolist() == list(range(200)))\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          env=child_env({"OPENBLAS_NUM_THREADS": "1"}))
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stdout == b"True\n"
 
 
 def test_gm_onto_a_point_deeper_than_the_recursion_limit():
@@ -289,6 +337,15 @@ def test_gm_cap_test_on_near_uniform_weights_states_a_bound():
     assert gm_exact(x, y, 2, cap=6).iterations == 4  # the maps actually scanned
 
 
+@pytest.mark.parametrize("n, m, bits", [(1700, 1700, 15798), (2000, 1000, 19932)])
+def test_gm_cap_message_words_a_bound_too_long_to_print(n, m, bits):
+    # 1700! and 1000^2000 have more than the 4 300 digits Python prints
+    with pytest.raises(CapExceededError) as err:
+        gm_exact(simplex_network(n), simplex_network(m), 2)
+    assert str(err.value) == ("too large for exact enumeration: the point counts "
+                              f"bound the maps by a {bits}-bit number, above cap 10000000")
+
+
 @pytest.mark.parametrize("cap", [0, -5])
 def test_gm_rejects_non_positive_cap(cap):
     for w in ([0.5, 0.5], [0.25, 0.75]):  # the uniform count and the streaming scan
@@ -334,11 +391,15 @@ def test_gm_unchanged_by_block_size(block, monkeypatch, empty_store):
     cold, enumerate_blocks = [], solvers._assignment_blocks
 
     def counted(source, target):
+        # blocks of `block` rows from the entry budget, which the store
+        # still reads in full
         cold.append((source.tobytes(), target.tobytes()))
-        return enumerate_blocks(source, target)
+        with monkeypatch.context() as mp:
+            n = source.size
+            mp.setattr(solvers, "_REPLAY_ENTRIES", block * n * (n + target.size))
+            return enumerate_blocks(source, target)
 
     monkeypatch.setattr(solvers, "_assignment_blocks", counted)
-    monkeypatch.setattr(solvers, "_BLOCK_MAPS", block)
     assert solve_all() == expected
     assert len(cold) == 3
     assert all(len(b) <= block and cells.shape[1] == len(b)
@@ -481,7 +542,7 @@ def test_enumerate_monge_maps_streams_and_stores_nothing(monkeypatch, empty_stor
             pulled.append(len(block))
             yield block
 
-    monkeypatch.setattr(solvers, "_BLOCK_MAPS", 4)
+    monkeypatch.setattr(solvers, "_REPLAY_ENTRIES", 4 * 6 * (6 + 3))  # blocks of 4 rows
     monkeypatch.setattr(solvers, "_assignment_blocks", counted)
     first = next(enumerate_monge_maps(np.full(6, 1 / 6), np.full(3, 1 / 3)))
     assert first.assignment.tolist() == [0, 0, 1, 1, 2, 2]
@@ -1187,7 +1248,7 @@ def any_map_passes_the_checker(wx, wy):
     return bool((np.abs(pushed - wy).max(axis=1) <= TOL_MASS).any())
 
 
-def test_uniform_maps_at_equal_sizes_is_zero_iff_no_map_passes_the_checker():
+def test_admission_of_uniform_equal_sizes_is_whether_any_map_passes_the_checker():
     # weights 1/n moved by k * 1e-10, k in [-10, 10], unbalanced so that
     # pairs without a map are common
     rng = np.random.default_rng(93)
@@ -1195,15 +1256,15 @@ def test_uniform_maps_at_equal_sizes_is_zero_iff_no_map_passes_the_checker():
     for _ in range(1500):
         n = int(rng.integers(1, 6))
         wx, wy = (np.full(n, 1.0 / n) + rng.integers(-10, 11, n) * 1e-10 for _ in range(2))
-        total = solvers._uniform_maps(wx, wy)
-        if total is None:
+        may_exist, bound = solvers._admission(wx, wy)
+        if bound is None:  # not uniform within TOL_MASS
             continue
         outcomes.append(any_map_passes_the_checker(wx, wy))
-        assert (total > 0) == outcomes[-1]
+        assert may_exist == (bound > 0) == outcomes[-1]
     assert len(outcomes) > 1000 and 100 < outcomes.count(False) < len(outcomes) - 100
 
 
-def test_bijections_pair_is_whether_any_map_passes_the_checker():
+def test_admission_at_equal_sizes_is_whether_any_map_passes_the_checker():
     # weights of 1 to 4 counts, the target a shuffled copy moved by
     # k * 1e-10 (the last k balancing the sum), at or past the 1e-9 edge; in
     # a quarter of the draws one target weight shrinks to at most 2e-9 and
@@ -1222,7 +1283,7 @@ def test_bijections_pair_is_whether_any_map_passes_the_checker():
             tiny = float(rng.choice([1e-10, 5e-10, 1e-9, 2e-9]))
             wy[(j + 1) % n] += wy[j] - tiny
             wy[j] = tiny
-        paired = solvers._bijections_pair(wx, wy)
+        paired = solvers._admission(wx, wy)[0]
         if wy.min() <= TOL_MASS:
             assert paired is None
             # a map sorted pairing would deny, one fiber empty
@@ -1233,7 +1294,8 @@ def test_bijections_pair_is_whether_any_map_passes_the_checker():
             assert paired == decided[-1]
     assert len(decided) > 1000 and 100 < decided.count(False) < len(decided) - 100
     assert missed > 50
-    assert solvers._bijections_pair(np.full(2, 0.5), np.full(3, 1 / 3)) is None
+    # unequal sizes, not uniform: only enumeration can tell
+    assert solvers._admission(np.array([0.25, 0.75]), np.array([0.2, 0.3, 0.5])) == (None, None)
 
 
 def test_equal_sizes_decide_existence_without_enumerating(monkeypatch):
@@ -1259,16 +1321,54 @@ def test_equal_sizes_decide_existence_without_enumerating(monkeypatch):
         (math.inf, None, 0, True)
 
 
-def test_uniform_maps_bound_the_accepted_maps():
+def test_miso_refuses_a_near_uniform_pair_past_the_closed_form():
+    # 200 010 points onto 20: fibers of 10 001 and of 10 000 points, each
+    # point weighing (1/20)/k, within 1e-9 of 1/n.  20 does not divide
+    # 200 010, yet the checker accepts this map: past n*m*(n+3) <= 1e9 the
+    # point counts rule no map out
+    k = np.repeat([10_001, 10_000], 10)
+    assign = np.repeat(np.arange(20), k)
+    wx, wy = (1 / 20) / k[assign], np.full(20, 1 / 20)
+    check_measure_preserving(MongeMap(assign), wx, wy)
+    x = EuclideanCloud(np.arange(wx.size, dtype=float)[:, None], wx)
+    y = EuclideanCloud(np.arange(20, dtype=float)[:, None], wy)
+    with pytest.raises(ValueError, match="unsupported weighting"):
+        m_iso(x, y)
+
+
+def shuffled_pair_off_by_5e_9():
+    # 16 weights and a shuffled copy, two of its entries moved by 5e-9
+    rng = np.random.default_rng(16)
+    w = rng.uniform(0.05, 2, 16)
+    w /= w.sum()
+    v = rng.permutation(w)
+    v[:2] += [5e-9, -5e-9]
+    return w, v
+
+
+@pytest.mark.parametrize("pair", [shuffled_pair_off_by_5e_9(),
+                                  (np.full(25, 1 / 25), np.full(4, 1 / 4))],
+                         ids=["16-16", "uniform-25-4"])
+def test_enumerate_is_empty_at_once_where_the_weights_rule_maps_out(pair, monkeypatch):
+    # the enumerator took minutes to find no map on both
+    def refuse(*args):
+        raise AssertionError("enumerated a pair without maps")
+
+    monkeypatch.setattr(solvers, "_assignment_blocks", refuse)
+    assert list(enumerate_monge_maps(*pair)) == []
+
+
+def test_admission_bounds_the_accepted_maps():
     rng = np.random.default_rng(91)
     strict = 0
     for _ in range(400):
         n, m = (int(k) for k in rng.integers(1, 6, 2))
         wx, wy = edge_weight_pair(rng, n, m)
-        total = solvers._uniform_maps(wx, wy)
+        total = solvers._admission(wx, wy)[1]
         if total is None:
             continue
-        count = sum(1 for _ in enumerate_monge_maps(wx, wy))
+        # the enumerator itself: enumerate_monge_maps reads _admission first
+        count = sum(len(block) for block in solvers._assignment_blocks(wx, wy))
         assert count <= total
         if total == 0 or solvers._permutation_pair(wx, wy):
             assert count == total
