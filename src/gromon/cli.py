@@ -17,7 +17,7 @@ import sys
 from . import serialize
 from .euclidean import m_iso
 from .graphs import heat_kernel_network
-from .networks import parse_exponent
+from .networks import EPS_SUPP, parse_exponent
 from .randgen import (
     random_cloud,
     random_graph,
@@ -108,12 +108,14 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit_report(report, args, p=None, seed=None) -> None:
+def _emit_report(report, args, p=None, seed=None, eps_supp=None) -> None:
     meta = {"command": args.command}
     if p is not None:
         meta["p"] = "inf" if math.isinf(p) else p
     if seed is not None:
         meta["seed"] = seed
+    if eps_supp is not None:
+        meta["eps_supp"] = eps_supp
     sys.stdout.write(serialize.dumps_canonical(serialize.report_to_dict(report, meta)))
 
 
@@ -128,7 +130,8 @@ def _cmd_gm(args) -> int:
     net_x = serialize.load_network(args.source)
     net_y = serialize.load_network(args.target)
     report = gm_exact(net_x, net_y, p, args.cap)
-    _emit_report(report, args, p=p)
+    # the sup reads only the source points that weigh more than EPS_SUPP
+    _emit_report(report, args, p=p, eps_supp=EPS_SUPP if math.isinf(p) else None)
     return _infeasible() if math.isinf(report.value) else 0
 
 

@@ -156,7 +156,7 @@ def _best_restart(restarts: int, seed: int, run) -> tuple[Any, int]:
 # One entry budget.  The enumerator sizes its blocks from it.  Callers score
 # one pair of weights against many tables and exponents: keep the maps and
 # their cells of _REPLAY_PAIRS pairs, each of at most _REPLAY_ENTRIES intp
-# entries in all (8 MiB).  The uniform 7-7 pair takes 5040 * (7 + 28) = 176 400.
+# entries in all (8 MiB).  The uniform 7-7 pair takes 5040 * (7 + 12) = 95 760.
 _REPLAY_PAIRS = 4
 _REPLAY_ENTRIES = 1 << 18
 
@@ -174,31 +174,38 @@ def _assignment_blocks(source: np.ndarray, target: np.ndarray) -> Iterator[np.nd
     them, and is judged by the checker's own expressions: point i may go to
     target j unless fl(fiber + w_i) - target > ``TOL_MASS`` (more points
     only raise that sum), and a complete row is kept when every
-    |fiber - target| is within ``TOL_MASS``.  A level recurses into all its
-    blocks but the last, which the same call carries on with, so one-block
-    levels add no depth.
+    |fiber - target| is within ``TOL_MASS``.  The open levels wait on one
+    list, not on the call stack, so no depth is too deep; a level whose
+    last block is taken leaves it.
     """
     n = source.size
     block = max(1, _REPLAY_ENTRIES // (n * (n + target.size)))
+    # (rows, their fibers, level i, allowed (row, target) cells, first cell not taken)
+    pending = []
 
-    def grow(assign, fibers, i):
-        for i in range(i, n):
-            rows, cols = np.nonzero(fibers + source[i] - target <= TOL_MASS)
-            if not rows.size:
-                return
-            above_assign, above_fibers = assign, fibers
-            for s in range(0, rows.size, block):
-                if s:  # the block built last round comes first
-                    yield from grow(assign, fibers, i + 1)
-                r, c = rows[s:s + block], cols[s:s + block]
-                assign, fibers = above_assign[r], above_fibers[r]
-                assign[:, i] = c
-                fibers[np.arange(r.size), c] += source[i]
-        done = assign[(np.abs(fibers - target) <= TOL_MASS).all(axis=1)]
-        if len(done):
-            yield done
+    def open_level(assign, fibers, i):
+        rows, cols = np.nonzero(fibers + source[i] - target <= TOL_MASS)
+        if rows.size:
+            pending.append((assign, fibers, i, rows, cols, 0))
 
-    return grow(np.zeros((1, n), dtype=np.intp), np.zeros((1, target.size)), 0)
+    def grow():
+        while pending:
+            above_assign, above_fibers, i, rows, cols, s = pending.pop()
+            if s + block < rows.size:  # the later blocks wait below this one's children
+                pending.append((above_assign, above_fibers, i, rows, cols, s + block))
+            r, c = rows[s:s + block], cols[s:s + block]
+            assign, fibers = above_assign[r], above_fibers[r]
+            assign[:, i] = c
+            fibers[np.arange(r.size), c] += source[i]
+            if i + 1 < n:
+                open_level(assign, fibers, i + 1)
+                continue
+            done = assign[(np.abs(fibers - target) <= TOL_MASS).all(axis=1)]
+            if len(done):
+                yield done
+
+    open_level(np.zeros((1, n), dtype=np.intp), np.zeros((1, target.size)), 0)
+    return grow()
 
 
 @functools.lru_cache(maxsize=16)
@@ -213,13 +220,63 @@ def _source_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
     return pairs
 
 
+@functools.lru_cache(maxsize=16)
+def _source_groups(n: int) -> tuple[np.ndarray, ...]:
+    """The groups of ``_group_table`` for n source points, as read-only index
+    arrays (leaf, second, centre, first slab, second slab), one entry per
+    group.
+
+    Each centre k >= 1 takes the slabs (i, k), i < k, of ``_source_pairs``
+    two at a time: group (i, i + 1, k) for even i, ceil(k/2) groups per
+    centre and max(1, n*n // 4) in all.  A lone last leaf (i + 1 = k) takes
+    k itself as its second point and the zero slab, of index n(n+1)/2, as
+    its second slab.  The n - 1 groups of leaf 0 come first, in order of
+    their centre: group k - 1 takes the diagonal slab (k, k) on its centre
+    axis, and group 0 also (0, 0) on its leaf axis.  One point is the one
+    group (0, 0, 0) of its diagonal alone."""
+    zero = n * (n + 1) // 2
+    leaf, centre = np.array([(i, k) for i in range(0, n - 1, 2) for k in range(i + 1, n)]
+                            or [(0, 0)], dtype=np.intp).T
+    second = np.minimum(leaf + 1, centre)
+
+    def pair(i, k):  # the slab of (i, k), i < k, else the zero slab
+        return np.where(i < k, n + i * (2 * n - i - 1) // 2 + k - i - 1, zero)
+
+    groups = (leaf, second, centre, pair(leaf, centre), pair(second, centre))
+    for a in groups:
+        a.setflags(write=False)
+    return groups
+
+
+def _group_table(pairs: np.ndarray, n: int, m: int, p: float) -> np.ndarray:
+    """The flat grouped term table, (G, m, m, m), of the flat ``_term_table``
+    ``pairs`` of n source and m target points.
+
+    Group g of ``_source_groups`` holds at (x, y, z) what a map with
+    a[leaf] = x, a[second] = y and a[centre] = z adds to its distortion,
+    added left to right: its first slab at (x, z), the centre diagonal at
+    z (groups of leaf 0), group 0's leaf diagonal at x, and its second slab
+    at (y, z).  At p = inf each addition is an exact ``np.maximum``
+    instead; the terms are nonnegative, so the zero slab changes nothing
+    either way."""
+    first, second = _source_groups(n)[3:]
+    slabs = np.concatenate([pairs, np.zeros(m * m)]).reshape(-1, m, m)
+    diags = slabs.reshape(-1, m * m)[:, ::m + 1]  # slab s at each (j, j)
+    add = np.maximum if math.isinf(p) else np.add
+    lead = slabs[first]
+    add(lead[:n - 1], diags[1:n, None, :], out=lead[:n - 1])
+    add(lead[0], diags[0][:, None], out=lead[0])
+    return add(lead[:, :, None, :], slabs[second][:, None, :, :]).ravel()
+
+
 def _map_cells(assigns: np.ndarray, m: int) -> np.ndarray:
-    """(n(n+1)/2, B) intp: the flat index into ``_term_table`` of the cell of
-    each map of the (B, n) block ``assigns`` in each slab, one column per map.
-    Slab s of the pair (i, k) holds the map's term at cell (a[i], a[k])."""
-    i, k = _source_pairs(assigns.shape[1])
+    """(G, B) intp: the flat index into ``_group_table`` of the cell of each
+    map of the (B, n) block ``assigns`` in each group, one column per map.
+    Group g of (leaf, second, centre) holds the map's terms at cell
+    (a[leaf], a[second], a[centre])."""
+    leaf, second, centre = _source_groups(assigns.shape[1])[:3]
     a = assigns.T
-    return (np.arange(i.size) * (m * m))[:, None] + a[i] * m + a[k]
+    return (np.arange(leaf.size) * m**3)[:, None] + (a[leaf] * m + a[second]) * m + a[centre]
 
 
 @functools.lru_cache(maxsize=_REPLAY_PAIRS)
@@ -227,10 +284,12 @@ def _stored_blocks(source: bytes,
                    target: bytes) -> tuple[tuple[np.ndarray, np.ndarray], ...] | None:
     """The read-only blocks of ``_assignment_blocks`` for these float64
     weight bytes, each with its ``_map_cells``, or None once maps and cells
-    pass ``_REPLAY_ENTRIES`` entries, or ``_admission`` bounds them past it."""
+    pass ``_REPLAY_ENTRIES`` entries, or ``_admission`` bounds them past it:
+    a map of n points takes n entries and one cell per group, n + G in all
+    with G = max(1, n*n // 4)."""
     source_weights, target_weights = np.frombuffer(source), np.frombuffer(target)
     n, (_, bound) = source_weights.size, _admission(source_weights, target_weights)
-    if bound and bound * (n + n * (n + 1) // 2) > _REPLAY_ENTRIES:
+    if bound and bound * (n + max(1, n * n // 4)) > _REPLAY_ENTRIES:
         return None
     blocks, entries = [], 0
     for block in _assignment_blocks(source_weights, target_weights):
@@ -296,7 +355,8 @@ def _term_table(omx: np.ndarray, omy: np.ndarray, w: np.ndarray, p: float) -> np
 
 def _map_distortion_batch(terms: np.ndarray, cells: np.ndarray, p: float) -> np.ndarray:
     """dis^p (the sup at p = inf) of a block of maps from their ``_map_cells``
-    in the folded ``_term_table``: a plain float64 sum, or an exact max."""
+    in the ``_group_table``: a plain float64 sum of one entry per group, or
+    their exact max."""
     picked = terms[cells]  # terms.take would first copy a read-only stored index
     return picked.max(axis=0) if math.isinf(p) else picked.sum(axis=0)
 
@@ -306,13 +366,16 @@ def _screen_slack(n: int, p: float) -> float:
     finite p: a map's float score is within it of the exact sum of its terms,
     and every exact minimizer scores within it of the least score."""
     # The screen keeps every map a whose exact value V(a) could be least.
-    # With u = 2**-53 and K = n(n+1)/2 entries per score: each term of the
-    # table is _distortion's (equal for p in {1, 2}; numpy's pow is within
-    # 4 ulps of exact, so two evaluations and their weight products differ
-    # by at most 24u), the fold rounds once and the sum of K nonnegative
-    # entries by at most (K - 1)u in any order, so the score is
-    # F(a) = S(a)(1 + t), |t| <= g ~ (K + 25)u, for S(a) the exact sum of
-    # _distortion's terms.  V(a) = pow(R(a), 1/p) with R(a) = S(a)(1 +- u)
+    # With u = 2**-53, K = n(n+1)/2 and G = max(1, n*n // 4) groups per
+    # score: each term of the table is _distortion's (equal for p in {1, 2};
+    # numpy's pow is within 4 ulps of exact, so two evaluations and their
+    # weight products differ by at most 24u), then rounds at most once in
+    # the fold, three times in its group (a second slab and up to two
+    # diagonals) and G - 1 times in the sum of the G nonnegative entries,
+    # in any order, so the score is F(a) = S(a)(1 + t),
+    # |t| <= g ~ (G + 27)u <= (K + 25)u as G + 2 <= K for n >= 2, for S(a)
+    # the exact sum of _distortion's terms (at n = 1 each group addition
+    # adds an exact zero).  V(a) = pow(R(a), 1/p) with R(a) = S(a)(1 +- u)
     # and pow within 2 ulps, so V(a) <= V(b) gives
     # R(a) <= R(b)((1 + 4u)/(1 - 4u))**p(1 + 2u), and for b of least score
     # F(a) <= F(b) exp(2.01(g + u + 4.01pu)) <= F(b)(1 + 4(g + u + 5pu)) as
@@ -331,8 +394,10 @@ def gm_exact(netX: MeasureNetwork, netY: MeasureNetwork, p,
     ``distortion_map`` value is least, with that value.  ``iterations`` is
     the number of maps scanned.
 
-    Each map is scored from one folded term table (``_term_table``) by a
-    float64 sum of its n(n+1)/2 entries, which only screens: every map whose
+    Each map is scored from one grouped term table (``_group_table``, built
+    from the folded pair table ``_term_table``) by a float64 sum of one
+    entry per group, max(1, n*n // 4) in all (12 at n = 7, against the
+    n(n+1)/2 = 28 pair slabs), which only screens: every map whose
     float score is within a rounding slack of the least score so far is
     ranked again by its exactly rounded distortion, and strict ``<`` in
     block order keeps the first.  The slack bounds every rounding between
@@ -379,7 +444,7 @@ def gm_exact(netX: MeasureNetwork, netY: MeasureNetwork, p,
     if blocks is None:
         blocks = ((a, _map_cells(a, m)) for a in _assignment_blocks(wx, wy))
     with np.errstate(over="ignore"):
-        terms = _term_table(omx, omy, wx, p)
+        terms = _group_table(_term_table(omx, omy, wx, p), n, m, p)
         for assigns, cells in blocks:
             count += len(assigns)
             if count > cap:
@@ -394,8 +459,10 @@ def gm_exact(netX: MeasureNetwork, netY: MeasureNetwork, p,
                 continue
             best_float = min(best_float, float(vals[b]))
             # tiny covers terms under the normal range, where rounding is
-            # absolute; past 1/2 (p beyond about 2e14) the slack's bound
-            # fails, and every map whose score is finite is ranked again
+            # absolute: a score adds n*n terms by n*n - 1 additions that are
+            # not of an exact zero, however grouped; past 1/2 (p beyond about
+            # 2e14) the slack's bound fails, and every map whose score is
+            # finite is ranked again
             limit = min(best_float * (1 + slack) + tiny, top) if slack <= 0.5 else top
             for c in np.flatnonzero(vals <= limit):
                 value = _map_distortion(omx, omy, wx, assigns[c], p)

@@ -56,14 +56,28 @@ def test_gm_non_uniform_infeasible_exit_code(workdir, monkeypatch, capsys):
     assert "no measure-preserving map" in captured.err
 
 
-def test_gm_inf_exponent_report_has_no_eps(workdir):
-    # gm's maps count every point, so the support threshold is not reported
+def test_gm_inf_exponent_report_names_eps_supp(workdir):
+    # the sup reads only the source points above the support threshold
     proc = run_cli(["gm", "delta2.json", "delta2.json", "--p", "inf"], workdir)
     assert proc.returncode == 0, proc.stderr
     out = json.loads(proc.stdout)
     assert out["value"] == 0.0
     assert out["meta"]["p"] == "inf"
-    assert "eps_supp" not in out["meta"]
+    assert out["meta"]["eps_supp"] == 1e-12
+    proc = run_cli(["gm", "delta2.json", "delta2.json", "--p", "2"], workdir)
+    assert "eps_supp" not in json.loads(proc.stdout)["meta"]
+
+
+def test_gm_inf_ignores_a_point_at_most_eps_supp(workdir):
+    # the point of weight 1e-13 is 4 away from the other, but the sup skips it
+    serialize.save_network(str(workdir / "x.json"),
+                           MeasureNetwork([1 - 1e-13, 1e-13], [[0.0, 4.0], [4.0, 0.0]]))
+    serialize.save_network(str(workdir / "y.json"), MeasureNetwork([1.0], [[0.0]]))
+    proc = run_cli(["gm", "x.json", "y.json", "--p", "inf"], workdir)
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    assert out["value"] == 0.0
+    assert out["meta"] == {"command": "gm", "eps_supp": 1e-12, "p": "inf"}
 
 
 def test_missing_file_exit_one(workdir):

@@ -39,7 +39,7 @@ from gromon import (
 )
 from gromon import solvers
 from gromon.euclidean import EuclideanCloud, m_iso
-from gromon.networks import TOL_MASS
+from gromon.networks import EPS_SUPP, TOL_MASS
 from gromon.randgen import (
     random_coupling,
     random_graph,
@@ -159,6 +159,13 @@ def test_first_map_of_a_large_uniform_pair_within_a_memory_limit():
                           env=child_env({"OPENBLAS_NUM_THREADS": "1"}))
     assert proc.returncode == 0, proc.stderr.decode()
     assert proc.stdout == b"True\n"
+
+
+def test_first_map_of_a_uniform_pair_deeper_than_the_recursion_limit():
+    # 1-row blocks open one level per point, every level but the last split
+    n = max(1200, sys.getrecursionlimit() + 200)
+    u = np.full(n, 1 / n)
+    assert next(enumerate_monge_maps(u, u)).assignment.tolist() == list(range(n))
 
 
 def test_gm_onto_a_point_deeper_than_the_recursion_limit():
@@ -453,6 +460,28 @@ def test_gm_replay_matches_cold_enumeration(shape, p, monkeypatch, empty_store):
     assert report_bits(replayed[1]) == report_bits(gm_exact(x2, y2, p))
 
 
+# gm_exact reports (value hex, witness, maps scanned) on replay_pair(shape,
+# 95 + shape), as the pair-slab scores gave them
+GM_ENUM_REPORTS = {
+    (0, 1): ("0x1.0716439c946a3p-3", [0, 3, 2, 4, 5, 1, 6], 5040),
+    (0, 2): ("0x1.5b42e622b479ap-3", [3, 0, 4, 2, 5, 6, 1], 5040),
+    (0, math.inf): ("0x1.6e2c9266f86b8p-2", [0, 3, 4, 1, 6, 5, 2], 5040),
+    (1, 1): ("0x1.d559ec23b5f52p-3", [1, 4, 0, 1, 0, 2, 3], 1260),
+    (1, 2): ("0x1.91d4ce74ada9bp-2", [0, 1, 2, 4, 3, 1, 0], 1260),
+    (1, math.inf): ("0x1.22ff39f442fbap+0", [0, 1, 2, 3, 4, 1, 0], 1260),
+    (2, 1): ("0x1.0026b07edb6b7p-2", [2, 0, 4, 3, 0, 1, 5], 2520),
+    (2, 2): ("0x1.7e0925e488e7ap-2", [2, 0, 4, 3, 0, 1, 5], 2520),
+    (2, math.inf): ("0x1.08879c98327fap+0", [0, 1, 2, 3, 4, 5, 0], 2520),
+}
+
+
+@pytest.mark.parametrize("shape, p", list(GM_ENUM_REPORTS))
+def test_gm_reports_pinned_on_the_benchmark_shapes(shape, p, empty_store):
+    x, y = replay_pair(shape, 95 + shape)
+    assert report_bits(gm_exact(x, y, p)) == GM_ENUM_REPORTS[shape, p]  # cold
+    assert report_bits(gm_exact(x, y, p)) == GM_ENUM_REPORTS[shape, p]  # replayed
+
+
 def test_cap_exceeded_cold_and_on_replay(monkeypatch, empty_store):
     x, y = replay_pair(1, 70)
     with pytest.raises(CapExceededError) as cold:
@@ -466,11 +495,11 @@ def test_cap_exceeded_cold_and_on_replay(monkeypatch, empty_store):
 
 
 def test_replay_stores_only_whole_streams_within_budget(monkeypatch, empty_store):
-    # 90 maps of 6 entries, each with 21 cells
+    # 90 maps of 6 entries, each with 9 cells, one per group
     w, half = np.full(6, 1 / 6), np.full(3, 1 / 3)
     x, y = MeasureNetwork(w, np.zeros((6, 6))), MeasureNetwork(half, np.zeros((3, 3)))
     maps = [m.assignment.tolist() for m in enumerate_monge_maps(w, half)]
-    monkeypatch.setattr(solvers, "_REPLAY_ENTRIES", 90 * (6 + 21))
+    monkeypatch.setattr(solvers, "_REPLAY_ENTRIES", 90 * (6 + 9))
     assert gm_exact(x, y, 2).iterations == 90
     blocks = empty_store(w.tobytes(), half.tobytes())
     assert empty_store.cache_info().hits == 1
@@ -483,22 +512,22 @@ def test_replay_stores_only_whole_streams_within_budget(monkeypatch, empty_store
                 stored[0, 0] = 1
     empty_store.cache_clear()
     # one entry over the budget
-    monkeypatch.setattr(solvers, "_REPLAY_ENTRIES", 90 * (6 + 21) - 1)
+    monkeypatch.setattr(solvers, "_REPLAY_ENTRIES", 90 * (6 + 9) - 1)
     assert gm_exact(x, y, 2).iterations == 90
     assert empty_store(w.tobytes(), half.tobytes()) is None
 
 
 def test_replay_budget_holds_the_uniform_seven_point_pair(empty_store):
-    # 5040 * (7 + 28) = 176 400 entries, within one pair's budget
+    # 5040 * (7 + 12) = 95 760 entries, within one pair's budget
     u = np.full(7, 1 / 7)
     blocks = empty_store(u.tobytes(), u.tobytes())
-    assert sum(b.size + cells.size for b, cells in blocks) == 176_400
+    assert sum(b.size + cells.size for b, cells in blocks) == 95_760
     assert solvers._REPLAY_ENTRIES * 8 * solvers._REPLAY_PAIRS == 8 << 20
 
 
 def test_replay_refuses_a_uniform_pair_over_budget_before_enumerating(monkeypatch,
                                                                       empty_store):
-    # 8! * (8 + 36) entries pass the budget: the first call enumerates only to scan
+    # 8! * (8 + 16) entries pass the budget: the first call enumerates only to scan
     x, y = random_metric_network(8, [93, 0]), random_metric_network(8, [93, 1])
     cold, enumerate_blocks = [], solvers._assignment_blocks
 
@@ -588,26 +617,57 @@ def test_replay_store_shared_by_threads(empty_store):
 
 @pytest.mark.parametrize("p", [1, 1.5, 2, 3, math.inf])
 def test_folded_scores_within_slack_of_unfolded_terms(p):
-    """A map's float score from the folded term table is within the screen's
+    """A map's float score from the grouped term table is within the screen's
     slack of math.fsum over its n*n unfolded terms, formed as in
-    ``networks._distortion``; at p = inf it is their largest mismatch."""
+    ``networks._distortion``; at p = inf it is their largest mismatch among
+    the points above ``EPS_SUPP``.  The tables are asymmetric, with nonzero
+    diagonals."""
     rng = np.random.default_rng([80, int(min(p, 9) * 2)])
-    for n, m, batch in ((7, 5, 300), (6, 6, 1), (4, 2, 50), (1, 3, 3)):
+    for n, m, batch in ((7, 5, 300), (6, 6, 1), (4, 2, 50), (1, 3, 3), (2, 4, 30),
+                        (3, 3, 27), (9, 4, 200)):
         omx = rng.uniform(-3, 3, (n, n))
         omy = rng.uniform(-3, 3, (m, m))
         w = rng.uniform(0.1, 1, n)
+        if math.isinf(p) and n > 1:  # light points leave the sup
+            w[rng.permutation(n)[:(n + 1) // 3]] = rng.choice([1e-13, EPS_SUPP], (n + 1) // 3)
         assigns = rng.integers(0, m, (batch, n)).astype(np.intp)
-        got = solvers._map_distortion_batch(solvers._term_table(omx, omy, w, float(p)),
-                                            solvers._map_cells(assigns, m), float(p))
+        table = solvers._group_table(solvers._term_table(omx, omy, w, float(p)), n, m, float(p))
+        got = solvers._map_distortion_batch(table, solvers._map_cells(assigns, m), float(p))
         assert got.shape == (batch,)
         for a, score in zip(assigns, got.tolist()):
             mismatch = np.abs(omx - omy[np.ix_(a, a)])
             if math.isinf(p):
-                assert score == mismatch.max()
+                heavy = w > EPS_SUPP
+                assert score == mismatch[np.ix_(heavy, heavy)].max()
                 continue
             terms = mismatch ** p * w[:, None] * w[None, :]
             exact = math.fsum(terms.ravel().tolist())
             assert abs(score - exact) <= solvers._screen_slack(n, p) * exact
+
+
+@pytest.mark.parametrize("p", [2, math.inf])
+@pytest.mark.parametrize("n", range(1, 13))
+def test_every_pair_slab_cell_lands_in_one_group_entry(n, p):
+    """Built from a pair table that is 1 at one cell (j, l) of one slab
+    (i, k) and 0 elsewhere, the grouped table scores a map 1 when
+    a[i] = j and a[k] = l, else 0: each ordered pair and each diagonal
+    term is read from exactly one group entry of each map."""
+    m = 3
+    assigns = np.random.default_rng([82, n]).integers(0, m, (400, n)).astype(np.intp)
+    cells = solvers._map_cells(assigns, m)
+    groups = max(1, n * n // 4)
+    assert cells.shape == (groups, 400)
+    for s, (i, k) in enumerate(zip(*solvers._source_pairs(n))):
+        for j, l in itertools.product(range(m), repeat=2):
+            pairs = np.zeros((n * (n + 1) // 2, m, m))
+            pairs[s, j, l] = 1.0
+            table = solvers._group_table(pairs.ravel(), n, m, p)
+            assert table.shape == (groups * m**3,)
+            want = ((assigns[:, i] == j) & (assigns[:, k] == l)).astype(float)
+            if i == k:  # a diagonal slab holds its term at j = l only
+                want *= j == l
+            got = solvers._map_distortion_batch(table, cells, p)
+            assert got.tolist() == want.tolist()
 
 
 @pytest.mark.parametrize("p", [1, 1.5, 2, 3])
