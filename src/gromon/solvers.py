@@ -269,14 +269,41 @@ def _group_table(pairs: np.ndarray, n: int, m: int, p: float) -> np.ndarray:
     return add(lead[:, :, None, :], slabs[second][:, None, :, :]).ravel()
 
 
+def _grouped(n: int, m: int) -> bool:
+    """Whether maps of n source onto m target points are scored from the
+    ``_group_table`` rather than the pair table ``_term_table``: while the
+    grouped table holds at most four times the pair table's entries,
+    G*m**3 <= 4*K*m**2 with G = max(1, n*n // 4) groups and K = n(n+1)/2
+    slabs, which for n >= 2 is m up to 8 to 12 target points.
+
+    Building the grouped table costs about G*m**3 additions and saves K - G
+    lookups per map scored, so it pays off on small targets with many maps.
+    Past the bound the table grows as m**3 (16 GB for 3 points onto 1 000)
+    while the saving per map stays K - G lookups."""
+    return max(1, n * n // 4) * m <= 2 * n * (n + 1)
+
+
+def _score_table(omx: np.ndarray, omy: np.ndarray, w: np.ndarray, p: float) -> np.ndarray:
+    """The flat table that ``_map_cells`` indexes: the ``_group_table`` when
+    ``_grouped``, else the folded pair table ``_term_table`` itself."""
+    pairs = _term_table(omx, omy, w, p)
+    n, m = w.size, omy.shape[0]
+    return _group_table(pairs, n, m, p) if _grouped(n, m) else pairs
+
+
 def _map_cells(assigns: np.ndarray, m: int) -> np.ndarray:
-    """(G, B) intp: the flat index into ``_group_table`` of the cell of each
-    map of the (B, n) block ``assigns`` in each group, one column per map.
-    Group g of (leaf, second, centre) holds the map's terms at cell
-    (a[leaf], a[second], a[centre])."""
-    leaf, second, centre = _source_groups(assigns.shape[1])[:3]
+    """(C, B) intp: the flat index into ``_score_table`` of the cell of each
+    map of the (B, n) block ``assigns`` in each of its C groups or slabs,
+    one column per map.  Group g of (leaf, second, centre) holds the map's
+    terms at cell (a[leaf], a[second], a[centre]), slab s of the pair
+    (i, k) at (a[i], a[k])."""
+    n = assigns.shape[1]
     a = assigns.T
-    return (np.arange(leaf.size) * m**3)[:, None] + (a[leaf] * m + a[second]) * m + a[centre]
+    if _grouped(n, m):
+        leaf, second, centre = _source_groups(n)[:3]
+        return (np.arange(leaf.size) * m**3)[:, None] + (a[leaf] * m + a[second]) * m + a[centre]
+    i, k = _source_pairs(n)
+    return (np.arange(i.size) * (m * m))[:, None] + a[i] * m + a[k]
 
 
 @functools.lru_cache(maxsize=_REPLAY_PAIRS)
@@ -285,15 +312,17 @@ def _stored_blocks(source: bytes,
     """The read-only blocks of ``_assignment_blocks`` for these float64
     weight bytes, each with its ``_map_cells``, or None once maps and cells
     pass ``_REPLAY_ENTRIES`` entries, or ``_admission`` bounds them past it:
-    a map of n points takes n entries and one cell per group, n + G in all
-    with G = max(1, n*n // 4)."""
+    a map of n points takes n entries and one cell per group or slab, n + G
+    in all with G = max(1, n*n // 4) when ``_grouped``, else n + n(n+1)/2."""
     source_weights, target_weights = np.frombuffer(source), np.frombuffer(target)
-    n, (_, bound) = source_weights.size, _admission(source_weights, target_weights)
-    if bound and bound * (n + max(1, n * n // 4)) > _REPLAY_ENTRIES:
+    n, m = source_weights.size, target_weights.size
+    _, bound = _admission(source_weights, target_weights)
+    cells = max(1, n * n // 4) if _grouped(n, m) else n * (n + 1) // 2
+    if bound and bound * (n + cells) > _REPLAY_ENTRIES:
         return None
     blocks, entries = [], 0
     for block in _assignment_blocks(source_weights, target_weights):
-        cells = _map_cells(block, target_weights.size)
+        cells = _map_cells(block, m)
         entries += block.size + cells.size
         if entries > _REPLAY_ENTRIES:
             return None
@@ -355,8 +384,8 @@ def _term_table(omx: np.ndarray, omy: np.ndarray, w: np.ndarray, p: float) -> np
 
 def _map_distortion_batch(terms: np.ndarray, cells: np.ndarray, p: float) -> np.ndarray:
     """dis^p (the sup at p = inf) of a block of maps from their ``_map_cells``
-    in the ``_group_table``: a plain float64 sum of one entry per group, or
-    their exact max."""
+    in the ``_score_table``: a plain float64 sum of one entry per group or
+    slab, or their exact max."""
     picked = terms[cells]  # terms.take would first copy a read-only stored index
     return picked.max(axis=0) if math.isinf(p) else picked.sum(axis=0)
 
@@ -366,16 +395,17 @@ def _screen_slack(n: int, p: float) -> float:
     finite p: a map's float score is within it of the exact sum of its terms,
     and every exact minimizer scores within it of the least score."""
     # The screen keeps every map a whose exact value V(a) could be least.
-    # With u = 2**-53, K = n(n+1)/2 and G = max(1, n*n // 4) groups per
-    # score: each term of the table is _distortion's (equal for p in {1, 2};
-    # numpy's pow is within 4 ulps of exact, so two evaluations and their
-    # weight products differ by at most 24u), then rounds at most once in
-    # the fold, three times in its group (a second slab and up to two
-    # diagonals) and G - 1 times in the sum of the G nonnegative entries,
-    # in any order, so the score is F(a) = S(a)(1 + t),
-    # |t| <= g ~ (G + 27)u <= (K + 25)u as G + 2 <= K for n >= 2, for S(a)
-    # the exact sum of _distortion's terms (at n = 1 each group addition
-    # adds an exact zero).  V(a) = pow(R(a), 1/p) with R(a) = S(a)(1 +- u)
+    # With u = 2**-53, K = n(n+1)/2 and G = max(1, n*n // 4): each term of
+    # the table is _distortion's (equal for p in {1, 2}; numpy's pow is
+    # within 4 ulps of exact, so two evaluations and their weight products
+    # differ by at most 24u), then rounds at most once in the fold.  On the
+    # pair table it rounds K - 1 more times in the sum of the K nonnegative
+    # slab entries, in any order; on the grouped table three times in its
+    # group (a second slab and up to two diagonals) and G - 1 times in the
+    # sum of the G group entries.  So the score is F(a) = S(a)(1 + t),
+    # |t| <= g ~ (K + 25)u, as G + 27 <= K + 25 for n >= 2, for S(a) the
+    # exact sum of _distortion's terms (at n = 1 each group addition adds
+    # an exact zero).  V(a) = pow(R(a), 1/p) with R(a) = S(a)(1 +- u)
     # and pow within 2 ulps, so V(a) <= V(b) gives
     # R(a) <= R(b)((1 + 4u)/(1 - 4u))**p(1 + 2u), and for b of least score
     # F(a) <= F(b) exp(2.01(g + u + 4.01pu)) <= F(b)(1 + 4(g + u + 5pu)) as
@@ -394,15 +424,17 @@ def gm_exact(netX: MeasureNetwork, netY: MeasureNetwork, p,
     ``distortion_map`` value is least, with that value.  ``iterations`` is
     the number of maps scanned.
 
-    Each map is scored from one grouped term table (``_group_table``, built
-    from the folded pair table ``_term_table``) by a float64 sum of one
-    entry per group, max(1, n*n // 4) in all (12 at n = 7, against the
-    n(n+1)/2 = 28 pair slabs), which only screens: every map whose
-    float score is within a rounding slack of the least score so far is
-    ranked again by its exactly rounded distortion, and strict ``<`` in
-    block order keeps the first.  The slack bounds every rounding between
-    the two, so no exact minimizer is screened out.  At p = inf the score is
-    a max, already exact, and no map is ranked again.
+    Each map is scored from one term table, built when the first block of
+    maps comes: on small targets (``_grouped``) the grouped table
+    ``_group_table``, by a float64 sum of one entry per group,
+    max(1, n*n // 4) in all (12 at n = 7), else the folded pair table
+    ``_term_table``, one entry per slab, n(n+1)/2 in all (28 at n = 7).
+    The score only screens: every map whose float score is within a
+    rounding slack of the least score so far is ranked again by its exactly
+    rounded distortion, and strict ``<`` in block order keeps the first.
+    The slack bounds every rounding between the two, so no exact minimizer
+    is screened out.  At p = inf the score is a max, already exact, and no
+    map is ranked again.
     When no map exists the value is ``math.inf`` (infimum over the empty set);
     when maps exist but every one's distortion overflows float64, it raises
     ``ValueError``.
@@ -443,14 +475,16 @@ def gm_exact(netX: MeasureNetwork, netY: MeasureNetwork, p,
     blocks = _stored_blocks(wx.tobytes(), wy.tobytes())
     if blocks is None:
         blocks = ((a, _map_cells(a, m)) for a in _assignment_blocks(wx, wy))
+    terms = None
     with np.errstate(over="ignore"):
-        terms = _group_table(_term_table(omx, omy, wx, p), n, m, p)
         for assigns, cells in blocks:
             count += len(assigns)
             if count > cap:
                 raise CapExceededError(
                     f"too large for exact enumeration: more than {cap} maps"
                 )
+            if terms is None:  # a pair without maps never builds it
+                terms = _score_table(omx, omy, wx, p)
             vals = _map_distortion_batch(terms, cells, p)
             b = int(np.argmin(vals))
             if math.isinf(p):

@@ -168,6 +168,33 @@ def test_first_map_of_a_uniform_pair_deeper_than_the_recursion_limit():
     assert next(enumerate_monge_maps(u, u)).assignment.tolist() == list(range(n))
 
 
+def test_gm_on_large_targets_within_a_memory_limit():
+    # a grouped table of 2 points onto 1 000 would take 8 GB, of 3 points
+    # 16 GB; pairs without maps build no table at all
+    code = ("import resource\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+            "import numpy as np\n"
+            "from gromon import solvers\n"
+            "from gromon.networks import MeasureNetwork, distortion_map\n"
+            "rng = np.random.default_rng(31)\n"
+            "def net(w):\n"
+            "    line = rng.random(w.size)\n"
+            "    return MeasureNetwork(w / w.sum(), np.abs(line[:, None] - line))\n"
+            "for n, m in ((2, 1000), (1, 1000), (7, 300)):\n"
+            "    report = solvers.gm_exact(net(rng.random(n) + 0.5), net(rng.random(m) + 0.5), 2)\n"
+            "    print(report.value, report.iterations)\n"
+            "wy = np.full(1000, 1e-12)\n"
+            "wy[[5, 500, 900]] = [0.5, 0.2, 0.3]\n"
+            "x, y = net(np.array([0.2, 0.3, 0.5])), net(wy)\n"
+            "report = solvers.gm_exact(x, y, 2)\n"
+            "print(report.witness.assignment.tolist(), report.iterations,\n"
+            "      report.value == distortion_map(x, y, report.witness, 2))\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          env=child_env({"OPENBLAS_NUM_THREADS": "1"}))
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stdout == b"inf 0\ninf 0\ninf 0\n[500, 900, 5] 1 True\n"
+
+
 def test_gm_onto_a_point_deeper_than_the_recursion_limit():
     # one block per level: the enumerator descends without recursing
     n = sys.getrecursionlimit() + 10
@@ -617,22 +644,26 @@ def test_replay_store_shared_by_threads(empty_store):
 
 @pytest.mark.parametrize("p", [1, 1.5, 2, 3, math.inf])
 def test_folded_scores_within_slack_of_unfolded_terms(p):
-    """A map's float score from the grouped term table is within the screen's
-    slack of math.fsum over its n*n unfolded terms, formed as in
-    ``networks._distortion``; at p = inf it is their largest mismatch among
-    the points above ``EPS_SUPP``.  The tables are asymmetric, with nonzero
-    diagonals."""
+    """A map's float score from the score table, grouped or of pairs, is
+    within the screen's slack of math.fsum over its n*n unfolded terms,
+    formed as in ``networks._distortion``; at p = inf it is their largest
+    mismatch among the points above ``EPS_SUPP``.  The tables are
+    asymmetric, with nonzero diagonals."""
     rng = np.random.default_rng([80, int(min(p, 9) * 2)])
+    # the last three score from the pair table
     for n, m, batch in ((7, 5, 300), (6, 6, 1), (4, 2, 50), (1, 3, 3), (2, 4, 30),
-                        (3, 3, 27), (9, 4, 200)):
+                        (3, 3, 27), (9, 4, 200), (7, 10, 300), (2, 13, 30), (1, 5, 5)):
         omx = rng.uniform(-3, 3, (n, n))
         omy = rng.uniform(-3, 3, (m, m))
         w = rng.uniform(0.1, 1, n)
         if math.isinf(p) and n > 1:  # light points leave the sup
             w[rng.permutation(n)[:(n + 1) // 3]] = rng.choice([1e-13, EPS_SUPP], (n + 1) // 3)
         assigns = rng.integers(0, m, (batch, n)).astype(np.intp)
-        table = solvers._group_table(solvers._term_table(omx, omy, w, float(p)), n, m, float(p))
-        got = solvers._map_distortion_batch(table, solvers._map_cells(assigns, m), float(p))
+        table = solvers._score_table(omx, omy, w, float(p))
+        cells = solvers._map_cells(assigns, m)
+        assert cells.shape[0] == (max(1, n * n // 4) if solvers._grouped(n, m)
+                                  else n * (n + 1) // 2)
+        got = solvers._map_distortion_batch(table, cells, float(p))
         assert got.shape == (batch,)
         for a, score in zip(assigns, got.tolist()):
             mismatch = np.abs(omx - omy[np.ix_(a, a)])
@@ -643,6 +674,17 @@ def test_folded_scores_within_slack_of_unfolded_terms(p):
             terms = mismatch ** p * w[:, None] * w[None, :]
             exact = math.fsum(terms.ravel().tolist())
             assert abs(score - exact) <= solvers._screen_slack(n, p) * exact
+
+
+@pytest.mark.parametrize("n", range(1, 31))
+def test_score_table_at_most_four_pair_tables(n):
+    """The grouped table is used while it holds at most four times the pair
+    table's entries: on targets of 8 to 12 points and fewer."""
+    for m in range(1, 40):
+        pairs = n * (n + 1) // 2 * m * m
+        assert solvers._grouped(n, m) == (max(1, n * n // 4) * m**3 <= 4 * pairs)
+    if n > 1:
+        assert 8 <= max(m for m in range(1, 40) if solvers._grouped(n, m)) <= 12
 
 
 @pytest.mark.parametrize("p", [2, math.inf])
@@ -750,11 +792,14 @@ def test_gm_value_is_the_exact_minimum():
 
 
 @pytest.mark.parametrize("p", [1, 1.5, 2, math.inf])
-@pytest.mark.parametrize("target", [np.full(6, 1 / 6), np.array([2, 2, 1, 1]) / 6],
-                         ids=["uniform", "rational"])
+@pytest.mark.parametrize("target", [
+    np.full(6, 1 / 6), np.array([2, 2, 1, 1]) / 6,
+    np.concatenate([np.array([2, 2, 1, 1]) / 6, np.full(6, 1e-12)])],
+    ids=["uniform", "rational", "light"])
 def test_gm_witness_is_the_first_exact_minimizer_on_ties(target, p):
     """Integer tables tie many maps; the witness is the lexicographically
-    first minimizer of distortion_map over every map, with its value."""
+    first minimizer of distortion_map over every map, with its value.  The
+    light target points make 10 of them, scored from the pair table."""
     source = np.full(6, 1 / 6)
     maps = list(enumerate_monge_maps(source, target))
     for k in range(6):
