@@ -56,8 +56,9 @@ def parse_exponent(text) -> float:
 def _real(v) -> bool:
     """The leaf rule of a float field: a real number that is not a bool.
     float() or np.asarray would parse text, count a bool as 0 or 1 and drop
-    the imaginary part of a complex number."""
-    return isinstance(v, numbers.Real) and not isinstance(v, bool)
+    the imaginary part of a complex number.  A plain float, the common
+    case, passes without the slower abstract-class test."""
+    return type(v) is float or isinstance(v, numbers.Real) and not isinstance(v, bool)
 
 
 def _number(v, what: str) -> float:

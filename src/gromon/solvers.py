@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from typing import Any, Iterator
@@ -174,17 +175,29 @@ def _assignment_blocks(source: np.ndarray, target: np.ndarray) -> Iterator[np.nd
     them, and is judged by the checker's own expressions: point i may go to
     target j unless fl(fiber + w_i) - target > ``TOL_MASS`` (more points
     only raise that sum), and a complete row is kept when every
-    |fiber - target| is within ``TOL_MASS``.  The open levels wait on one
-    list, not on the call stack, so no depth is too deep; a level whose
-    last block is taken leaves it.
+    |fiber - target| is within ``TOL_MASS``.  So a target short of its
+    weight by more than ``TOL_MASS`` needs a later point of its own, and a
+    move that leaves more targets short than points to come is dropped with
+    all it would grow: no kept row is lost.  The count is skipped on
+    weights uniform within ``TOL_MASS``: each fiber there holds at most n/m
+    points, so the short targets never outnumber the points to come but by
+    rounding.  The open levels wait on one list, not on the call stack,
+    so no depth is too deep; a level whose last block is taken leaves it.
     """
-    n = source.size
-    block = max(1, _REPLAY_ENTRIES // (n * (n + target.size)))
+    n, m = source.size, target.size
+    block = max(1, _REPLAY_ENTRIES // (n * (n + m)))
+    prune = max(np.abs(source - 1.0 / n).max(), np.abs(target - 1.0 / m).max()) > TOL_MASS
     # (rows, their fibers, level i, allowed (row, target) cells, first cell not taken)
     pending = []
 
     def open_level(assign, fibers, i):
-        rows, cols = np.nonzero(fibers + source[i] - target <= TOL_MASS)
+        miss = fibers + source[i] - target  # of each fiber that takes point i
+        allowed = miss <= TOL_MASS
+        if prune:
+            short = fibers - target < -TOL_MASS
+            left_short = short.sum(axis=1, keepdims=True) - (short & (miss >= -TOL_MASS))
+            allowed &= left_short <= n - 1 - i
+        rows, cols = np.nonzero(allowed)
         if rows.size:
             pending.append((assign, fibers, i, rows, cols, 0))
 
@@ -204,7 +217,7 @@ def _assignment_blocks(source: np.ndarray, target: np.ndarray) -> Iterator[np.nd
             if len(done):
                 yield done
 
-    open_level(np.zeros((1, n), dtype=np.intp), np.zeros((1, target.size)), 0)
+    open_level(np.zeros((1, n), dtype=np.intp), np.zeros((1, m)), 0)
     return grow()
 
 
@@ -307,6 +320,13 @@ def _map_cells(assigns: np.ndarray, m: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=_REPLAY_PAIRS)
+def _admitted(source: bytes, target: bytes) -> tuple[bool | None, int | None]:
+    """``_admission`` of these float64 weight bytes, decided once for as many
+    pairs as ``_stored_blocks`` keeps."""
+    return _admission(np.frombuffer(source), np.frombuffer(target))
+
+
+@functools.lru_cache(maxsize=_REPLAY_PAIRS)
 def _stored_blocks(source: bytes,
                    target: bytes) -> tuple[tuple[np.ndarray, np.ndarray], ...] | None:
     """The read-only blocks of ``_assignment_blocks`` for these float64
@@ -316,7 +336,7 @@ def _stored_blocks(source: bytes,
     in all with G = max(1, n*n // 4) when ``_grouped``, else n + n(n+1)/2."""
     source_weights, target_weights = np.frombuffer(source), np.frombuffer(target)
     n, m = source_weights.size, target_weights.size
-    _, bound = _admission(source_weights, target_weights)
+    _, bound = _admitted(source, target)
     cells = max(1, n * n // 4) if _grouped(n, m) else n * (n + 1) // 2
     if bound and bound * (n + cells) > _REPLAY_ENTRIES:
         return None
@@ -433,8 +453,12 @@ def gm_exact(netX: MeasureNetwork, netY: MeasureNetwork, p,
     rounding slack of the least score so far is ranked again by its exactly
     rounded distortion, and strict ``<`` in block order keeps the first.
     The slack bounds every rounding between the two, so no exact minimizer
-    is screened out.  At p = inf the score is a max, already exact, and no
-    map is ranked again.
+    is screened out.  The rank forms the map's n*n terms with
+    ``networks._terms`` from the mismatches omx - omy[a][:, a], the floats
+    ``distortion_map`` forms, and sums them with ``math.fsum``, which its
+    exact sum equals; so the value is ``distortion_map``'s bit for bit, and
+    an overflow raises what it raises.  At p = inf the score is a max,
+    already exact, and no map is ranked again.
     When no map exists the value is ``math.inf`` (infimum over the empty set);
     when maps exist but every one's distortion overflows float64, it raises
     ``ValueError``.
@@ -444,7 +468,9 @@ def gm_exact(netX: MeasureNetwork, netY: MeasureNetwork, p,
     weights alone, through ``_admission``, may rule every map out (value
     ``math.inf``, 0 iterations) or bound the maps from the point counts;
     the bound is exact at 0 and on a ``_permutation_pair``, and otherwise an
-    upper bound, so the cap test errs toward raising.
+    upper bound, so the cap test errs toward raising.  The admission is
+    decided once per pair of weight bytes and kept beside the stored maps
+    (``_admitted``); the cap test runs on every call.
 
     The maps depend on the weights alone, and only this function replays
     them: the blocks of a pair of weight vectors and their cells, keyed on
@@ -457,7 +483,8 @@ def gm_exact(netX: MeasureNetwork, netY: MeasureNetwork, p,
     if cap < 1:
         raise ValueError(f"cap must be >= 1, got {cap}")
     wx, wy = netX.weights, netY.weights
-    may_exist, bound = _admission(wx, wy)
+    key = wx.tobytes(), wy.tobytes()
+    may_exist, bound = _admitted(*key)
     if may_exist is False:
         return SolveReport(math.inf, None, "enumeration", 0, True)
     if bound is not None and bound > cap:
@@ -468,11 +495,11 @@ def gm_exact(netX: MeasureNetwork, netY: MeasureNetwork, p,
     omx, omy = netX.omega, netY.omega
     n, m = netX.n, netY.n
     slack, tiny = _screen_slack(n, p), n * n * 2.0**-1066
-    top = np.finfo(float).max
+    top = sys.float_info.max
     best_float = best_value = math.inf
     best_assign = None
     count = 0
-    blocks = _stored_blocks(wx.tobytes(), wy.tobytes())
+    blocks = _stored_blocks(*key)
     if blocks is None:
         blocks = ((a, _map_cells(a, m)) for a in _assignment_blocks(wx, wy))
     terms = None
@@ -499,9 +526,16 @@ def gm_exact(netX: MeasureNetwork, netY: MeasureNetwork, p,
             # finite is ranked again
             limit = min(best_float * (1 + slack) + tiny, top) if slack <= 0.5 else top
             for c in np.flatnonzero(vals <= limit):
-                value = _map_distortion(omx, omy, wx, assigns[c], p)
+                # _map_distortion's terms, and its sum: _exact_sum equals
+                # math.fsum, here over the floats a memoryview yields in turn
+                a = assigns[c]
+                total = math.fsum(memoryview(_terms(omx - omy.take(a, 0).take(a, 1), p,
+                                                    wx[:, None], wx).ravel()))
+                if not math.isfinite(total):
+                    raise ValueError("the order-p distortion overflows float64 on these tables")
+                value = total ** (1.0 / p)
                 if value < best_value:
-                    best_value, best_assign = value, assigns[c]
+                    best_value, best_assign = value, a
     if best_assign is None:
         if count:
             raise ValueError("the order-p distortion overflows float64 on these tables")

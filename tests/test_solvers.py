@@ -4,6 +4,7 @@ import math
 import subprocess
 import sys
 import threading
+import time
 import warnings
 from fractions import Fraction
 
@@ -124,7 +125,8 @@ def test_assignment_blocks_match_brute_force(source_counts, target_counts, block
 
 # sha256 of the int64 rows of _assignment_blocks, in order, for uniform 7-7,
 # 7 onto (2, 2, 1, 1, 1)/7, 10-digit decimals 7 onto (2, 1, 1, 1, 1, 1)/7,
-# uniform 8-8, 9 onto 3 and 10 onto 5
+# uniform 8-8, 9 onto 3, 10 onto 5, 8 onto (2, 1, 1, 1, 1, 1, 1)/8 and
+# (2, 1, 1, 2, 1, 1)/8 onto 4
 ROW_DIGESTS = (
     "1fe3320c2c2d1a4c8f27b2102505ff739414e6f478f74eb7ba52e86ca65e77c0",
     "0844b4763ffe0d448c46e2830ec5c69dab400c5215cbafeca6ac13cb287bd946",
@@ -132,12 +134,16 @@ ROW_DIGESTS = (
     "420e1fa907707ad373a551928e43b8a8dc101f5517e2993386c6268a79201247",
     "6de1c4adb14ccdcf41903781c9129d509c63850389708ab07d7559a3fb3e32bf",
     "216da5162ac8a8999c810e5d36e35a7eac6a6cacf0dc1a220ebe23facc1bf49b",
+    "2e7202a35ad8e2ffb87592c08a11b85ad532da68a99499c2cadb4f99803c3943",
+    "a033c1947aff5ced97190eb96b857967501a8baed87c2d61fb96ec37c5350e9b",
 )
 
 
 def test_assignment_rows_pinned_in_blocks_of_the_entry_budget():
     pairs = [*REPLAY_SHAPES, (np.full(8, 1 / 8), np.full(8, 1 / 8)),
-             (np.full(9, 1 / 9), np.full(3, 1 / 3)), (np.full(10, 1 / 10), np.full(5, 1 / 5))]
+             (np.full(9, 1 / 9), np.full(3, 1 / 3)), (np.full(10, 1 / 10), np.full(5, 1 / 5)),
+             (np.full(8, 1 / 8), np.array([2, 1, 1, 1, 1, 1, 1]) / 8),
+             (np.array([2, 1, 1, 2, 1, 1]) / 8, np.full(4, 1 / 4))]
     for (wx, wy), digest in zip(pairs, ROW_DIGESTS, strict=True):
         n, m = wx.size, wy.size
         blocks = list(solvers._assignment_blocks(wx, wy))
@@ -193,6 +199,65 @@ def test_gm_on_large_targets_within_a_memory_limit():
                           env=child_env({"OPENBLAS_NUM_THREADS": "1"}))
     assert proc.returncode == 0, proc.stderr.decode()
     assert proc.stdout == b"inf 0\ninf 0\ninf 0\n[500, 900, 5] 1 True\n"
+
+
+def test_gm_on_shuffled_distinct_weights_returns_the_sorted_pairing():
+    # distinct weights and the same weights shuffled: the one map pairs them
+    # off sorted; blind backtracking took 0.2 to 9 s on each of these pairs
+    start = time.perf_counter()
+    for s in range(4):
+        rng = np.random.default_rng([96, s])
+        wx = rng.random(16) + 0.5
+        wx /= wx.sum()
+        wy = wx[rng.permutation(16)]
+        x = MeasureNetwork(wx, random_metric_network(16, [96, s, 0]).omega)
+        y = MeasureNetwork(wy, random_metric_network(16, [96, s, 1]).omega)
+        report = gm_exact(x, y, 2)
+        sorted_pairing = np.empty(16, dtype=np.intp)
+        sorted_pairing[np.argsort(wx)] = np.argsort(wy)
+        assert report.witness.assignment.tolist() == sorted_pairing.tolist()
+        assert report.iterations == 1
+        assert report.value == distortion_map(x, y, report.witness, 2)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_first_map_of_a_large_shuffled_pair_within_time_and_memory_limits():
+    # blind backtracking ran past 60 s on this pair; the map itself gets 2 s
+    code = ("import resource\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+            "import time\n"
+            "import numpy as np\n"
+            "from gromon import enumerate_monge_maps\n"
+            "rng = np.random.default_rng(95)\n"
+            "w = rng.random(500) + 0.5\n"
+            "w /= w.sum()\n"
+            "perm = rng.permutation(500)\n"
+            "start = time.perf_counter()\n"
+            "a = next(enumerate_monge_maps(w, w[perm])).assignment\n"
+            "print((perm[a] == np.arange(500)).all(), time.perf_counter() - start < 2.0)\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, timeout=60,
+                          env=child_env({"OPENBLAS_NUM_THREADS": "1"}))
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stdout == b"True True\n"
+
+
+def test_gm_on_an_identity_only_pair_within_a_time_limit():
+    # equal non-uniform weights in the same order: the identity is the one
+    # map, which blind backtracking took 322 s to confirm; the child gets 60 s
+    code = ("import numpy as np\n"
+            "from gromon import gm_exact, distortion_map\n"
+            "from gromon.networks import MeasureNetwork\n"
+            "rng = np.random.default_rng(95)\n"
+            "w = rng.random(20) + 0.5\n"
+            "w /= w.sum()\n"
+            "x, y = (MeasureNetwork(w, rng.random((20, 20))) for _ in range(2))\n"
+            "report = gm_exact(x, y, 2)\n"
+            "print(report.witness.assignment.tolist() == list(range(20)), report.iterations,\n"
+            "      report.value == distortion_map(x, y, report.witness, 2))\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, timeout=60,
+                          env=child_env({"OPENBLAS_NUM_THREADS": "1"}))
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stdout == b"True 1 True\n"
 
 
 def test_gm_onto_a_point_deeper_than_the_recursion_limit():
@@ -465,10 +530,12 @@ def refuse_enumeration(*args):
 
 @pytest.fixture()
 def empty_store():
-    """An empty map store, emptied again afterwards."""
+    """An empty map store and admission store, emptied again afterwards."""
     solvers._stored_blocks.cache_clear()
+    solvers._admitted.cache_clear()
     yield solvers._stored_blocks
     solvers._stored_blocks.cache_clear()
+    solvers._admitted.cache_clear()
 
 
 @pytest.mark.parametrize("p", [1, 1.5, 2, 3, math.inf])
@@ -485,6 +552,33 @@ def test_gm_replay_matches_cold_enumeration(shape, p, monkeypatch, empty_store):
     empty_store.cache_clear()
     assert report_bits(replayed[0]) == report_bits(cold)
     assert report_bits(replayed[1]) == report_bits(gm_exact(x2, y2, p))
+
+
+def test_gm_decides_admission_once_per_pair_of_weights(monkeypatch, empty_store):
+    """Replays on any tables and exponent, and calls on weights that admit
+    no map, reuse the first call's admission; the cap test still runs on
+    every call, against the kept bound."""
+    calls, admission = [], solvers._admission
+
+    def once(wx, wy):
+        calls.append((wx.size, wy.size))
+        if calls.count((wx.size, wy.size)) > 1:
+            raise AssertionError("decided the admission of a pair again")
+        return admission(wx, wy)
+
+    monkeypatch.setattr(solvers, "_admission", once)
+    none = (simplex_network(3), simplex_network(2))  # 3 onto 2 uniform points
+    for p in (2, 1, math.inf):
+        assert gm_exact(*none, p).iterations == 0
+    for shape in range(3):
+        x, y = replay_pair(shape, 95 + shape)
+        x2, y2 = replay_pair(shape, 60 + shape)
+        for p in (1, 2, math.inf):
+            assert report_bits(gm_exact(x, y, p)) == GM_ENUM_REPORTS[shape, p]
+            gm_exact(x2, y2, p)
+    with pytest.raises(CapExceededError, match="bound the maps by 5040"):
+        gm_exact(*replay_pair(0, 95), 2, cap=5039)
+    assert sorted(calls) == [(3, 2), (7, 5), (7, 6), (7, 7)]
 
 
 # gm_exact reports (value hex, witness, maps scanned) on replay_pair(shape,
@@ -791,7 +885,7 @@ def test_gm_value_is_the_exact_minimum():
     assert gm_exact(net_x, net_y, 1).value == exact
 
 
-@pytest.mark.parametrize("p", [1, 1.5, 2, math.inf])
+@pytest.mark.parametrize("p", [1, 1.5, 2, 3, math.inf])
 @pytest.mark.parametrize("target", [
     np.full(6, 1 / 6), np.array([2, 2, 1, 1]) / 6,
     np.concatenate([np.array([2, 2, 1, 1]) / 6, np.full(6, 1e-12)])],
@@ -802,16 +896,19 @@ def test_gm_witness_is_the_first_exact_minimizer_on_ties(target, p):
     light target points make 10 of them, scored from the pair table."""
     source = np.full(6, 1 / 6)
     maps = list(enumerate_monge_maps(source, target))
+    tied = 0
     for k in range(6):
         net_x = MeasureNetwork(source, np.round(random_metric_network(6, [17, k, 0]).omega * 2))
         net_y = MeasureNetwork(target, np.round(
             random_metric_network(target.size, [17, k, 1]).omega * 2))
         values = [distortion_map(net_x, net_y, phi, p) for phi in maps]
         first = values.index(min(values))
+        tied += values.count(values[first]) > 1
         report = gm_exact(net_x, net_y, p)
         assert report.witness.assignment.tolist() == maps[first].assignment.tolist()
         assert report.value.hex() == values[first].hex()
         assert report.iterations == len(maps)
+    assert tied >= 2  # pairs on which several exact minimizers pass the screen
 
 
 def test_gm_infinity_values():
