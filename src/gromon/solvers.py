@@ -155,9 +155,10 @@ def _best_restart(restarts: int, seed: int, run) -> tuple[Any, int]:
 # ---------------------------------------------------------------------------
 
 # One entry budget.  The enumerator sizes its blocks from it.  Callers score
-# one pair of weights against many tables and exponents: keep the maps and
-# their cells of _REPLAY_PAIRS pairs, each of at most _REPLAY_ENTRIES intp
-# entries in all (8 MiB).  The uniform 7-7 pair takes 5040 * (7 + 12) = 95 760.
+# one pair of weights against many tables and exponents: one record per pair
+# of weights, for _REPLAY_PAIRS pairs, keeps the maps and cells a scan read
+# when they total at most _REPLAY_ENTRIES intp entries (8 MiB in all).  The
+# uniform 7-7 pair takes 5040 * (7 + 12) = 95 760.
 _REPLAY_PAIRS = 4
 _REPLAY_ENTRIES = 1 << 18
 
@@ -178,15 +179,18 @@ def _assignment_blocks(source: np.ndarray, target: np.ndarray) -> Iterator[np.nd
     |fiber - target| is within ``TOL_MASS``.  So a target short of its
     weight by more than ``TOL_MASS`` needs a later point of its own, and a
     move that leaves more targets short than points to come is dropped with
-    all it would grow: no kept row is lost.  The count is skipped on
-    weights uniform within ``TOL_MASS``: each fiber there holds at most n/m
-    points, so the short targets never outnumber the points to come but by
-    rounding.  The open levels wait on one list, not on the call stack,
-    so no depth is too deep; a level whose last block is taken leaves it.
+    all it would grow: no kept row is lost.  The count is skipped where it
+    cannot fire, on a source uniform within ``TOL_MASS`` and targets each
+    within it of a multiple k/n of the source weight: a fiber there is
+    short by whole points, and one that is not short holds its k, so the
+    points to come are at least the short targets but by rounding.  The
+    open levels wait on one list, not on the call stack, so no depth is too
+    deep; a level whose last block is taken leaves it.
     """
     n, m = source.size, target.size
     block = max(1, _REPLAY_ENTRIES // (n * (n + m)))
-    prune = max(np.abs(source - 1.0 / n).max(), np.abs(target - 1.0 / m).max()) > TOL_MASS
+    prune = max(np.abs(source - 1.0 / n).max(),
+                np.abs(target - np.rint(target * n) / n).max()) > TOL_MASS
     # (rows, their fibers, level i, allowed (row, target) cells, first cell not taken)
     pending = []
 
@@ -319,37 +323,21 @@ def _map_cells(assigns: np.ndarray, m: int) -> np.ndarray:
     return (np.arange(i.size) * (m * m))[:, None] + a[i] * m + a[k]
 
 
-@functools.lru_cache(maxsize=_REPLAY_PAIRS)
-def _admitted(source: bytes, target: bytes) -> tuple[bool | None, int | None]:
-    """``_admission`` of these float64 weight bytes, decided once for as many
-    pairs as ``_stored_blocks`` keeps."""
-    return _admission(np.frombuffer(source), np.frombuffer(target))
+@dataclass
+class _PairRecord:
+    """What ``gm_exact`` keeps of a pair of weight vectors: ``_admission``'s
+    (may_exist, bound), and the read-only blocks of maps with their
+    ``_map_cells`` once a scan reads them all within ``_REPLAY_ENTRIES``."""
+
+    may_exist: bool | None
+    bound: int | None
+    blocks: tuple[tuple[np.ndarray, np.ndarray], ...] | None = None
 
 
 @functools.lru_cache(maxsize=_REPLAY_PAIRS)
-def _stored_blocks(source: bytes,
-                   target: bytes) -> tuple[tuple[np.ndarray, np.ndarray], ...] | None:
-    """The read-only blocks of ``_assignment_blocks`` for these float64
-    weight bytes, each with its ``_map_cells``, or None once maps and cells
-    pass ``_REPLAY_ENTRIES`` entries, or ``_admission`` bounds them past it:
-    a map of n points takes n entries and one cell per group or slab, n + G
-    in all with G = max(1, n*n // 4) when ``_grouped``, else n + n(n+1)/2."""
-    source_weights, target_weights = np.frombuffer(source), np.frombuffer(target)
-    n, m = source_weights.size, target_weights.size
-    _, bound = _admitted(source, target)
-    cells = max(1, n * n // 4) if _grouped(n, m) else n * (n + 1) // 2
-    if bound and bound * (n + cells) > _REPLAY_ENTRIES:
-        return None
-    blocks, entries = [], 0
-    for block in _assignment_blocks(source_weights, target_weights):
-        cells = _map_cells(block, m)
-        entries += block.size + cells.size
-        if entries > _REPLAY_ENTRIES:
-            return None
-        block.setflags(write=False)
-        cells.setflags(write=False)
-        blocks.append((block, cells))
-    return tuple(blocks)
+def _pair_record(source: bytes, target: bytes) -> _PairRecord:
+    """The record of these float64 weight bytes, its admission decided once."""
+    return _PairRecord(*_admission(np.frombuffer(source), np.frombuffer(target)))
 
 
 def enumerate_monge_maps(source_weights, target_weights) -> Iterator[MongeMap]:
@@ -468,24 +456,26 @@ def gm_exact(netX: MeasureNetwork, netY: MeasureNetwork, p,
     weights alone, through ``_admission``, may rule every map out (value
     ``math.inf``, 0 iterations) or bound the maps from the point counts;
     the bound is exact at 0 and on a ``_permutation_pair``, and otherwise an
-    upper bound, so the cap test errs toward raising.  The admission is
-    decided once per pair of weight bytes and kept beside the stored maps
-    (``_admitted``); the cap test runs on every call.
+    upper bound, so the cap test errs toward raising.  The cap test runs on
+    every call.
 
     The maps depend on the weights alone, and only this function replays
-    them: the blocks of a pair of weight vectors and their cells, keyed on
-    the weights' bytes, stay within the bounds of the least-recently-used
-    store ``_stored_blocks`` for later calls to scan instead of enumerating
-    again.  Value, witness, ``iterations`` and the cap check are the same
+    them.  One least-recently-used record per pair of weight bytes
+    (``_pair_record``) keeps the admission, decided once, and the blocks
+    with their cells that a scan read: kept while the maps and cells so far
+    stay within ``_REPLAY_ENTRIES`` entries, released once they pass it,
+    and stored when the stream ends within it.  A call that raises stores
+    nothing.  Later calls scan the stored blocks instead of enumerating
+    again; value, witness, ``iterations`` and the cap check are the same
     either way.
     """
     p = check_exponent(p)
     if cap < 1:
         raise ValueError(f"cap must be >= 1, got {cap}")
     wx, wy = netX.weights, netY.weights
-    key = wx.tobytes(), wy.tobytes()
-    may_exist, bound = _admitted(*key)
-    if may_exist is False:
+    record = _pair_record(wx.tobytes(), wy.tobytes())
+    bound = record.bound
+    if record.may_exist is False:
         return SolveReport(math.inf, None, "enumeration", 0, True)
     if bound is not None and bound > cap:
         # Python refuses to print an int of more than 4 300 digits
@@ -498,10 +488,10 @@ def gm_exact(netX: MeasureNetwork, netY: MeasureNetwork, p,
     top = sys.float_info.max
     best_float = best_value = math.inf
     best_assign = None
-    count = 0
-    blocks = _stored_blocks(*key)
+    count = entries = 0
+    blocks, kept = record.blocks, None  # a replay keeps nothing
     if blocks is None:
-        blocks = ((a, _map_cells(a, m)) for a in _assignment_blocks(wx, wy))
+        blocks, kept = ((a, _map_cells(a, m)) for a in _assignment_blocks(wx, wy)), []
     terms = None
     with np.errstate(over="ignore"):
         for assigns, cells in blocks:
@@ -510,6 +500,13 @@ def gm_exact(netX: MeasureNetwork, netY: MeasureNetwork, p,
                 raise CapExceededError(
                     f"too large for exact enumeration: more than {cap} maps"
                 )
+            entries += assigns.size + cells.size
+            if entries > _REPLAY_ENTRIES:
+                kept = None  # past the budget: the pair is streamed each call
+            elif kept is not None:
+                assigns.setflags(write=False)
+                cells.setflags(write=False)
+                kept.append((assigns, cells))
             if terms is None:  # a pair without maps never builds it
                 terms = _score_table(omx, omy, wx, p)
             vals = _map_distortion_batch(terms, cells, p)
@@ -536,6 +533,8 @@ def gm_exact(netX: MeasureNetwork, netY: MeasureNetwork, p,
                 value = total ** (1.0 / p)
                 if value < best_value:
                     best_value, best_assign = value, a
+    if kept is not None:
+        record.blocks = tuple(kept)
     if best_assign is None:
         if count:
             raise ValueError("the order-p distortion overflows float64 on these tables")

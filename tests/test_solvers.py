@@ -389,7 +389,7 @@ def test_gm_infeasible_reports_infinity(monkeypatch, empty_store):
     skew = (MeasureNetwork([0.5, 0.25, 0.25], np.zeros((3, 3))),
             MeasureNetwork([0.6, 0.4], np.zeros((2, 2))))
     reports = [gm_exact(one_point_network(), simplex_network(2), 2), gm_exact(*skew, 2)]
-    assert empty_store(skew[0].weights.tobytes(), skew[1].weights.tobytes()) == ()
+    assert empty_store(skew[0].weights.tobytes(), skew[1].weights.tobytes()).blocks == ()
     monkeypatch.setattr(solvers, "_assignment_blocks", refuse_enumeration)
     reports.append(gm_exact(*skew, 2))
     for report in reports:
@@ -490,8 +490,8 @@ def test_gm_unchanged_by_block_size(block, monkeypatch, empty_store):
     cold, enumerate_blocks = [], solvers._assignment_blocks
 
     def counted(source, target):
-        # blocks of `block` rows from the entry budget, which the store
-        # still reads in full
+        # blocks of `block` rows from the entry budget, which gm_exact
+        # still reads in full to keep them
         cold.append((source.tobytes(), target.tobytes()))
         with monkeypatch.context() as mp:
             n = source.size
@@ -502,7 +502,7 @@ def test_gm_unchanged_by_block_size(block, monkeypatch, empty_store):
     assert solve_all() == expected
     assert len(cold) == 3
     assert all(len(b) <= block and cells.shape[1] == len(b)
-               for pair in cold for b, cells in empty_store(*pair))
+               for pair in cold for b, cells in empty_store(*pair).blocks)
 
 
 # (source weights, target weights) of the gm_enum benchmark shapes: uniform
@@ -528,14 +528,24 @@ def refuse_enumeration(*args):
     raise AssertionError("enumerated a pair whose maps were stored")
 
 
+def count_enumerations(monkeypatch):
+    """A list that gains an entry at each call of ``_assignment_blocks``."""
+    calls, enumerate_blocks = [], solvers._assignment_blocks
+
+    def counted(source, target):
+        calls.append(1)
+        return enumerate_blocks(source, target)
+
+    monkeypatch.setattr(solvers, "_assignment_blocks", counted)
+    return calls
+
+
 @pytest.fixture()
 def empty_store():
-    """An empty map store and admission store, emptied again afterwards."""
-    solvers._stored_blocks.cache_clear()
-    solvers._admitted.cache_clear()
-    yield solvers._stored_blocks
-    solvers._stored_blocks.cache_clear()
-    solvers._admitted.cache_clear()
+    """An empty store of pair records, emptied again afterwards."""
+    solvers._pair_record.cache_clear()
+    yield solvers._pair_record
+    solvers._pair_record.cache_clear()
 
 
 @pytest.mark.parametrize("p", [1, 1.5, 2, 3, math.inf])
@@ -605,14 +615,55 @@ def test_gm_reports_pinned_on_the_benchmark_shapes(shape, p, empty_store):
 
 def test_cap_exceeded_cold_and_on_replay(monkeypatch, empty_store):
     x, y = replay_pair(1, 70)
-    with pytest.raises(CapExceededError) as cold:
+    cold = count_enumerations(monkeypatch)
+    with pytest.raises(CapExceededError) as first:
         gm_exact(x, y, 2, cap=100)
-    assert empty_store.cache_info().currsize == 1  # the store enumerates past the cap
+    # a call that raises keeps no blocks: the next one enumerates again
+    assert empty_store(x.weights.tobytes(), y.weights.tobytes()).blocks is None
+    with pytest.raises(CapExceededError) as again:
+        gm_exact(x, y, 2, cap=100)
+    assert len(cold) == 2
+    assert str(again.value) == str(first.value)
+    assert gm_exact(x, y, 2, cap=1260).iterations == 1260  # exactly at the cap
+    assert len(cold) == 3
+    assert sum(len(b) for b, _ in empty_store(x.weights.tobytes(),
+                                              y.weights.tobytes()).blocks) == 1260
     monkeypatch.setattr(solvers, "_assignment_blocks", refuse_enumeration)
     with pytest.raises(CapExceededError) as replayed:
         gm_exact(x, y, 2, cap=100)
-    assert str(replayed.value) == str(cold.value)
-    assert gm_exact(x, y, 2, cap=1260).iterations == 1260  # exactly at the cap
+    assert str(replayed.value) == str(first.value)
+    assert gm_exact(x, y, 2, cap=1260).iterations == 1260
+
+
+def test_cap_stops_the_scan_at_the_block_that_crosses_it(monkeypatch, empty_store):
+    # 1260 maps with 12 cells each fill the budget exactly, in blocks of 285 rows
+    x, y = replay_pair(1, 71)
+    pulled, enumerate_blocks = [], solvers._assignment_blocks
+
+    def counted(source, target):
+        for block in enumerate_blocks(source, target):
+            pulled.append(len(block))
+            yield block
+
+    monkeypatch.setattr(solvers, "_REPLAY_ENTRIES", 1260 * (7 + 12))
+    monkeypatch.setattr(solvers, "_assignment_blocks", counted)
+    with pytest.raises(CapExceededError, match="more than 100 maps"):
+        gm_exact(x, y, 2, cap=100)
+    assert sum(pulled[:-1]) <= 100 < sum(pulled)
+
+
+def test_gm_enumerates_a_non_uniform_pair_over_budget_once_per_call(monkeypatch,
+                                                                    empty_store):
+    # 20 160 maps of 8 points with 16 cells each pass the budget
+    w, v = np.full(8, 1 / 8), np.array([2, 1, 1, 1, 1, 1, 1]) / 8
+    x = MeasureNetwork(w, random_metric_network(8, [94, 0]).omega)
+    y = MeasureNetwork(v, random_metric_network(7, [94, 1]).omega)
+    cold = count_enumerations(monkeypatch)
+    assert gm_exact(x, y, 2).iterations == 20_160
+    assert len(cold) == 1
+    assert empty_store(w.tobytes(), v.tobytes()).blocks is None
+    assert gm_exact(x, y, 1).iterations == 20_160
+    assert len(cold) == 2
 
 
 def test_replay_stores_only_whole_streams_within_budget(monkeypatch, empty_store):
@@ -622,7 +673,7 @@ def test_replay_stores_only_whole_streams_within_budget(monkeypatch, empty_store
     maps = [m.assignment.tolist() for m in enumerate_monge_maps(w, half)]
     monkeypatch.setattr(solvers, "_REPLAY_ENTRIES", 90 * (6 + 9))
     assert gm_exact(x, y, 2).iterations == 90
-    blocks = empty_store(w.tobytes(), half.tobytes())
+    blocks = empty_store(w.tobytes(), half.tobytes()).blocks
     assert empty_store.cache_info().hits == 1
     assert [row.tolist() for b, _ in blocks for row in b] == maps
     for b, cells in blocks:
@@ -635,32 +686,26 @@ def test_replay_stores_only_whole_streams_within_budget(monkeypatch, empty_store
     # one entry over the budget
     monkeypatch.setattr(solvers, "_REPLAY_ENTRIES", 90 * (6 + 9) - 1)
     assert gm_exact(x, y, 2).iterations == 90
-    assert empty_store(w.tobytes(), half.tobytes()) is None
+    assert empty_store(w.tobytes(), half.tobytes()).blocks is None
 
 
 def test_replay_budget_holds_the_uniform_seven_point_pair(empty_store):
     # 5040 * (7 + 12) = 95 760 entries, within one pair's budget
-    u = np.full(7, 1 / 7)
-    blocks = empty_store(u.tobytes(), u.tobytes())
+    net = simplex_network(7)
+    assert gm_exact(net, net, 2).iterations == 5040
+    blocks = empty_store(net.weights.tobytes(), net.weights.tobytes()).blocks
     assert sum(b.size + cells.size for b, cells in blocks) == 95_760
     assert solvers._REPLAY_ENTRIES * 8 * solvers._REPLAY_PAIRS == 8 << 20
 
 
-def test_replay_refuses_a_uniform_pair_over_budget_before_enumerating(monkeypatch,
-                                                                      empty_store):
-    # 8! * (8 + 16) entries pass the budget: the first call enumerates only to scan
+def test_replay_enumerates_a_uniform_pair_over_budget_once(monkeypatch, empty_store):
+    # 8! * (8 + 16) entries pass the budget: the first call enumerates once, to scan
     x, y = random_metric_network(8, [93, 0]), random_metric_network(8, [93, 1])
-    cold, enumerate_blocks = [], solvers._assignment_blocks
-
-    def counted(source, target):
-        cold.append(1)
-        return enumerate_blocks(source, target)
-
-    monkeypatch.setattr(solvers, "_assignment_blocks", counted)
+    cold = count_enumerations(monkeypatch)
     report = gm_exact(x, y, 2)
     assert len(cold) == 1
     assert report_bits(report) == ("0x1.c72ff5ee75d59p-3", [1, 7, 6, 5, 2, 3, 0, 4], 40320)
-    assert empty_store(x.weights.tobytes(), y.weights.tobytes()) is None
+    assert empty_store(x.weights.tobytes(), y.weights.tobytes()).blocks is None
 
 
 def test_replay_evicts_least_recently_used(empty_store):
