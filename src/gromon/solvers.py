@@ -286,52 +286,26 @@ def _group_table(pairs: np.ndarray, n: int, m: int, p: float) -> np.ndarray:
     return add(lead[:, :, None, :], slabs[second][:, None, :, :]).ravel()
 
 
-def _grouped(n: int, m: int) -> bool:
-    """Whether maps of n source onto m target points are scored from the
-    ``_group_table`` rather than the pair table ``_term_table``: while the
-    grouped table holds at most four times the pair table's entries,
-    G*m**3 <= 4*K*m**2 with G = max(1, n*n // 4) groups and K = n(n+1)/2
-    slabs, which for n >= 2 is m up to 8 to 12 target points.
-
-    Building the grouped table costs about G*m**3 additions and saves K - G
-    lookups per map scored, so it pays off on small targets with many maps.
-    Past the bound the table grows as m**3 (16 GB for 3 points onto 1 000)
-    while the saving per map stays K - G lookups."""
-    return max(1, n * n // 4) * m <= 2 * n * (n + 1)
-
-
-def _score_table(omx: np.ndarray, omy: np.ndarray, w: np.ndarray, p: float) -> np.ndarray:
-    """The flat table that ``_map_cells`` indexes: the ``_group_table`` when
-    ``_grouped``, else the folded pair table ``_term_table`` itself."""
-    pairs = _term_table(omx, omy, w, p)
-    n, m = w.size, omy.shape[0]
-    return _group_table(pairs, n, m, p) if _grouped(n, m) else pairs
-
-
 def _map_cells(assigns: np.ndarray, m: int) -> np.ndarray:
-    """(C, B) intp: the flat index into ``_score_table`` of the cell of each
-    map of the (B, n) block ``assigns`` in each of its C groups or slabs,
-    one column per map.  Group g of (leaf, second, centre) holds the map's
-    terms at cell (a[leaf], a[second], a[centre]), slab s of the pair
-    (i, k) at (a[i], a[k])."""
-    n = assigns.shape[1]
+    """(G, B) intp: the flat index into the ``_group_table`` of the cell of
+    each map of the (B, n) block ``assigns`` in each of its G groups, one
+    column per map.  Group g of (leaf, second, centre) holds the map's terms
+    at cell (a[leaf], a[second], a[centre])."""
+    leaf, second, centre = _source_groups(assigns.shape[1])[:3]
     a = assigns.T
-    if _grouped(n, m):
-        leaf, second, centre = _source_groups(n)[:3]
-        return (np.arange(leaf.size) * m**3)[:, None] + (a[leaf] * m + a[second]) * m + a[centre]
-    i, k = _source_pairs(n)
-    return (np.arange(i.size) * (m * m))[:, None] + a[i] * m + a[k]
+    return (np.arange(leaf.size) * m**3)[:, None] + (a[leaf] * m + a[second]) * m + a[centre]
 
 
 @dataclass
 class _PairRecord:
     """What ``gm_exact`` keeps of a pair of weight vectors: ``_admission``'s
     (may_exist, bound), and the read-only blocks of maps with their
-    ``_map_cells`` once a scan reads them all within ``_REPLAY_ENTRIES``."""
+    ``_map_cells`` (None past the table's size bound) once a scan reads
+    them all within ``_REPLAY_ENTRIES``."""
 
     may_exist: bool | None
     bound: int | None
-    blocks: tuple[tuple[np.ndarray, np.ndarray], ...] | None = None
+    blocks: tuple[tuple[np.ndarray, np.ndarray | None], ...] | None = None
 
 
 @functools.lru_cache(maxsize=_REPLAY_PAIRS)
@@ -390,11 +364,28 @@ def _term_table(omx: np.ndarray, omy: np.ndarray, w: np.ndarray, p: float) -> np
     return table.ravel()
 
 
-def _map_distortion_batch(terms: np.ndarray, cells: np.ndarray, p: float) -> np.ndarray:
-    """dis^p (the sup at p = inf) of a block of maps from their ``_map_cells``
-    in the ``_score_table``: a plain float64 sum of one entry per group or
-    slab, or their exact max."""
-    picked = terms[cells]  # terms.take would first copy a read-only stored index
+def _own_terms(omx: np.ndarray, omy: np.ndarray, w: np.ndarray, assigns: np.ndarray,
+               p: float) -> np.ndarray:
+    """(n*n, B): the n*n terms of each map of the (B, n) block ``assigns``,
+    one column per map.  Each is ``networks._terms`` of the mismatch
+    omx[i, k] - omy[a[i], a[k]], the float ``distortion_map`` forms; at
+    p = inf the terms of points that weigh at most ``EPS_SUPP`` are 0, as
+    they leave its sup."""
+    a = assigns.T
+    d = omy[a[:, None], a[None, :]]
+    np.subtract(omx[:, :, None], d, out=d)
+    terms = _terms(d, p, w[:, None, None], w[:, None])
+    if math.isinf(p):
+        terms[w <= EPS_SUPP] = terms[:, w <= EPS_SUPP] = 0.0
+    return terms.reshape(w.size * w.size, len(assigns))
+
+
+def _map_distortion_batch(terms: np.ndarray, cells: np.ndarray | None, p: float) -> np.ndarray:
+    """dis^p (the sup at p = inf) of a block of maps, one per column of
+    ``terms[cells]``, their ``_map_cells`` in the ``_group_table``, or of
+    ``terms`` itself when ``cells`` is None, their ``_own_terms``: a plain
+    float64 sum of each column, or its exact max."""
+    picked = terms if cells is None else terms[cells]  # take would copy a read-only index
     return picked.max(axis=0) if math.isinf(p) else picked.sum(axis=0)
 
 
@@ -403,23 +394,23 @@ def _screen_slack(n: int, p: float) -> float:
     finite p: a map's float score is within it of the exact sum of its terms,
     and every exact minimizer scores within it of the least score."""
     # The screen keeps every map a whose exact value V(a) could be least.
-    # With u = 2**-53, K = n(n+1)/2 and G = max(1, n*n // 4): each term of
-    # the table is _distortion's (equal for p in {1, 2}; numpy's pow is
-    # within 4 ulps of exact, so two evaluations and their weight products
-    # differ by at most 24u), then rounds at most once in the fold.  On the
-    # pair table it rounds K - 1 more times in the sum of the K nonnegative
-    # slab entries, in any order; on the grouped table three times in its
+    # With u = 2**-53 and G = max(1, n*n // 4): each term a score reads is
+    # _distortion's (equal for p in {1, 2}; numpy's pow is within 4 ulps of
+    # exact, so two evaluations and their weight products differ by at most
+    # 24u).  From its own terms the score sums the n*n nonnegative terms,
+    # rounding n*n - 1 times in any order.  From the grouped table a term
+    # rounds at most once in the pair table's fold, three times in its
     # group (a second slab and up to two diagonals) and G - 1 times in the
     # sum of the G group entries.  So the score is F(a) = S(a)(1 + t),
-    # |t| <= g ~ (K + 25)u, as G + 27 <= K + 25 for n >= 2, for S(a) the
-    # exact sum of _distortion's terms (at n = 1 each group addition adds
-    # an exact zero).  V(a) = pow(R(a), 1/p) with R(a) = S(a)(1 +- u)
+    # |t| <= g ~ (n*n + 25)u, as G + 27 <= n*n + 25 for n >= 2, for S(a)
+    # the exact sum of _distortion's terms (at n = 1 each group addition
+    # adds an exact zero).  V(a) = pow(R(a), 1/p) with R(a) = S(a)(1 +- u)
     # and pow within 2 ulps, so V(a) <= V(b) gives
     # R(a) <= R(b)((1 + 4u)/(1 - 4u))**p(1 + 2u), and for b of least score
     # F(a) <= F(b) exp(2.01(g + u + 4.01pu)) <= F(b)(1 + 4(g + u + 5pu)) as
     # long as that slack is at most 1/2.  Two more u cover forming the
     # screen's limit F(b)(1 + slack).
-    return 4 * (n * (n + 1) // 2 + 28 + 5 * p) * 2.0**-53
+    return 4 * (n * n + 28 + 5 * p) * 2.0**-53
 
 
 def gm_exact(netX: MeasureNetwork, netY: MeasureNetwork, p,
@@ -432,21 +423,21 @@ def gm_exact(netX: MeasureNetwork, netY: MeasureNetwork, p,
     ``distortion_map`` value is least, with that value.  ``iterations`` is
     the number of maps scanned.
 
-    Each map is scored from one term table, built when the first block of
-    maps comes: on small targets (``_grouped``) the grouped table
-    ``_group_table``, by a float64 sum of one entry per group,
-    max(1, n*n // 4) in all (12 at n = 7), else the folded pair table
-    ``_term_table``, one entry per slab, n(n+1)/2 in all (28 at n = 7).
-    The score only screens: every map whose float score is within a
+    Each map is scored by a float64 sum of its own n*n terms
+    (``_own_terms``) or, once the call has built the grouped table
+    ``_group_table``, of one entry per group, G = max(1, n*n // 4) in all.
+    The table, G*m**3 entries, is built at the first block where the maps
+    so far have read as many terms, count*n*n >= G*m**3, and only within
+    ``_REPLAY_PAIRS * _REPLAY_ENTRIES`` entries (8 MiB), all the store
+    holds.  The score only screens: every map whose float score is within a
     rounding slack of the least score so far is ranked again by its exactly
     rounded distortion, and strict ``<`` in block order keeps the first.
     The slack bounds every rounding between the two, so no exact minimizer
-    is screened out.  The rank forms the map's n*n terms with
-    ``networks._terms`` from the mismatches omx - omy[a][:, a], the floats
-    ``distortion_map`` forms, and sums them with ``math.fsum``, which its
-    exact sum equals; so the value is ``distortion_map``'s bit for bit, and
-    an overflow raises what it raises.  At p = inf the score is a max,
-    already exact, and no map is ranked again.
+    is screened out.  The rank sums the map's ``_own_terms``, the floats
+    ``distortion_map`` forms, with ``math.fsum``, which its exact sum
+    equals; so the value is ``distortion_map``'s bit for bit, and an
+    overflow raises what it raises.  At p = inf the score is a max, already
+    exact, and no map is ranked again.
     When no map exists the value is ``math.inf`` (infimum over the empty set);
     when maps exist but every one's distortion overflows float64, it raises
     ``ValueError``.
@@ -489,10 +480,13 @@ def gm_exact(netX: MeasureNetwork, netY: MeasureNetwork, p,
     best_float = best_value = math.inf
     best_assign = None
     count = entries = 0
+    table_size = max(1, n * n // 4) * m**3
+    fits = table_size <= _REPLAY_PAIRS * _REPLAY_ENTRIES
     blocks, kept = record.blocks, None  # a replay keeps nothing
-    if blocks is None:
-        blocks, kept = ((a, _map_cells(a, m)) for a in _assignment_blocks(wx, wy)), []
-    terms = None
+    if blocks is None:  # cells only for a table that may be built
+        blocks, kept = ((a, _map_cells(a, m) if fits else None)
+                        for a in _assignment_blocks(wx, wy)), []
+    table = None
     with np.errstate(over="ignore"):
         for assigns, cells in blocks:
             count += len(assigns)
@@ -500,16 +494,19 @@ def gm_exact(netX: MeasureNetwork, netY: MeasureNetwork, p,
                 raise CapExceededError(
                     f"too large for exact enumeration: more than {cap} maps"
                 )
-            entries += assigns.size + cells.size
+            entries += assigns.size + (0 if cells is None else cells.size)
             if entries > _REPLAY_ENTRIES:
                 kept = None  # past the budget: the pair is streamed each call
             elif kept is not None:
-                assigns.setflags(write=False)
-                cells.setflags(write=False)
+                for stored in (assigns, cells):
+                    if stored is not None:
+                        stored.setflags(write=False)
                 kept.append((assigns, cells))
-            if terms is None:  # a pair without maps never builds it
-                terms = _score_table(omx, omy, wx, p)
-            vals = _map_distortion_batch(terms, cells, p)
+            if table is None and fits and count * n * n >= table_size:
+                table = _group_table(_term_table(omx, omy, wx, p), n, m, p)
+            if table is None:
+                own, cells = _own_terms(omx, omy, wx, assigns, p), None
+            vals = _map_distortion_batch(own if cells is None else table, cells, p)
             b = int(np.argmin(vals))
             if math.isinf(p):
                 if vals[b] < best_value:
@@ -522,12 +519,11 @@ def gm_exact(netX: MeasureNetwork, netY: MeasureNetwork, p,
             # 2e14) the slack's bound fails, and every map whose score is
             # finite is ranked again
             limit = min(best_float * (1 + slack) + tiny, top) if slack <= 0.5 else top
-            for c in np.flatnonzero(vals <= limit):
-                # _map_distortion's terms, and its sum: _exact_sum equals
-                # math.fsum, here over the floats a memoryview yields in turn
-                a = assigns[c]
-                total = math.fsum(memoryview(_terms(omx - omy.take(a, 0).take(a, 1), p,
-                                                    wx[:, None], wx).ravel()))
+            rows = np.flatnonzero(vals <= limit)
+            ranked = own[:, rows] if table is None else _own_terms(omx, omy, wx, assigns[rows], p)
+            for a, terms in zip(assigns[rows], ranked.T):
+                # _map_distortion's sum: _exact_sum equals math.fsum
+                total = math.fsum(terms.tolist())
                 if not math.isfinite(total):
                     raise ValueError("the order-p distortion overflows float64 on these tables")
                 value = total ** (1.0 / p)

@@ -38,7 +38,7 @@ from gromon import (
     product_coupling,
     simplex_network,
 )
-from gromon import solvers
+from gromon import networks, solvers
 from gromon.euclidean import EuclideanCloud, m_iso
 from gromon.networks import EPS_SUPP, TOL_MASS
 from gromon.randgen import (
@@ -222,23 +222,32 @@ def test_gm_on_shuffled_distinct_weights_returns_the_sorted_pairing():
 
 
 def test_first_map_of_a_large_shuffled_pair_within_time_and_memory_limits():
-    # blind backtracking ran past 60 s on this pair; the map itself gets 2 s
+    # blind backtracking ran past 60 s on this pair; the map itself gets 2 s.
+    # gm_exact scores its one map from its own 500*500 terms, where a table
+    # of pairs would take 233 GiB
     code = ("import resource\n"
             "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
             "import time\n"
             "import numpy as np\n"
-            "from gromon import enumerate_monge_maps\n"
+            "from gromon import distortion_map, enumerate_monge_maps, gm_exact\n"
+            "from gromon.networks import MeasureNetwork\n"
             "rng = np.random.default_rng(95)\n"
             "w = rng.random(500) + 0.5\n"
             "w /= w.sum()\n"
             "perm = rng.permutation(500)\n"
             "start = time.perf_counter()\n"
             "a = next(enumerate_monge_maps(w, w[perm])).assignment\n"
-            "print((perm[a] == np.arange(500)).all(), time.perf_counter() - start < 2.0)\n")
+            "print((perm[a] == np.arange(500)).all(), time.perf_counter() - start < 2.0)\n"
+            "x = MeasureNetwork(w, rng.random((500, 500)))\n"
+            "y = MeasureNetwork(w[perm], rng.random((500, 500)))\n"
+            "for p in (2, float('inf')):\n"
+            "    r = gm_exact(x, y, p)\n"
+            "    print((r.witness.assignment == a).all(), r.iterations,\n"
+            "          r.value == distortion_map(x, y, r.witness, p))\n")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, timeout=60,
                           env=child_env({"OPENBLAS_NUM_THREADS": "1"}))
     assert proc.returncode == 0, proc.stderr.decode()
-    assert proc.stdout == b"True True\n"
+    assert proc.stdout == b"True True\nTrue 1 True\nTrue 1 True\n"
 
 
 def test_gm_on_an_identity_only_pair_within_a_time_limit():
@@ -520,12 +529,28 @@ def replay_pair(shape, seed):
             MeasureNetwork(wy, random_metric_network(wy.size, [seed, 1]).omega))
 
 
+def tied_pair(n, tied, seed):
+    """n points with distinct weights but for ``tied`` equal ones, onto a
+    shuffled copy of those weights: tied! maps, one when ``tied`` is 1."""
+    rng = np.random.default_rng(seed)
+    w = rng.random(n) + 0.5
+    w[1:tied] = w[0]
+    w /= w.sum()
+    perm = rng.permutation(n)
+    return (MeasureNetwork(w, random_metric_network(n, [seed, 0]).omega),
+            MeasureNetwork(w[perm], random_metric_network(n, [seed, 1]).omega))
+
+
 def report_bits(report):
     return report.value.hex(), report.witness.assignment.tolist(), report.iterations
 
 
 def refuse_enumeration(*args):
     raise AssertionError("enumerated a pair whose maps were stored")
+
+
+def refuse_table(*args):
+    raise AssertionError("built a term table")
 
 
 def count_enumerations(monkeypatch):
@@ -611,6 +636,45 @@ def test_gm_reports_pinned_on_the_benchmark_shapes(shape, p, empty_store):
     x, y = replay_pair(shape, 95 + shape)
     assert report_bits(gm_exact(x, y, p)) == GM_ENUM_REPORTS[shape, p]  # cold
     assert report_bits(gm_exact(x, y, p)) == GM_ENUM_REPORTS[shape, p]  # replayed
+
+
+# gm_exact reports (value hex, sha256 of the witness as int64, maps scanned)
+# on tied_pair(n, tied, seed), as the pair-slab scores gave them.  The 20-20
+# and 100-100 pairs score every map from its own terms, the 17-17 pair its
+# first blocks.
+OWN_TERM_REPORTS = {
+    ((17, 8, 34), 1): ("0x1.2088571881111p-2", "add3a953b4de9c38", 40320),
+    ((17, 8, 34), 2): ("0x1.75babc8695bc2p-2", "583b9bb6c6d2c4ab", 40320),
+    ((17, 8, 34), math.inf): ("0x1.da41cae1d5e0cp-1", "c5b9b4e2769a38a4", 40320),
+    ((20, 6, 35), 1): ("0x1.3afc03858b23bp-2", "181381e4418c446e", 720),
+    ((20, 6, 35), 2): ("0x1.8e210eac60881p-2", "ddc2dc39278daca0", 720),
+    ((20, 6, 35), math.inf): ("0x1.ce83a61cfeab4p-1", "b6a5905cfd9bd1a4", 720),
+    ((100, 1, 36), 1): ("0x1.4daf3c4b473f7p-2", "b84de56ff96ae78e", 1),
+    ((100, 1, 36), 2): ("0x1.99e40fc6aba33p-2", "b84de56ff96ae78e", 1),
+    ((100, 1, 36), math.inf): ("0x1.fc7c31fedaf70p-1", "b84de56ff96ae78e", 1),
+}
+
+
+@pytest.mark.parametrize("pair, p", list(OWN_TERM_REPORTS))
+def test_gm_reports_pinned_on_pairs_scored_from_own_terms(pair, p, empty_store):
+    report = gm_exact(*tied_pair(*pair), p)
+    witness = hashlib.sha256(np.asarray(report.witness.assignment, np.int64).tobytes())
+    assert (report.value.hex(), witness.hexdigest()[:16], report.iterations) == \
+        OWN_TERM_REPORTS[pair, p]
+
+
+@pytest.mark.parametrize("n", [6, 12, 100])
+def test_one_map_pairs_build_no_table(n, monkeypatch, empty_store):
+    """One map reads n*n terms, fewer than the grouped table's entries, so
+    it is scored from its own terms and no table is built."""
+    monkeypatch.setattr(solvers, "_term_table", refuse_table)
+    x, y = tied_pair(n, 1, 40 + n)
+    x = MeasureNetwork(y.weights, x.omega)  # the same weights in both networks
+    for p in (2, math.inf):
+        report = gm_exact(x, y, p)
+        assert report.witness.assignment.tolist() == list(range(n))
+        assert report.iterations == 1
+        assert report.value == distortion_map(x, y, report.witness, p)
 
 
 def test_cap_exceeded_cold_and_on_replay(monkeypatch, empty_store):
@@ -783,13 +847,12 @@ def test_replay_store_shared_by_threads(empty_store):
 
 @pytest.mark.parametrize("p", [1, 1.5, 2, 3, math.inf])
 def test_folded_scores_within_slack_of_unfolded_terms(p):
-    """A map's float score from the score table, grouped or of pairs, is
-    within the screen's slack of math.fsum over its n*n unfolded terms,
+    """A map's float score, from the grouped table and from its own terms,
+    is within the screen's slack of math.fsum over its n*n unfolded terms,
     formed as in ``networks._distortion``; at p = inf it is their largest
     mismatch among the points above ``EPS_SUPP``.  The tables are
     asymmetric, with nonzero diagonals."""
     rng = np.random.default_rng([80, int(min(p, 9) * 2)])
-    # the last three score from the pair table
     for n, m, batch in ((7, 5, 300), (6, 6, 1), (4, 2, 50), (1, 3, 3), (2, 4, 30),
                         (3, 3, 27), (9, 4, 200), (7, 10, 300), (2, 13, 30), (1, 5, 5)):
         omx = rng.uniform(-3, 3, (n, n))
@@ -798,32 +861,121 @@ def test_folded_scores_within_slack_of_unfolded_terms(p):
         if math.isinf(p) and n > 1:  # light points leave the sup
             w[rng.permutation(n)[:(n + 1) // 3]] = rng.choice([1e-13, EPS_SUPP], (n + 1) // 3)
         assigns = rng.integers(0, m, (batch, n)).astype(np.intp)
-        table = solvers._score_table(omx, omy, w, float(p))
+        table = solvers._group_table(solvers._term_table(omx, omy, w, float(p)), n, m, float(p))
         cells = solvers._map_cells(assigns, m)
-        assert cells.shape[0] == (max(1, n * n // 4) if solvers._grouped(n, m)
-                                  else n * (n + 1) // 2)
-        got = solvers._map_distortion_batch(table, cells, float(p))
-        assert got.shape == (batch,)
-        for a, score in zip(assigns, got.tolist()):
-            mismatch = np.abs(omx - omy[np.ix_(a, a)])
-            if math.isinf(p):
-                heavy = w > EPS_SUPP
-                assert score == mismatch[np.ix_(heavy, heavy)].max()
-                continue
-            terms = mismatch ** p * w[:, None] * w[None, :]
-            exact = math.fsum(terms.ravel().tolist())
-            assert abs(score - exact) <= solvers._screen_slack(n, p) * exact
+        assert cells.shape[0] == max(1, n * n // 4)
+        own = solvers._own_terms(omx, omy, w, assigns, float(p))
+        assert own.shape == (n * n, batch)
+        for got in (solvers._map_distortion_batch(table, cells, float(p)),
+                    solvers._map_distortion_batch(own, None, float(p))):
+            assert got.shape == (batch,)
+            for a, score in zip(assigns, got.tolist()):
+                mismatch = np.abs(omx - omy[np.ix_(a, a)])
+                if math.isinf(p):
+                    heavy = w > EPS_SUPP
+                    assert score == mismatch[np.ix_(heavy, heavy)].max()
+                    continue
+                terms = mismatch ** p * w[:, None] * w[None, :]
+                exact = math.fsum(terms.ravel().tolist())
+                assert abs(score - exact) <= solvers._screen_slack(n, p) * exact
 
 
 @pytest.mark.parametrize("n", range(1, 31))
-def test_score_table_at_most_four_pair_tables(n):
-    """The grouped table is used while it holds at most four times the pair
-    table's entries: on targets of 8 to 12 points and fewer."""
-    for m in range(1, 40):
-        pairs = n * (n + 1) // 2 * m * m
-        assert solvers._grouped(n, m) == (max(1, n * n // 4) * m**3 <= 4 * pairs)
-    if n > 1:
-        assert 8 <= max(m for m in range(1, 40) if solvers._grouped(n, m)) <= 12
+def test_group_table_built_at_the_block_whose_maps_read_its_entries(n, monkeypatch,
+                                                                    empty_store):
+    """``gm_exact`` builds the grouped table, G*m**3 entries with
+    G = max(1, n*n // 4), at the first block where the maps so far have read
+    as many terms, count*n*n >= G*m**3, and only while it holds at most
+    ``_REPLAY_PAIRS * _REPLAY_ENTRIES`` entries; the other blocks score from
+    their own terms.  Either way the report is the first exact minimizer.
+    Blocks of random assignments stand in for the enumerator, on the
+    largest target that fits a smaller budget and on one point more."""
+    monkeypatch.setattr(solvers, "_REPLAY_ENTRIES", 256)
+    budget, groups = 4 * 256, max(1, n * n // 4)
+    assert solvers._REPLAY_PAIRS * solvers._REPLAY_ENTRIES == budget
+    rng = np.random.default_rng([83, n])
+    fit = max(m for m in range(1, 20) if groups * m**3 <= budget)
+    pulled, built, blocks, term_table = [], [], [], solvers._term_table
+
+    def stand_in(source, target):
+        for block in blocks:
+            pulled.append(len(block))
+            yield block.copy()
+
+    def recorded(*args):
+        built.append(sum(pulled))
+        return term_table(*args)
+
+    monkeypatch.setattr(solvers, "_assignment_blocks", stand_in)
+    monkeypatch.setattr(solvers, "_term_table", recorded)
+    for m in (fit, fit + 1):
+        need = -(-groups * m**3 // (n * n))  # maps whose terms fill the table
+        # random block sizes, at least need + 8 maps in all
+        sizes = rng.integers(1, max(2, need // 4), need + 8).tolist()
+        while sum(sizes[:-1]) > need + 8:
+            sizes.pop()
+        counts = np.cumsum(sizes)
+        assigns = rng.integers(0, m, (counts[-1], n)).astype(np.intp)
+        blocks[:] = np.split(assigns, counts[:-1])
+        wx = rng.uniform(0.5, 1, n)
+        wy = wx if m == n else rng.uniform(0.5, 1, m)
+        x = MeasureNetwork(wx / wx.sum(), rng.uniform(0, 3, (n, n)))
+        y = MeasureNetwork(wy / wy.sum(), rng.uniform(0, 3, (m, m)))
+        for p in (2, math.inf):
+            pulled.clear()
+            built.clear()
+            empty_store.cache_clear()
+            report = gm_exact(x, y, p)
+            first = int(counts[np.argmax(counts >= need)])
+            assert built == ([first] if m == fit else [])
+            values = [networks._map_distortion(x.omega, y.omega, x.weights, a, p)
+                      for a in assigns]
+            best = values.index(min(values))
+            assert report.value.hex() == values[best].hex()
+            assert report.witness.assignment.tolist() == assigns[best].tolist()
+            assert report.iterations == len(assigns)
+
+
+def test_group_table_built_on_the_benchmark_pairs_and_within_the_budget(monkeypatch,
+                                                                        empty_store):
+    """The gm_enum shapes and the cli_calls 6-6 pair build the grouped table
+    at their first block.  A 17-17 pair with 8 tied weights builds it once
+    its maps have read its 72 * 17**3 entries; a 22-22 pair with 7 tied
+    weights reads more than its 121 * 22**3 entries, past 8 MiB, and builds
+    none.  (``test_one_map_pairs_build_no_table`` covers pairs with one map.)"""
+    pulled, built = [], []
+    enumerate_blocks, term_table = solvers._assignment_blocks, solvers._term_table
+
+    def counted(source, target):
+        for block in enumerate_blocks(source, target):
+            pulled.append(len(block))
+            yield block
+
+    def recorded(*args):
+        built.append(len(pulled))
+        return term_table(*args)
+
+    monkeypatch.setattr(solvers, "_assignment_blocks", counted)
+    monkeypatch.setattr(solvers, "_term_table", recorded)
+
+    def blocks_at_build(x, y, p=2):
+        pulled.clear()
+        built.clear()
+        empty_store.cache_clear()
+        report = gm_exact(x, y, p)
+        assert report.value == distortion_map(x, y, report.witness, p)
+        return list(built), list(pulled)
+
+    for shape in range(3):
+        assert blocks_at_build(*replay_pair(shape, 95 + shape))[0] == [1]
+    cli_pair = [random_metric_network(6, [23, 14, k]) for k in (0, 1)]
+    assert blocks_at_build(*cli_pair, 1)[0] == [1]
+    assert 72 * 17**3 <= solvers._REPLAY_PAIRS * solvers._REPLAY_ENTRIES < 121 * 22**3
+    built, blocks = blocks_at_build(*tied_pair(17, 8, 34))
+    read = np.cumsum(blocks) * 17**2  # terms the maps have read by each block
+    assert built == [1 + int(np.argmax(read >= 72 * 17**3))] and built[0] > 1
+    built, blocks = blocks_at_build(*tied_pair(22, 7, 37))
+    assert built == [] and sum(blocks) == 5040 and 5040 * 22**2 >= 121 * 22**3
 
 
 @pytest.mark.parametrize("p", [2, math.inf])
@@ -935,11 +1087,15 @@ def test_gm_value_is_the_exact_minimum():
     np.full(6, 1 / 6), np.array([2, 2, 1, 1]) / 6,
     np.concatenate([np.array([2, 2, 1, 1]) / 6, np.full(6, 1e-12)])],
     ids=["uniform", "rational", "light"])
-def test_gm_witness_is_the_first_exact_minimizer_on_ties(target, p):
+def test_gm_witness_is_the_first_exact_minimizer_on_ties(target, p, monkeypatch):
     """Integer tables tie many maps; the witness is the lexicographically
     first minimizer of distortion_map over every map, with its value.  The
-    light target points make 10 of them, scored from the pair table."""
+    uniform and rational maps are scored from the grouped table.  The light
+    target points make 10 of them, so the 180 maps read fewer terms than
+    that table holds and are scored from their own terms."""
     source = np.full(6, 1 / 6)
+    if target.size == 10:
+        monkeypatch.setattr(solvers, "_term_table", refuse_table)
     maps = list(enumerate_monge_maps(source, target))
     tied = 0
     for k in range(6):
