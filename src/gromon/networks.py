@@ -86,8 +86,11 @@ def _field(a, what: str, kinds: str) -> None:
     ``kinds`` is "iuf" for a float field and "iu" for an integer field.  An
     ndarray passes on its dtype kind.  Nested lists and tuples are walked
     leaf by leaf: in a float field each leaf must pass ``_real``, in an
-    integer field ``_integer``; any other leaf is a ``TypeError``.
+    integer field ``_integer``; any other leaf is a ``TypeError``.  A list
+    or tuple whose items are all plain floats or ints (plain ints in an
+    integer field), the common row, passes on one scan of their types.
     """
+    plain = {float, int} if kinds == "iuf" else {int}
     stack = [a]
     while stack:
         v = stack.pop()
@@ -96,7 +99,8 @@ def _field(a, what: str, kinds: str) -> None:
                 noun = "numbers" if kinds == "iuf" else "integers"
                 raise TypeError(f"{what} must hold {noun}, got an array of {v.dtype}")
         elif isinstance(v, (list, tuple)):
-            stack.extend(reversed(v))
+            if not plain.issuperset(map(type, v)):
+                stack.extend(reversed(v))
         elif kinds == "iu":
             _integer(v, what if v is a else f"each entry of {what}")
         elif not _real(v):
@@ -207,7 +211,7 @@ def _distortion(omx: np.ndarray, omy: np.ndarray, ix: np.ndarray, iy: np.ndarray
     For finite p the result is the p-th root of the exactly rounded sum of
     the terms that ``_terms`` forms, mismatch**p * w[a] * w[b].  Every
     distortion (of a coupling, a map, a split or a p-size, and each entry of
-    ``gm_exact``'s term table) forms its terms there, so a map's distortion
+    ``gm_exact``'s grouped table) forms its terms there, so a map's distortion
     equals its induced coupling's bit for bit.  The terms are formed by row
     blocks of about _BLOCK, in place, and only one block exists at a time;
     ``_exact_sum`` sums each block as it comes, and calls ``terms`` once, or

@@ -226,64 +226,63 @@ def _assignment_blocks(source: np.ndarray, target: np.ndarray) -> Iterator[np.nd
 
 
 @functools.lru_cache(maxsize=16)
-def _source_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The n(n+1)/2 unordered pairs i <= k of source points as two read-only
-    index arrays: the n pairs (i, i) first, then i < k in row-major order."""
-    i, k = np.triu_indices(n, 1)
+def _source_groups(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The slabs of ``_group_table`` for n source points, as two read-only
+    index arrays (i, k) of ordered source pairs: the (leaf, centre) pair of
+    each of the G = max(1, n*n // 4) groups, then their (second, centre)
+    pairs, then the n pairs (k, k).
+
+    Each centre k >= 1 takes its leaves i < k two at a time: group
+    (i, i + 1, k) for even i, ceil(k/2) groups per centre.  A lone last
+    leaf (i + 1 = k) takes k itself as its second point.  The n - 1 groups
+    of leaf 0 come first, in order of their centre.  One point is the one
+    group (0, 0, 0)."""
+    leaf, centre = np.array([(i, k) for i in range(0, n - 1, 2) for k in range(i + 1, n)]
+                            or [(0, 0)], dtype=np.intp).T
     diag = np.arange(n)
-    pairs = np.concatenate([diag, i]), np.concatenate([diag, k])
+    pairs = (np.concatenate([leaf, np.minimum(leaf + 1, centre), diag]),
+             np.concatenate([centre, centre, diag]))
     for a in pairs:
         a.setflags(write=False)
     return pairs
 
 
-@functools.lru_cache(maxsize=16)
-def _source_groups(n: int) -> tuple[np.ndarray, ...]:
-    """The groups of ``_group_table`` for n source points, as read-only index
-    arrays (leaf, second, centre, first slab, second slab), one entry per
-    group.
-
-    Each centre k >= 1 takes the slabs (i, k), i < k, of ``_source_pairs``
-    two at a time: group (i, i + 1, k) for even i, ceil(k/2) groups per
-    centre and max(1, n*n // 4) in all.  A lone last leaf (i + 1 = k) takes
-    k itself as its second point and the zero slab, of index n(n+1)/2, as
-    its second slab.  The n - 1 groups of leaf 0 come first, in order of
-    their centre: group k - 1 takes the diagonal slab (k, k) on its centre
-    axis, and group 0 also (0, 0) on its leaf axis.  One point is the one
-    group (0, 0, 0) of its diagonal alone."""
-    zero = n * (n + 1) // 2
-    leaf, centre = np.array([(i, k) for i in range(0, n - 1, 2) for k in range(i + 1, n)]
-                            or [(0, 0)], dtype=np.intp).T
-    second = np.minimum(leaf + 1, centre)
-
-    def pair(i, k):  # the slab of (i, k), i < k, else the zero slab
-        return np.where(i < k, n + i * (2 * n - i - 1) // 2 + k - i - 1, zero)
-
-    groups = (leaf, second, centre, pair(leaf, centre), pair(second, centre))
-    for a in groups:
-        a.setflags(write=False)
-    return groups
-
-
-def _group_table(pairs: np.ndarray, n: int, m: int, p: float) -> np.ndarray:
-    """The flat grouped term table, (G, m, m, m), of the flat ``_term_table``
-    ``pairs`` of n source and m target points.
+def _group_table(omx: np.ndarray, omy: np.ndarray, w: np.ndarray, p: float) -> np.ndarray:
+    """The flat grouped term table, (G, m, m, m), of a pair of networks with
+    source weights ``w``.
 
     Group g of ``_source_groups`` holds at (x, y, z) what a map with
-    a[leaf] = x, a[second] = y and a[centre] = z adds to its distortion,
-    added left to right: its first slab at (x, z), the centre diagonal at
-    z (groups of leaf 0), group 0's leaf diagonal at x, and its second slab
-    at (y, z).  At p = inf each addition is an exact ``np.maximum``
-    instead; the terms are nonnegative, so the zero slab changes nothing
-    either way."""
-    first, second = _source_groups(n)[3:]
-    slabs = np.concatenate([pairs, np.zeros(m * m)]).reshape(-1, m, m)
-    diags = slabs.reshape(-1, m * m)[:, ::m + 1]  # slab s at each (j, j)
+    a[leaf] = x, a[second] = y and a[centre] = z adds to its distortion.
+    Each term is formed by ``networks._terms``, the former of every
+    distortion term: |omx[i, k] - omy[j, l]|**p * w[i] * w[k] multiplied
+    left to right.  The terms of (i, k) and (k, i) are folded into one slab
+    entry at (a[i], a[k]), and a group adds, left to right: its first slab
+    (leaf, centre) at (x, z), the diagonal term of its centre at z (groups
+    of leaf 0), group 0's diagonal term of point 0 at x, and its second slab
+    (second, centre) at (y, z).  A slab of a point with itself, a lone
+    leaf's second, is 0.  At p = inf each fold and addition is an exact
+    ``np.maximum`` instead, and every term of a point that weighs at most
+    ``EPS_SUPP`` is 0, the support rule of ``distortion_map``.  Overflow
+    gives inf, never nan; the caller silences its warning."""
+    n = w.size
+    i, k = _source_groups(n)
+    g = (i.size - n) // 2
+    wi, wk = w[i], w[k]
+
+    def terms(a, b, wa, wb, om):  # ordered source pairs (a, b) against om[j, l]
+        return _terms(omx[a, b][:, None, None] - om, p, wa[:, None, None], wb[:, None, None])
+
+    slabs = terms(i, k, wi, wk, omy)  # the 2G slabs of the groups, then the n diagonal slabs
+    folded, i, k = slabs[:2 * g], i[:2 * g], k[:2 * g]
     add = np.maximum if math.isinf(p) else np.add
-    lead = slabs[first]
-    add(lead[:n - 1], diags[1:n, None, :], out=lead[:n - 1])
+    add(folded, terms(k, i, wk[:2 * g], wi[:2 * g], omy.T), out=folded)
+    folded[i == k] = 0.0
+    if math.isinf(p):
+        slabs[(wi <= EPS_SUPP) | (wk <= EPS_SUPP)] = 0.0
+    lead, diags = slabs[:g], slabs[2 * g:].reshape(n, -1)[:, ::omy.shape[0] + 1]
+    add(lead[:n - 1], diags[1:, None, :], out=lead[:n - 1])
     add(lead[0], diags[0][:, None], out=lead[0])
-    return add(lead[:, :, None, :], slabs[second][:, None, :, :]).ravel()
+    return add(lead[:, :, None, :], slabs[g:2 * g, None, :, :]).ravel()
 
 
 def _map_cells(assigns: np.ndarray, m: int) -> np.ndarray:
@@ -291,17 +290,19 @@ def _map_cells(assigns: np.ndarray, m: int) -> np.ndarray:
     each map of the (B, n) block ``assigns`` in each of its G groups, one
     column per map.  Group g of (leaf, second, centre) holds the map's terms
     at cell (a[leaf], a[second], a[centre])."""
-    leaf, second, centre = _source_groups(assigns.shape[1])[:3]
+    n = assigns.shape[1]
+    i, k = _source_groups(n)
+    g = (i.size - n) // 2
     a = assigns.T
-    return (np.arange(leaf.size) * m**3)[:, None] + (a[leaf] * m + a[second]) * m + a[centre]
+    return (np.arange(g) * m**3)[:, None] + (a[i[:g]] * m + a[i[g:2 * g]]) * m + a[k[:g]]
 
 
 @dataclass
 class _PairRecord:
     """What ``gm_exact`` keeps of a pair of weight vectors: ``_admission``'s
     (may_exist, bound), and the read-only blocks of maps with their
-    ``_map_cells`` (None past the table's size bound) once a scan reads
-    them all within ``_REPLAY_ENTRIES``."""
+    ``_map_cells`` (None before the table is built, which it may never be)
+    once a scan reads them all within ``_REPLAY_ENTRIES``."""
 
     may_exist: bool | None
     bound: int | None
@@ -331,37 +332,6 @@ def enumerate_monge_maps(source_weights, target_weights) -> Iterator[MongeMap]:
     for block in _assignment_blocks(sw, tw):
         for row in block:
             yield MongeMap(row)
-
-
-def _term_table(omx: np.ndarray, omy: np.ndarray, w: np.ndarray, p: float) -> np.ndarray:
-    """The flat folded term table of a pair of networks, (n(n+1)/2, m, m).
-
-    Slab s of the source pair (i, k) of ``_source_pairs`` holds at (j, l)
-    what a map with a[i] = j and a[k] = l adds to its distortion.  Each term
-    is formed by ``networks._terms``, the former of every distortion term:
-    |omx[i, k] - omy[j, l]|**p * w[i] * w[k] multiplied left to right, and
-    for i < k the terms of (i, k) and (k, i) are folded into one entry: a
-    sum at finite p.  At p = inf an entry is the larger mismatch, or 0 when
-    i or k weighs at most ``EPS_SUPP``, the support rule of
-    ``distortion_map``.  Overflow gives inf, never nan; the caller silences
-    its warning.
-    """
-    n = w.size
-    i, k = _source_pairs(n)
-
-    def terms(a, b, om):
-        # ordered source pairs (a, b) against om[j, l]
-        return _terms(omx[a, b][:, None, None] - om, p,
-                      w[a][:, None, None], w[b][:, None, None])
-
-    table = terms(i, k, omy)
-    back = terms(k[n:], i[n:], omy.T)
-    if math.isinf(p):
-        np.maximum(table[n:], back, out=table[n:])
-        table[(w[i] <= EPS_SUPP) | (w[k] <= EPS_SUPP)] = 0.0
-    else:
-        table[n:] += back
-    return table.ravel()
 
 
 def _own_terms(omx: np.ndarray, omy: np.ndarray, w: np.ndarray, assigns: np.ndarray,
@@ -399,9 +369,9 @@ def _screen_slack(n: int, p: float) -> float:
     # exact, so two evaluations and their weight products differ by at most
     # 24u).  From its own terms the score sums the n*n nonnegative terms,
     # rounding n*n - 1 times in any order.  From the grouped table a term
-    # rounds at most once in the pair table's fold, three times in its
-    # group (a second slab and up to two diagonals) and G - 1 times in the
-    # sum of the G group entries.  So the score is F(a) = S(a)(1 + t),
+    # rounds at most once in the fold of (i, k) with (k, i), three times in
+    # its group (a second slab and up to two diagonals) and G - 1 times in
+    # the sum of the G group entries.  So the score is F(a) = S(a)(1 + t),
     # |t| <= g ~ (n*n + 25)u, as G + 27 <= n*n + 25 for n >= 2, for S(a)
     # the exact sum of _distortion's terms (at n = 1 each group addition
     # adds an exact zero).  V(a) = pow(R(a), 1/p) with R(a) = S(a)(1 +- u)
@@ -426,12 +396,14 @@ def gm_exact(netX: MeasureNetwork, netY: MeasureNetwork, p,
     Each map is scored by a float64 sum of its own n*n terms
     (``_own_terms``) or, once the call has built the grouped table
     ``_group_table``, of one entry per group, G = max(1, n*n // 4) in all.
-    The table, G*m**3 entries, is built at the first block where the maps
-    so far have read as many terms, count*n*n >= G*m**3, and only within
-    ``_REPLAY_PAIRS * _REPLAY_ENTRIES`` entries (8 MiB), all the store
-    holds.  The score only screens: every map whose float score is within a
-    rounding slack of the least score so far is ranked again by its exactly
-    rounded distortion, and strict ``<`` in block order keeps the first.
+    The table, G*m**3 entries built in one step from the two networks, is
+    built at the first block where the maps so far have read as many terms,
+    count*n*n >= G*m**3, and only within ``_REPLAY_PAIRS * _REPLAY_ENTRIES``
+    entries (8 MiB), all the store holds; a block's ``_map_cells`` are
+    formed only once the table exists.  The score only screens: every map
+    whose float score is within a rounding slack of the least score so far
+    is ranked again by its exactly rounded distortion, and strict ``<`` in
+    block order keeps the first.
     The slack bounds every rounding between the two, so no exact minimizer
     is screened out.  The rank sums the map's ``_own_terms``, the floats
     ``distortion_map`` forms, with ``math.fsum``, which its exact sum
@@ -453,7 +425,7 @@ def gm_exact(netX: MeasureNetwork, netY: MeasureNetwork, p,
     The maps depend on the weights alone, and only this function replays
     them.  One least-recently-used record per pair of weight bytes
     (``_pair_record``) keeps the admission, decided once, and the blocks
-    with their cells that a scan read: kept while the maps and cells so far
+    with the cells that a scan formed: kept while the maps and cells so far
     stay within ``_REPLAY_ENTRIES`` entries, released once they pass it,
     and stored when the stream ends within it.  A call that raises stores
     nothing.  Later calls scan the stored blocks instead of enumerating
@@ -483,9 +455,8 @@ def gm_exact(netX: MeasureNetwork, netY: MeasureNetwork, p,
     table_size = max(1, n * n // 4) * m**3
     fits = table_size <= _REPLAY_PAIRS * _REPLAY_ENTRIES
     blocks, kept = record.blocks, None  # a replay keeps nothing
-    if blocks is None:  # cells only for a table that may be built
-        blocks, kept = ((a, _map_cells(a, m) if fits else None)
-                        for a in _assignment_blocks(wx, wy)), []
+    if blocks is None:
+        blocks, kept = ((a, None) for a in _assignment_blocks(wx, wy)), []
     table = None
     with np.errstate(over="ignore"):
         for assigns, cells in blocks:
@@ -494,6 +465,10 @@ def gm_exact(netX: MeasureNetwork, netY: MeasureNetwork, p,
                 raise CapExceededError(
                     f"too large for exact enumeration: more than {cap} maps"
                 )
+            if table is None and fits and count * n * n >= table_size:
+                table = _group_table(omx, omy, wx, p)
+            if table is not None and cells is None:  # cells only where the table scores
+                cells = _map_cells(assigns, m)
             entries += assigns.size + (0 if cells is None else cells.size)
             if entries > _REPLAY_ENTRIES:
                 kept = None  # past the budget: the pair is streamed each call
@@ -502,10 +477,8 @@ def gm_exact(netX: MeasureNetwork, netY: MeasureNetwork, p,
                     if stored is not None:
                         stored.setflags(write=False)
                 kept.append((assigns, cells))
-            if table is None and fits and count * n * n >= table_size:
-                table = _group_table(_term_table(omx, omy, wx, p), n, m, p)
             if table is None:
-                own, cells = _own_terms(omx, omy, wx, assigns, p), None
+                own = _own_terms(omx, omy, wx, assigns, p)
             vals = _map_distortion_batch(own if cells is None else table, cells, p)
             b = int(np.argmin(vals))
             if math.isinf(p):

@@ -949,6 +949,38 @@ def test_numeric_fields_accept_integer_arrays_and_lists():
     assert cloud.points.tolist() == [[0.0, 1.0], [2.0, 3.0]]
 
 
+def test_plain_rows_pass_without_a_leaf_walk(monkeypatch):
+    """Rows of plain floats pass on one scan of their item types, with no
+    leaf check; a bool, a string, a complex value or a nested bool array
+    at the last leaf is still walked to and refused with the same message,
+    and so is a bool or a float in a row of plain ints."""
+    import gromon.networks as networks_module
+
+    calls, real, integer = [], networks_module._real, networks_module._integer
+
+    def counted(check):
+        return lambda *args: calls.append(args) or check(*args)
+
+    monkeypatch.setattr(networks_module, "_real", counted(real))
+    monkeypatch.setattr(networks_module, "_integer", counted(integer))
+    table = np.random.default_rng(7).uniform(0, 1, (300, 300)).tolist()
+    weights = [1 / 300] * 300
+    assert MeasureNetwork(weights, table).omega.tolist() == table
+    assert MongeMap(list(range(300))).assignment.tolist() == list(range(300))
+    assert calls == []
+    for bad, message in ((True, "each entry of omega must be a number, got True"),
+                         ("0.5", "each entry of omega must be a number, got '0.5'"),
+                         (0.5 + 0j, r"each entry of omega must be a number, got \(0.5\+0j\)"),
+                         (np.array([True]), "omega must hold numbers, got an array of bool")):
+        table[-1] = table[-1][:-1] + [bad]
+        with pytest.raises(TypeError, match=f"^{message}$"):
+            MeasureNetwork(weights, table)
+    for bad in (True, 1.0):
+        with pytest.raises(TypeError, match=f"^each entry of assignment must be an integer, "
+                                            f"got {bad}$"):
+            MongeMap([0, 1, bad])
+
+
 @pytest.mark.parametrize("bad,error", BAD_NUMERIC)
 def test_map_weight_arguments_reject_non_numbers(bad, error):
     half = [0.5, 0.5]

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import math
+import operator
 import subprocess
 import sys
 import threading
@@ -510,8 +511,14 @@ def test_gm_unchanged_by_block_size(block, monkeypatch, empty_store):
     monkeypatch.setattr(solvers, "_assignment_blocks", counted)
     assert solve_all() == expected
     assert len(cold) == 3
-    assert all(len(b) <= block and cells.shape[1] == len(b)
-               for pair in cold for b, cells in empty_store(*pair).blocks)
+    for pair in cold:
+        blocks = empty_store(*pair).blocks
+        n, m = (len(w) // 8 for w in pair)
+        read = np.cumsum([len(b) for b, _ in blocks]) * n * n
+        # cells from the block at which the grouped table is built, none before
+        assert all(len(b) <= block and (cells is None if r < max(1, n * n // 4) * m**3
+                                        else cells.shape[1] == len(b))
+                   for (b, cells), r in zip(blocks, read))
 
 
 # (source weights, target weights) of the gm_enum benchmark shapes: uniform
@@ -550,7 +557,7 @@ def refuse_enumeration(*args):
 
 
 def refuse_table(*args):
-    raise AssertionError("built a term table")
+    raise AssertionError("built a grouped table")
 
 
 def count_enumerations(monkeypatch):
@@ -667,7 +674,7 @@ def test_gm_reports_pinned_on_pairs_scored_from_own_terms(pair, p, empty_store):
 def test_one_map_pairs_build_no_table(n, monkeypatch, empty_store):
     """One map reads n*n terms, fewer than the grouped table's entries, so
     it is scored from its own terms and no table is built."""
-    monkeypatch.setattr(solvers, "_term_table", refuse_table)
+    monkeypatch.setattr(solvers, "_group_table", refuse_table)
     x, y = tied_pair(n, 1, 40 + n)
     x = MeasureNetwork(y.weights, x.omega)  # the same weights in both networks
     for p in (2, math.inf):
@@ -675,6 +682,28 @@ def test_one_map_pairs_build_no_table(n, monkeypatch, empty_store):
         assert report.witness.assignment.tolist() == list(range(n))
         assert report.iterations == 1
         assert report.value == distortion_map(x, y, report.witness, p)
+
+
+def test_cells_formed_only_where_the_table_scores(monkeypatch, empty_store):
+    """The 720 maps of 20-20 with 6 tied weights read fewer terms than the
+    grouped table's 100 * 20**3 entries: no cells are formed, and the record
+    stores the maps alone, which a replay scans to the same report."""
+    calls, map_cells = [], solvers._map_cells
+
+    def counted(assigns, m):
+        calls.append(len(assigns))
+        return map_cells(assigns, m)
+
+    monkeypatch.setattr(solvers, "_map_cells", counted)
+    x, y = tied_pair(20, 6, 35)
+    cold = gm_exact(x, y, 2)
+    assert cold.iterations == 720 and calls == []
+    blocks = empty_store(x.weights.tobytes(), y.weights.tobytes()).blocks
+    assert sum(len(b) for b, _ in blocks) == 720
+    assert all(cells is None for _, cells in blocks)
+    monkeypatch.setattr(solvers, "_assignment_blocks", refuse_enumeration)
+    assert report_bits(gm_exact(x, y, 2)) == report_bits(cold)
+    assert calls == []
 
 
 def test_cap_exceeded_cold_and_on_replay(monkeypatch, empty_store):
@@ -861,7 +890,7 @@ def test_folded_scores_within_slack_of_unfolded_terms(p):
         if math.isinf(p) and n > 1:  # light points leave the sup
             w[rng.permutation(n)[:(n + 1) // 3]] = rng.choice([1e-13, EPS_SUPP], (n + 1) // 3)
         assigns = rng.integers(0, m, (batch, n)).astype(np.intp)
-        table = solvers._group_table(solvers._term_table(omx, omy, w, float(p)), n, m, float(p))
+        table = solvers._group_table(omx, omy, w, float(p))
         cells = solvers._map_cells(assigns, m)
         assert cells.shape[0] == max(1, n * n // 4)
         own = solvers._own_terms(omx, omy, w, assigns, float(p))
@@ -895,7 +924,7 @@ def test_group_table_built_at_the_block_whose_maps_read_its_entries(n, monkeypat
     assert solvers._REPLAY_PAIRS * solvers._REPLAY_ENTRIES == budget
     rng = np.random.default_rng([83, n])
     fit = max(m for m in range(1, 20) if groups * m**3 <= budget)
-    pulled, built, blocks, term_table = [], [], [], solvers._term_table
+    pulled, built, blocks, group_table = [], [], [], solvers._group_table
 
     def stand_in(source, target):
         for block in blocks:
@@ -904,10 +933,10 @@ def test_group_table_built_at_the_block_whose_maps_read_its_entries(n, monkeypat
 
     def recorded(*args):
         built.append(sum(pulled))
-        return term_table(*args)
+        return group_table(*args)
 
     monkeypatch.setattr(solvers, "_assignment_blocks", stand_in)
-    monkeypatch.setattr(solvers, "_term_table", recorded)
+    monkeypatch.setattr(solvers, "_group_table", recorded)
     for m in (fit, fit + 1):
         need = -(-groups * m**3 // (n * n))  # maps whose terms fill the table
         # random block sizes, at least need + 8 maps in all
@@ -944,7 +973,7 @@ def test_group_table_built_on_the_benchmark_pairs_and_within_the_budget(monkeypa
     weights reads more than its 121 * 22**3 entries, past 8 MiB, and builds
     none.  (``test_one_map_pairs_build_no_table`` covers pairs with one map.)"""
     pulled, built = [], []
-    enumerate_blocks, term_table = solvers._assignment_blocks, solvers._term_table
+    enumerate_blocks, group_table = solvers._assignment_blocks, solvers._group_table
 
     def counted(source, target):
         for block in enumerate_blocks(source, target):
@@ -953,10 +982,10 @@ def test_group_table_built_on_the_benchmark_pairs_and_within_the_budget(monkeypa
 
     def recorded(*args):
         built.append(len(pulled))
-        return term_table(*args)
+        return group_table(*args)
 
     monkeypatch.setattr(solvers, "_assignment_blocks", counted)
-    monkeypatch.setattr(solvers, "_term_table", recorded)
+    monkeypatch.setattr(solvers, "_group_table", recorded)
 
     def blocks_at_build(x, y, p=2):
         pulled.clear()
@@ -978,36 +1007,17 @@ def test_group_table_built_on_the_benchmark_pairs_and_within_the_budget(monkeypa
     assert built == [] and sum(blocks) == 5040 and 5040 * 22**2 >= 121 * 22**3
 
 
-@pytest.mark.parametrize("p", [2, math.inf])
+@pytest.mark.parametrize("p", [1, 1.5, 2, 3, math.inf])
 @pytest.mark.parametrize("n", range(1, 13))
-def test_every_pair_slab_cell_lands_in_one_group_entry(n, p):
-    """Built from a pair table that is 1 at one cell (j, l) of one slab
-    (i, k) and 0 elsewhere, the grouped table scores a map 1 when
-    a[i] = j and a[k] = l, else 0: each ordered pair and each diagonal
-    term is read from exactly one group entry of each map."""
-    m = 3
-    assigns = np.random.default_rng([82, n]).integers(0, m, (400, n)).astype(np.intp)
-    cells = solvers._map_cells(assigns, m)
-    groups = max(1, n * n // 4)
-    assert cells.shape == (groups, 400)
-    for s, (i, k) in enumerate(zip(*solvers._source_pairs(n))):
-        for j, l in itertools.product(range(m), repeat=2):
-            pairs = np.zeros((n * (n + 1) // 2, m, m))
-            pairs[s, j, l] = 1.0
-            table = solvers._group_table(pairs.ravel(), n, m, p)
-            assert table.shape == (groups * m**3,)
-            want = ((assigns[:, i] == j) & (assigns[:, k] == l)).astype(float)
-            if i == k:  # a diagonal slab holds its term at j = l only
-                want *= j == l
-            got = solvers._map_distortion_batch(table, cells, p)
-            assert got.tolist() == want.tolist()
-
-
-@pytest.mark.parametrize("p", [1, 1.5, 2, 3])
-def test_term_table_holds_the_distortion_terms(p, monkeypatch):
-    """The folded term table and ``distortion_map`` form each term by one
-    rule: slab (i, i) holds the map's term t[i, i] bit for bit, and slab
-    (i, k), i < k, the rounded sum of t[i, k] and t[k, i]."""
+def test_every_pair_slab_cell_lands_in_one_group_entry(n, p, monkeypatch):
+    """The grouped table and ``distortion_map`` form each term by one rule.
+    Group (l, s, c) of a map a holds at (a[l], a[s], a[c]), bit for bit,
+    ((t[l, c] + t[c, l]) [+ t[c, c]] [+ t[0, 0]]) + (t[s, c] + t[c, s]) of
+    the map's terms t, the diagonal of its centre in the groups of leaf 0,
+    that of point 0 in group 0, and 0 for a pair of a point with itself
+    (a lone leaf's second); at p = inf np.maximum instead of +, over the
+    mismatches of the points above ``EPS_SUPP``.  Each ordered pair and each
+    diagonal term lands in exactly one group entry of each map."""
     import gromon.networks as networks_module
 
     seen = []
@@ -1017,23 +1027,54 @@ def test_term_table_holds_the_distortion_terms(p, monkeypatch):
         return math.fsum(seen[-1].tolist())
 
     monkeypatch.setattr(networks_module, "_exact_sum", recording_sum)
-    rng = np.random.default_rng([81, int(p * 2)])
-    for n, m in ((1, 1), (3, 1), (4, 2), (6, 6), (7, 5), (9, 4)):
-        for _ in range(4):  # surjective maps, so every target weight is positive
+    i, k = (a.tolist() for a in solvers._source_groups(n))
+    groups = max(1, n * n // 4)
+    leaf, second, centre = i[:groups], i[groups:2 * groups], k[:groups]
+    assert k[groups:2 * groups] == centre and i[2 * groups:] == k[2 * groups:] == list(range(n))
+    pairs = [(l, c) for l, c in zip(leaf + second, centre * 2) if l != c]
+    assert sorted(pairs) == [(i, k) for i in range(n) for k in range(i + 1, n)]
+    add = max if math.isinf(p) else operator.add
+    rng = np.random.default_rng([81, n, int(min(p, 9) * 2)])
+    for m in sorted({1, min(n, 3), min(n, 5)}):
+        wx = rng.integers(1, 10, n) / 1.0
+        light = rng.permutation(n)[:(n + 1) // 3 if math.isinf(p) and n > 1 else 0]
+        wx[light] = 0.0
+        wx /= wx.sum()
+        wx[light] = rng.choice([1e-13, EPS_SUPP], light.size)  # they leave the sup
+        x = MeasureNetwork(wx, rng.uniform(-3, 3, (n, n)) * 10.0 ** rng.integers(-3, 4))
+        omy = rng.uniform(-3, 3, (m, m))
+        table = solvers._group_table(x.omega, omy, x.weights, float(p))
+        assert table.shape == (groups * m**3,)
+        table = table.reshape(groups, m, m, m)
+        for _ in range(6):  # surjective maps, so every target weight is positive
             a = rng.permutation(np.concatenate([np.arange(m), rng.integers(0, m, n - m)]))
-            counts = rng.integers(1, 10, n)
-            wx = counts / counts.sum()
-            x = MeasureNetwork(wx, rng.uniform(-3, 3, (n, n)) * 10.0 ** rng.integers(-3, 4))
-            y = MeasureNetwork(np.bincount(a, weights=wx, minlength=m),
-                               rng.uniform(-3, 3, (m, m)))
+            y = MeasureNetwork(np.bincount(a, weights=x.weights, minlength=m), omy)
             seen.clear()
-            distortion_map(x, y, MongeMap(a), p)
-            t = seen[0].reshape(n, n)
-            table = solvers._term_table(x.omega, y.omega, x.weights, float(p)).reshape(-1, m, m)
-            i, k = solvers._source_pairs(n)
-            for s, (u, v) in enumerate(zip(i.tolist(), k.tolist())):
-                want = t[u, u] if u == v else t[u, v] + t[v, u]
-                assert table[s, a[u], a[v]].hex() == float(want).hex()
+            value = distortion_map(x, y, MongeMap(a), p)
+            if math.isinf(p):
+                heavy = x.weights > EPS_SUPP
+                t = np.abs(x.omega - omy[np.ix_(a, a)]) * np.outer(heavy, heavy)
+            else:
+                t = seen[0].reshape(n, n)
+            t = t.tolist()
+
+            def fold(i, k):
+                return add(t[i][k], t[k][i]) if i != k else 0.0
+
+            entries = []
+            for g, (l, s, c) in enumerate(zip(leaf, second, centre)):
+                want = fold(l, c)
+                if l == 0 and g < n - 1:
+                    want = add(want, t[c][c])
+                if g == 0:
+                    want = add(want, t[0][0])
+                want = add(want, fold(s, c))
+                entries.append(float(table[g, a[l], a[s], a[c]]))
+                assert entries[-1].hex() == float(want).hex()
+            if math.isinf(p):
+                assert max(entries) == value
+            else:
+                assert math.fsum(entries) == pytest.approx(value ** p, rel=1e-12)
 
 
 def test_gm_near_equal_small_weights_is_finite():
@@ -1095,7 +1136,7 @@ def test_gm_witness_is_the_first_exact_minimizer_on_ties(target, p, monkeypatch)
     that table holds and are scored from their own terms."""
     source = np.full(6, 1 / 6)
     if target.size == 10:
-        monkeypatch.setattr(solvers, "_term_table", refuse_table)
+        monkeypatch.setattr(solvers, "_group_table", refuse_table)
     maps = list(enumerate_monge_maps(source, target))
     tied = 0
     for k in range(6):
